@@ -24,8 +24,6 @@ from .cotree import (
 from .profile import (
     BicliqueProfile,
     ProfileError,
-    combine_product,
-    combine_sum,
     dominates,
     forbidden_biclique_profile,
     format_profile,

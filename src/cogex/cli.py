@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +25,12 @@ from .constructions import (
     star_extremal,
 )
 from .cotree import CapacityError, Cotree, biclique_sequence, to_adjacency, to_formula
-from .enumerator import analyze_periodicity, extremal_function, extremal_series_for_profile
+from .enumerator import (
+    ExtremalSeries,
+    analyze_periodicity,
+    extremal_function,
+    extremal_series_for_profile,
+)
 from .profile import forbidden_biclique_profile, fulfills, parse_profile
 from .serialize import (
     cotree_to_obj,
@@ -38,7 +42,7 @@ from .serialize import (
     series_to_obj,
     to_dot,
 )
-from .verification import run_suite
+from .verification import SELECTORS, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -46,37 +50,6 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
 OUTPUT_DIR_ENV = "COGEX_OUTPUT_DIR"
-
-
-@dataclass
-class RunConfig:
-    """Validated parameters of one CLI invocation."""
-
-    subcommand: str
-    s: int | None = None
-    t: int | None = None
-    n: int | None = None
-    n_min: int | None = None
-    n_max: int | None = None
-    d: int | None = None
-    r: int | None = None
-    k: int | None = None
-    profile_text: str | None = None
-    family: str | None = None
-    check: str | None = None
-    path: tuple[int, ...] = ()
-    input_path: str | None = None
-    output_path: str | None = None
-    fmt: str = "json"
-    exhaustive: bool = False
-    small: bool = False
-    witness_max: int = 8
-    catalog_max: int = 10
-    max_records: int | None = None
-    alpha: Fraction | None = None
-    periods: list[int] = field(default_factory=list)
-    seed: int = 20240817
-    threads: int = 1
 
 
 def _human(msg: str) -> None:
@@ -115,22 +88,22 @@ def _emit_json(obj, path: Path | None) -> None:
 # enumerate
 # =============================================================================
 
-def cmd_enumerate(cfg: RunConfig) -> int:
-    if cfg.profile_text:
-        prof = parse_profile(cfg.profile_text)
-        series = extremal_series_for_profile(
-            prof, range(cfg.n_min or 1, (cfg.n_max or 10) + 1),
-            exhaustive=cfg.exhaustive, witness_limit=cfg.witness_max,
-            max_records=cfg.max_records)
-    else:
-        series = extremal_function(
-            cfg.s, cfg.t, range(cfg.n_min or 1, (cfg.n_max or 10) + 1),
-            exhaustive=cfg.exhaustive, witness_limit=cfg.witness_max,
-            max_records=cfg.max_records)
+def _series(args: argparse.Namespace, exhaustive: bool = False) -> ExtremalSeries:
+    """The DP series on --n-min .. --n-max under --profile, or --s and --t."""
+    ns = range(args.n_min, args.n_max + 1)
+    opts = dict(exhaustive=exhaustive, witness_limit=args.witness_max,
+                max_records=args.max_records)
+    if args.profile:
+        return extremal_series_for_profile(parse_profile(args.profile), ns, **opts)
+    return extremal_function(args.s, args.t, ns, **opts)
+
+
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    series = _series(args, args.exhaustive)
     report = analyze_periodicity(series) if series.values else None
     period = report.detected_period if report else None
-    out = _resolve_output(cfg.output_path)
-    if cfg.fmt == "csv":
+    out = _resolve_output(args.output)
+    if args.format == "csv":
         _emit(series_to_csv(series, period), out)
     else:
         obj = series_to_obj(series, period)
@@ -155,50 +128,49 @@ def cmd_enumerate(cfg: RunConfig) -> int:
 # construct
 # =============================================================================
 
-def _construct_graph(cfg: RunConfig) -> tuple[Cotree, dict]:
-    fam = cfg.family
+def _construct_graph(args: argparse.Namespace) -> tuple[Cotree, dict]:
+    fam = args.family
     if fam == "regular":
-        if cfg.n is None or cfg.d is None:
+        if args.n is None or args.d is None:
             raise ValueError("regular needs --n and --d")
-        g = regular_cograph(cfg.n, cfg.d)
+        g = regular_cograph(args.n, args.d)
         if g is None:
-            raise _Infeasible(regular_infeasibility_reason(cfg.n, cfg.d))
-        return g, {"regular_degree": cfg.d}
+            raise _Infeasible(regular_infeasibility_reason(args.n, args.d))
+        return g, {"regular_degree": args.d}
     if fam == "star":
-        if cfg.n is None or cfg.t is None:
+        if args.n is None or args.t is None:
             raise ValueError("star needs --n and --t")
-        return star_extremal(cfg.t, cfg.n), {"constraint": f"K{{1,{cfg.t}}}"}
+        return star_extremal(args.t, args.n), {"constraint": f"K{{1,{args.t}}}"}
     if fam == "k2t":
-        if cfg.n is None or cfg.t is None:
+        if args.n is None or args.t is None:
             raise ValueError("k2t needs --n and --t")
-        return k2t_extremal(cfg.t, cfg.n), {"constraint": f"K{{2,{cfg.t}}}"}
+        return k2t_extremal(args.t, args.n), {"constraint": f"K{{2,{args.t}}}"}
     if fam == "k33":
-        if cfg.n is None:
+        if args.n is None:
             raise ValueError("k33 needs --n")
-        return k33_extremal(cfg.n), {"constraint": "K{3,3}"}
+        return k33_extremal(args.n), {"constraint": "K{3,3}"}
     if fam == "clique-product":
-        if None in (cfg.s, cfg.t, cfg.r):
+        if None in (args.s, args.t, args.r):
             raise ValueError("clique-product needs --s, --t and --r")
-        return clique_product_family(cfg.s, cfg.t, cfg.r), {
-            "constraint": f"K{{{cfg.s},{cfg.t}}}"}
-    if fam == "pump":
-        if cfg.input_path is None or cfg.k is None or not cfg.path:
-            raise ValueError("pump needs --input, --path and --k")
-        g = loads_cotree(Path(cfg.input_path).read_text())
-        return pump(g, cfg.path, cfg.k), {"pumped_path": list(cfg.path), "k": cfg.k}
-    raise ValueError(f"unknown family {fam!r}")
+        return clique_product_family(args.s, args.t, args.r), {
+            "constraint": f"K{{{args.s},{args.t}}}"}
+    if args.input is None or args.k is None or not args.path:
+        raise ValueError("pump needs --input, --path and --k")
+    g = loads_cotree(Path(args.input).read_text())
+    return pump(g, args.path, args.k), {"pumped_path": list(args.path), "k": args.k}
 
 
 class _Infeasible(Exception):
     pass
 
 
-def cmd_construct(cfg: RunConfig) -> int:
+def cmd_construct(args: argparse.Namespace) -> int:
+    out = _resolve_output(args.output)
     try:
-        g, extra = _construct_graph(cfg)
+        g, extra = _construct_graph(args)
     except _Infeasible as exc:
         _human(f"infeasible: {exc.args[0]}")
-        print(json.dumps({"infeasible": True, "reason": exc.args[0]}))
+        _emit_json({"infeasible": True, "reason": exc.args[0]}, out)
         return EXIT_CHECK_FAILED
 
     verification = {
@@ -211,16 +183,15 @@ def cmd_construct(cfg: RunConfig) -> int:
         adj = to_adjacency(g)
         degs = sorted(set(adj.degree_sequence()))
         verification["degrees"] = degs
-        if cfg.family in ("star", "k2t", "k33", "clique-product"):
-            s, t = {"star": (1, cfg.t), "k2t": (2, cfg.t), "k33": (3, 3),
-                    "clique-product": (cfg.s, cfg.t)}[cfg.family]
+        if args.family in ("star", "k2t", "k33", "clique-product"):
+            s, t = {"star": (1, args.t), "k2t": (2, args.t), "k33": (3, 3),
+                    "clique-product": (args.s, args.t)}[args.family]
             verification["fulfills_constraint"] = fulfills(
                 biclique_sequence(g, g.n), forbidden_biclique_profile(s, t))
 
-    out = _resolve_output(cfg.output_path)
-    if cfg.fmt == "graph6":
+    if args.format == "graph6":
         _emit(graph6_bytes(to_adjacency(g, limit=62)).decode("ascii"), out)
-    elif cfg.fmt == "dot":
+    elif args.format == "dot":
         _emit(to_dot(g), out)
     else:
         _emit_json({"format": "cogex.cotree/1", "cotree": cotree_to_obj(g),
@@ -233,19 +204,11 @@ def cmd_construct(cfg: RunConfig) -> int:
 # verify / analyze / export
 # =============================================================================
 
-def cmd_verify(cfg: RunConfig) -> int:
-    report = run_suite(
-        which=cfg.check or "all",
-        small=cfg.small,
-        seed=cfg.seed,
-        threads=cfg.threads,
-        n=cfg.n,
-        n_max=cfg.n_max,
-        s=cfg.s,
-        t=cfg.t,
-        catalog_max=cfg.catalog_max,
-    )
-    _emit_json(report, _resolve_output(cfg.output_path))
+def cmd_verify(args: argparse.Namespace) -> int:
+    report = run_suite(args.check, small=args.small, seed=args.seed, n=args.n,
+                       n_max=args.n_max, s=args.s, t=args.t,
+                       catalog_max=args.catalog_max)
+    _emit_json(report, _resolve_output(args.output))
     for c in report["checks"]:
         status = "PASS" if c["passed"] else "FAIL"
         _human(f"  {status} {c['check']} {c['params']}")
@@ -256,23 +219,15 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_CHECK_FAILED
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    if cfg.input_path:
-        series = series_from_obj(json.loads(Path(cfg.input_path).read_text()))
-    elif cfg.profile_text:
-        prof = parse_profile(cfg.profile_text)
-        series = extremal_series_for_profile(
-            prof, range(cfg.n_min or 1, (cfg.n_max or 20) + 1),
-            witness_limit=cfg.witness_max, max_records=cfg.max_records)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.input:
+        series = series_from_obj(json.loads(Path(args.input).read_text()))
     else:
-        series = extremal_function(
-            cfg.s, cfg.t, range(cfg.n_min or 1, (cfg.n_max or 20) + 1),
-            witness_limit=cfg.witness_max, max_records=cfg.max_records)
-    report = analyze_periodicity(series, alpha=cfg.alpha,
-                                 periods=cfg.periods or None)
+        series = _series(args)
+    report = analyze_periodicity(series, alpha=args.alpha, periods=args.periods)
     obj = report.to_json()
     obj["constraint"] = series.constraint
-    _emit_json(obj, _resolve_output(cfg.output_path))
+    _emit_json(obj, _resolve_output(args.output))
     if report.status == "periodic":
         consts = ", ".join(f"a_{q}={a}" for q, a in sorted(report.constants.items()))
         _human(f"period R={report.detected_period} from n={report.onset}: {consts}")
@@ -283,18 +238,16 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_export(cfg: RunConfig) -> int:
-    if cfg.input_path is None:
-        raise ValueError("export needs --input")
-    g = loads_cotree(Path(cfg.input_path).read_text())
-    out = _resolve_output(cfg.output_path)
-    if cfg.fmt == "graph6":
+def cmd_export(args: argparse.Namespace) -> int:
+    g = loads_cotree(Path(args.input).read_text())
+    out = _resolve_output(args.output)
+    if args.format == "graph6":
         _emit(graph6_bytes(to_adjacency(g, limit=62)).decode("ascii"), out)
-    elif cfg.fmt == "dot":
+    elif args.format == "dot":
         _emit(to_dot(g), out)
     else:
         _emit(dumps_cotree(g), out)
-    _human(f"exported {to_formula(g)} as {cfg.fmt}")
+    _human(f"exported {to_formula(g)} as {args.format}")
     return EXIT_OK
 
 
@@ -305,8 +258,6 @@ def cmd_export(cfg: RunConfig) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", "-o", help="output file (default: stdout); relative "
                    f"paths resolve under ${OUTPUT_DIR_ENV} when set")
-    p.add_argument("--threads", type=int, default=1,
-                   help="max worker threads for per-item checks")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,17 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("verify", help="oracle and property suites")
-    p.add_argument("check", choices=(
-        "all", "balanced-biclique", "sequences", "profiles", "dp-vs-oracle",
-        "bound-2t", "bounds", "structure", "restriction", "regular", "pareto",
-        "constructions", "pump", "invariants"))
+    p.add_argument("check", choices=("all", *SELECTORS))
     p.add_argument("--n", type=int)
     p.add_argument("--n-max", type=int)
     p.add_argument("--s", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--small", action="store_true", help="reduced bundled suite")
     p.add_argument("--seed", type=int, default=20240817)
-    p.add_argument("--catalog-max", type=int, default=None,
+    p.add_argument("--catalog-max", type=int, default=10,
                    help="hard ceiling on oracle catalog size (capacity guard)")
     _add_common(p)
 
@@ -362,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--profile")
-    p.add_argument("--n-max", type=int)
+    p.add_argument("--n-max", type=int, default=20)
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--input", help="series snapshot JSON from enumerate")
     p.add_argument("--alpha", help="exact rational, e.g. 3/2 (default: from s,t)")
@@ -379,44 +327,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
-    for name in ("s", "t", "n", "d", "r", "k", "small", "exhaustive", "seed", "threads"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    cfg.n_min = getattr(args, "n_min", None)
-    cfg.n_max = getattr(args, "n_max", None)
-    cfg.profile_text = getattr(args, "profile", None)
-    cfg.family = getattr(args, "family", None)
-    cfg.check = getattr(args, "check", None)
-    cfg.input_path = getattr(args, "input", None)
-    cfg.output_path = getattr(args, "output", None)
-    cfg.fmt = getattr(args, "format", "json")
-    cfg.witness_max = getattr(args, "witness_max", 8)
-    cfg.max_records = getattr(args, "max_records", None)
-    if getattr(args, "catalog_max", None) is not None:
-        cfg.catalog_max = args.catalog_max
-    if getattr(args, "alpha", None):
-        cfg.alpha = Fraction(args.alpha)
-    if getattr(args, "periods", None):
-        cfg.periods = [int(x) for x in args.periods.split(",")]
-    if getattr(args, "path", None):
-        cfg.path = tuple(int(x) for x in args.path.split("/"))
-    _validate(cfg)
-    return cfg
+def _convert(args: argparse.Namespace) -> None:
+    """Parse the text-valued options in place, then validate."""
+    opts = vars(args)
+    try:
+        args.alpha = Fraction(args.alpha) if opts.get("alpha") else None
+    except ZeroDivisionError:
+        raise ValueError(f"--alpha {args.alpha} has a zero denominator") from None
+    args.periods = [int(x) for x in args.periods.split(",")] if opts.get("periods") else None
+    args.path = tuple(int(x) for x in args.path.split("/")) if opts.get("path") else ()
+    _validate(args)
 
 
-def _validate(cfg: RunConfig) -> None:
-    if cfg.subcommand in ("enumerate", "analyze") and not cfg.input_path:
-        if cfg.profile_text is None and (cfg.s is None or cfg.t is None):
+def _validate(args: argparse.Namespace) -> None:
+    opts = vars(args)
+    if args.subcommand in ("enumerate", "analyze") and not opts.get("input"):
+        if args.profile is None and (args.s is None or args.t is None):
             raise ValueError("need --s and --t, or --profile")
-        if cfg.profile_text is None and not 1 <= cfg.s <= cfg.t:
-            raise ValueError(f"need 1 <= s <= t, got ({cfg.s}, {cfg.t})")
-    if cfg.n_max is not None and cfg.n_min is not None and cfg.n_min > cfg.n_max:
-        raise ValueError("--n-min exceeds --n-max")
-    if cfg.threads < 1:
-        raise ValueError("--threads must be >= 1")
-    if cfg.witness_max < 1:
+        if args.profile is None and not 1 <= args.s <= args.t:
+            raise ValueError(f"need 1 <= s <= t, got ({args.s}, {args.t})")
+        if args.n_min > args.n_max:
+            raise ValueError("--n-min exceeds --n-max")
+    for name in ("n", "n_min", "n_max"):
+        if opts.get(name) is not None and opts[name] < 1:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
+    if opts.get("witness_max", 1) < 1:
         raise ValueError("--witness-max must be >= 1")
 
 
@@ -433,12 +368,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
+        _convert(args)
     except ValueError as exc:
         _human(f"usage error: {exc}")
         return EXIT_USAGE
     try:
-        return _DISPATCH[cfg.subcommand](cfg)
+        return _DISPATCH[args.subcommand](args)
     except CapacityError as exc:
         _human(f"capacity exceeded: {exc}")
         return EXIT_CAPACITY

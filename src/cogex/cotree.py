@@ -15,7 +15,7 @@ threads.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 NEG_INF = float("-inf")
 INF = float("inf")
@@ -108,10 +108,6 @@ def make_product(children: Iterable[Cotree]) -> Cotree:
     return _make_inner(PROD, children)
 
 
-def leaf() -> Cotree:
-    return make_leaf()
-
-
 def clique(k: int) -> Cotree:
     """K_k."""
     if k < 1:
@@ -164,16 +160,6 @@ def max_degree(g: Cotree) -> int:
     return max(max_degree(c) + g.n - c.n for c in g.children)
 
 
-def is_connected(g: Cotree) -> bool:
-    """A cograph is connected iff its root is a product (or a single vertex)."""
-    return g.kind != SUM
-
-
-def components(g: Cotree) -> tuple[Cotree, ...]:
-    """Connectivity components as cotrees."""
-    return g.children if g.kind == SUM else (g,)
-
-
 def to_formula(g: Cotree) -> str:
     """Human-readable construction formula, e.g. ``(v*v*(K3+K3))``."""
     if g.kind == LEAF:
@@ -184,15 +170,6 @@ def to_formula(g: Cotree) -> str:
         return f"E{g.n}"
     sep = "+" if g.kind == SUM else "*"
     return "(" + sep.join(to_formula(c) for c in g.children) + ")"
-
-
-def iter_subtrees(g: Cotree) -> Iterator[Cotree]:
-    """All nodes of the tree in DFS preorder."""
-    stack = [g]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children))
 
 
 # =============================================================================

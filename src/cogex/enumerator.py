@@ -11,8 +11,7 @@ Keys determine how a part behaves inside any larger composition, so
 replacing a part by one with a pointwise smaller-or-equal key and at
 least as many edges never hurts: the frontier keeps at least one extremal
 cograph per level.  Candidate generation per level is associative and
-order-independent; the implementation runs it sequentially and publishes
-each level's registry frozen.
+order-independent; the implementation runs it sequentially.
 """
 
 from __future__ import annotations
@@ -56,23 +55,18 @@ class ExtremalRecord:
 class Registry:
     """Per-n map from truncated sequence key to its best record."""
 
-    __slots__ = ("n", "cap", "records", "frozen")
+    __slots__ = ("n", "cap", "records")
 
     def __init__(self, n: int, cap: int):
         self.n = n
         self.cap = cap
         self.records: dict[Key, ExtremalRecord] = {}
-        self.frozen = False
-
-    def freeze(self) -> "Registry":
-        self.frozen = True
-        return self
 
     def __len__(self) -> int:
         return len(self.records)
 
     def __repr__(self) -> str:
-        return f"Registry(n={self.n}, records={len(self.records)}, frozen={self.frozen})"
+        return f"Registry(n={self.n}, records={len(self.records)})"
 
 
 def pareto_filter(candidates: Iterable[tuple[Key, int]]) -> set[tuple[Key, int]]:
@@ -110,7 +104,7 @@ def build_registries(
     witness_limit: int | None = DEFAULT_WITNESS_LIMIT,
     max_records: int | None = None,
 ) -> list[Registry]:
-    """Registries for n = 1 .. n_max (list index n-1), all frozen.
+    """Registries for n = 1 .. n_max (list index n-1).
 
     ``prune`` drops every key exceeding the profile anywhere on the window,
     which is sound because a part's sequence is a pointwise lower bound for
@@ -130,7 +124,7 @@ def build_registries(
     base_key: Key = (1, 0) + (NEG_INF,) * (cap - 1)
     if _passes(base_key, window):
         base.records[base_key] = ExtremalRecord(base_key, 0, (make_leaf(),))
-    registries.append(base.freeze())
+    registries.append(base)
 
     for n in range(2, n_max + 1):
         # pass 1: combine keys, remembering where each best candidate came from
@@ -184,15 +178,13 @@ def build_registries(
             if witness_limit is not None:
                 ordered = ordered[:witness_limit]
             reg.records[key] = ExtremalRecord(key, edges, ordered)
-        registries.append(reg.freeze())
+        registries.append(reg)
 
     return registries
 
 
 def query(r: Registry, p: BicliqueProfile) -> ExtremalRecord | None:
     """Best record whose key fits under the profile on the truncated window."""
-    if not r.frozen:
-        raise ValueError("registry must be frozen before queries")
     window = p.window(r.cap + 1)
     best: ExtremalRecord | None = None
     for key in sorted(r.records):
@@ -206,8 +198,6 @@ def query(r: Registry, p: BicliqueProfile) -> ExtremalRecord | None:
 
 def query_witnesses(r: Registry, p: BicliqueProfile) -> tuple[int, tuple[Cotree, ...]]:
     """Best edge count under the profile, with witnesses merged across keys."""
-    if not r.frozen:
-        raise ValueError("registry must be frozen before queries")
     window = p.window(r.cap + 1)
     best = -1
     wits: set[Cotree] = set()

@@ -531,29 +531,17 @@ def _balanced_split_exists(sizes: list[int], s: int) -> bool:
 
 def check_structure_theorems(
     n_range,
-    which: str = "all",
     limit: int = DEFAULT_CATALOG_LIMIT,
-) -> dict:
-    """Run the selected structural checks over a range of vertex counts.
-
-    ``which`` is one of ``all``, ``stars``, ``universal``, ``k33``,
-    ``lifting``.  Returns a JSON-ready report.
-    """
-    selected = {"stars", "universal", "k33", "lifting"} if which == "all" else {which}
+) -> list[CheckResult]:
+    """Run the structural checks over a range of vertex counts."""
     results: list[CheckResult] = []
     for n in n_range:
-        if "stars" in selected and n >= 3:
+        if n >= 3:
             results.append(check_star_extremal_regular(n, 3, limit=limit))
-        if "universal" in selected:
-            for t in (2, 3):
-                results.append(check_universal_vertex(n, t, limit=limit))
-        if "k33" in selected and n >= 2:
+        for t in (2, 3):
+            results.append(check_universal_vertex(n, t, limit=limit))
+        if n >= 2:
             results.append(check_k33_shape(n, limit=limit))
-        if "lifting" in selected:
-            for s, t in ((2, 2), (2, 3), (3, 3)):
-                results.append(check_lifting_decomposition(n, s, t, limit=limit))
-    return {
-        "which": which,
-        "passed": all(r.passed for r in results),
-        "checks": [r.to_json() for r in results],
-    }
+        for s, t in ((2, 2), (2, 3), (3, 3)):
+            results.append(check_lifting_decomposition(n, s, t, limit=limit))
+    return results

@@ -238,26 +238,6 @@ def binding_cap(p: BicliqueProfile) -> int:
 
 
 # =============================================================================
-# Combination under sum and product (exact sequences)
-# =============================================================================
-
-def combine_sum(s1: BicliqueSequence, s2: BicliqueSequence, cap: int) -> BicliqueSequence:
-    """Exact sequence of the disjoint union, entries 0..cap."""
-    from .cotree import sum_entries
-    e1 = tuple(s1[i] for i in range(cap + 1))
-    e2 = tuple(s2[i] for i in range(cap + 1))
-    return BicliqueSequence(sum_entries(e1, e2, cap))
-
-
-def combine_product(s1: BicliqueSequence, s2: BicliqueSequence, cap: int) -> BicliqueSequence:
-    """Exact sequence of the join, entries 0..cap."""
-    from .cotree import product_entries
-    e1 = tuple(s1[i] for i in range(cap + 1))
-    e2 = tuple(s2[i] for i in range(cap + 1))
-    return BicliqueSequence(product_entries(e1, e2, cap))
-
-
-# =============================================================================
 # Restriction: what the other factor of a join must fulfill
 # =============================================================================
 

@@ -189,7 +189,7 @@ def registry_from_obj(obj: dict) -> tuple[Registry, BicliqueProfile | None]:
         witnesses = tuple(cotree_from_obj(w) for w in rec["witnesses"])
         r.records[key] = ExtremalRecord(key, rec["edges"], witnesses)
     prune = None if obj.get("prune") is None else parse_profile(obj["prune"])
-    return r.freeze(), prune
+    return r, prune
 
 
 def series_to_obj(series: ExtremalSeries, detected_period: int | None = None) -> dict:

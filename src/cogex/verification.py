@@ -7,9 +7,8 @@ acceptance tests both run these.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .constructions import (
     clique_product_family,
@@ -22,6 +21,7 @@ from .constructions import (
 )
 from .cotree import (
     SUM,
+    CapacityError,
     Cotree,
     biclique_sequence,
     canonical_form,
@@ -38,6 +38,8 @@ from .enumerator import extremal_function
 from .oracle import (
     CheckResult,
     biclique_sequence_bruteforce,
+    check_balanced_biclique,
+    check_structure_theorems,
     contains_biclique,
     enumerate_cotrees,
     extremal_bruteforce,
@@ -53,31 +55,19 @@ from .profile import (
 SMALL_PAIRS = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
 
 
-def _pmap(fn: Callable, items: Iterable, threads: int = 1) -> list:
-    items = list(items)
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def verify_sequences(n_max: int = 7, threads: int = 1) -> CheckResult:
+def verify_sequences(n_max: int = 7) -> CheckResult:
     """Cotree sequence recursion == brute-force search, all cographs <= n_max."""
     bad = []
     total = 0
     for n in range(1, n_max + 1):
         items = enumerate_cotrees(n, limit=max(10, n_max)).items
         total += len(items)
-
-        def one(g: Cotree) -> str | None:
+        for g in items:
             rec = biclique_sequence(g, g.n)
-            bf = biclique_sequence_bruteforce(to_adjacency(g), g.n)
-            if rec != bf:
-                return canonical_form(g).decode("ascii")
-            check_sequence_invariants(rec)
-            return None
-
-        bad.extend(x for x in _pmap(one, items, threads) if x)
+            if rec != biclique_sequence_bruteforce(to_adjacency(g), g.n):
+                bad.append(canonical_form(g).decode("ascii"))
+            else:
+                check_sequence_invariants(rec)
     return CheckResult("sequences", {"n_max": n_max}, not bad,
                        f"{total} cographs", bad)
 
@@ -85,24 +75,18 @@ def verify_sequences(n_max: int = 7, threads: int = 1) -> CheckResult:
 def verify_fulfillment_agreement(
     n_max: int = 7,
     pairs: Sequence[tuple[int, int]] = ((2, 2), (2, 3), (3, 3)),
-    threads: int = 1,
 ) -> CheckResult:
     """Profile fulfillment == absence of the biclique, by direct search."""
     bad = []
     for n in range(1, n_max + 1):
-        items = enumerate_cotrees(n, limit=max(10, n_max)).items
-
-        def one(g: Cotree) -> str | None:
+        for g in enumerate_cotrees(n, limit=max(10, n_max)).items:
             a = to_adjacency(g)
             seq = biclique_sequence(g, g.n)
             for s, t in pairs:
                 want = not contains_biclique(a, s, t)
-                got = fulfills(seq, forbidden_biclique_profile(s, t))
-                if want != got:
-                    return f"({s},{t}) {canonical_form(g).decode('ascii')}"
-            return None
-
-        bad.extend(x for x in _pmap(one, items, threads) if x)
+                if want != fulfills(seq, forbidden_biclique_profile(s, t)):
+                    bad.append(f"({s},{t}) {canonical_form(g).decode('ascii')}")
+                    break
     return CheckResult("fulfillment-agreement",
                        {"n_max": n_max, "pairs": list(map(list, pairs))},
                        not bad, "", bad)
@@ -352,11 +336,53 @@ def verify_complement_involution(n_max: int = 7) -> CheckResult:
     return CheckResult("complement-involution", {"n_max": n_max}, not bad, "", bad)
 
 
+def _given(value: int | None, default: int) -> int:
+    """An explicit bound, 0 included, else the default."""
+    return default if value is None else value
+
+
+# The verify selectors in the order ``all`` runs them (``all`` leaves out
+# bound-2t): selector -> (runner, whether it scans the oracle catalog).  A
+# runner takes run_suite's keyword arguments and returns its checks.
+SELECTORS: dict[str, tuple[Callable[..., list[CheckResult]], bool]] = {
+    "balanced-biclique": (lambda small, n, n_max, **_: [
+        check_balanced_biclique(k)
+        for k in range(2, _given(n, _given(n_max, 8 if small else 9)) + 1)], True),
+    "sequences": (lambda small, n_max, **_: [
+        verify_sequences(_given(n_max, 6 if small else 7))], True),
+    "profiles": (lambda small, n_max, **_: [
+        verify_fulfillment_agreement(_given(n_max, 6 if small else 7))], True),
+    "dp-vs-oracle": (lambda small, n_max, s, t, **_: [
+        verify_dp_vs_oracle(ss, tt, _given(n_max, 7 if small else 8))
+        for ss, tt in ([(s, t)] if s is not None and t is not None else SMALL_PAIRS)],
+        True),
+    "bound-2t": (lambda n_max, t, **_: [
+        verify_bound_2t(_given(t, 3), _given(n_max, 20))], False),
+    "bounds": (lambda small, n_max, **_: [
+        verify_strict_bound(s, t, _given(n_max, 20 if small else 30))
+        for s, t in ((2, 2), (2, 3), (3, 3))], False),
+    "structure": (lambda small, n_max, **_: check_structure_theorems(
+        range(2, _given(n_max, 7 if small else 8) + 1)), True),
+    "restriction": (lambda small, **_: [
+        verify_restriction_transport(3, 4 if small else 5)], True),
+    "regular": (lambda small, **_: [
+        verify_regular_constructor(20 if small else 40, 8 if small else 9)], True),
+    "pareto": (lambda small, **_: [verify_pareto_safety(6 if small else 8)], False),
+    "constructions": (lambda small, **_: [
+        verify_constructions_meet_optimum(8 if small else 9),
+        verify_clique_product_formula()], True),
+    "pump": (lambda small, seed, **_: [
+        verify_pump_invariants(seed=seed, trials=60 if small else 120)], False),
+    "invariants": (lambda small, **_: [
+        verify_height_bound(6 if small else 7),
+        verify_complement_involution(6 if small else 7)], False),
+}
+
+
 def run_suite(
     which: str = "all",
     small: bool = False,
     seed: int = 20240817,
-    threads: int = 1,
     n: int | None = None,
     n_max: int | None = None,
     s: int | None = None,
@@ -364,60 +390,19 @@ def run_suite(
     catalog_max: int | None = None,
 ) -> dict:
     """Dispatch for the CLI verify subcommand; returns a JSON-ready report."""
-    from .cotree import CapacityError
-    from .oracle import check_balanced_biclique, check_structure_theorems
-
-    catalog_backed = {"all", "balanced-biclique", "sequences", "profiles",
-                      "dp-vs-oracle", "structure", "restriction", "regular",
-                      "constructions"}
-    if catalog_max is not None and which in catalog_backed:
+    selected = [k for k in SELECTORS if k != "bound-2t"] if which == "all" else [which]
+    if catalog_max is not None and any(SELECTORS[k][1] for k in selected):
         requested = max(x for x in (n, n_max, 9) if x is not None)
         if requested > catalog_max:
             raise CapacityError(
                 f"requested n up to {requested} exceeds --catalog-max {catalog_max}")
 
-    results: list[CheckResult] = []
-    if which in ("balanced-biclique", "all"):
-        hi = n or n_max or (8 if small else 9)
-        for k in range(2, hi + 1):
-            results.append(check_balanced_biclique(k))
-    if which in ("sequences", "all"):
-        results.append(verify_sequences(n_max or (6 if small else 7), threads=threads))
-    if which in ("profiles", "all"):
-        results.append(verify_fulfillment_agreement(n_max or (6 if small else 7),
-                                                    threads=threads))
-    if which in ("dp-vs-oracle", "all"):
-        todo = [(s, t)] if s and t else list(SMALL_PAIRS)
-        for ss, tt in todo:
-            results.append(verify_dp_vs_oracle(ss, tt, n_max or (7 if small else 8)))
-    if which == "bound-2t":
-        results.append(verify_bound_2t(t or 3, n_max or 20))
-    if which in ("bounds", "all"):
-        for ss, tt in ((2, 2), (2, 3), (3, 3)):
-            results.append(verify_strict_bound(ss, tt, n_max or (20 if small else 30)))
-    if which in ("structure", "all"):
-        hi = n_max or (7 if small else 8)
-        report = check_structure_theorems(range(2, hi + 1))
-        for c in report["checks"]:
-            results.append(CheckResult(c["check"], c["params"], c["passed"],
-                                       c["detail"], c["counterexamples"]))
-    if which in ("restriction", "all"):
-        results.append(verify_restriction_transport(3, 4 if small else 5))
-    if which in ("regular", "all"):
-        results.append(verify_regular_constructor(20 if small else 40,
-                                                  8 if small else 9))
-    if which in ("pareto", "all"):
-        results.append(verify_pareto_safety(6 if small else 8))
-    if which in ("constructions", "all"):
-        results.append(verify_constructions_meet_optimum(8 if small else 9))
-        results.append(verify_clique_product_formula())
-    if which in ("pump", "all"):
-        results.append(verify_pump_invariants(seed=seed, trials=60 if small else 120))
-    if which in ("invariants", "all"):
-        results.append(verify_height_bound(6 if small else 7))
-        results.append(verify_complement_involution(6 if small else 7))
+    results = [r for k in selected for r in SELECTORS[k][0](
+        small=small, seed=seed, n=n, n_max=n_max, s=s, t=t)]
     if not results:
-        raise ValueError(f"unknown check selector: {which!r}")
+        bounds = ", ".join(f"{flag} {v}" for flag, v in (("--n", n), ("--n-max", n_max))
+                           if v is not None)
+        raise ValueError(f"no {which} checks for {bounds}: its range starts at n = 2")
     return {
         "selector": which,
         "passed": all(r.passed for r in results),

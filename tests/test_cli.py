@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from cogex.cli import main
 
 
@@ -60,6 +62,17 @@ def test_construct_infeasible_regular(capsys):
     assert json.loads(out)["infeasible"] is True
 
 
+def test_construct_infeasible_regular_to_output(tmp_path, capsys):
+    dest = tmp_path / "x.json"
+    code, out, _ = run(["construct", "regular", "--n", "5", "--d", "2",
+                        "-o", str(dest)], capsys)
+    assert code == 1
+    assert out == ""
+    report = json.loads(dest.read_text())
+    assert report["infeasible"] is True
+    assert "2d = n-1" in report["reason"]
+
+
 def test_construct_clique_product(capsys):
     code, out, _ = run(["construct", "clique-product", "--s", "3", "--t", "3",
                         "--r", "2"], capsys)
@@ -92,13 +105,6 @@ def test_verify_pass_and_fail_exit_codes(capsys):
     assert code == 0
 
 
-def test_verify_threads_flag(capsys):
-    code, out, _ = run(["verify", "sequences", "--n-max", "5", "--threads", "2"],
-                       capsys)
-    assert code == 0
-    assert json.loads(out)["passed"] is True
-
-
 def test_analyze(capsys):
     code, out, _ = run(["analyze", "--s", "2", "--t", "2", "--n-min", "4",
                         "--n-max", "24"], capsys)
@@ -117,6 +123,29 @@ def test_analyze_alpha_and_periods_flags(capsys):
     rep = json.loads(out)
     assert rep["detected_period"] == 3
     assert sorted(rep["constants"].values()) == ["-5", "-6", "-6"]
+
+
+def test_analyze_alpha_zero_denominator(capsys):
+    code, _, err = run(["analyze", "--s", "2", "--t", "3", "--n-max", "10",
+                        "--alpha", "1/0"], capsys)
+    assert code == 2
+    assert "usage error" in err and "--alpha" in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["verify", "sequences", "--n-max", "0"], "--n-max"),
+    (["verify", "balanced-biclique", "--n", "0"], "--n"),
+    (["enumerate", "--s", "2", "--t", "2", "--n-min", "0", "--n-max", "4"], "--n-min"),
+    (["analyze", "--s", "2", "--t", "2", "--n-max", "0"], "--n-max"),
+    (["construct", "k33", "--n", "0"], "--n"),
+    (["verify", "balanced-biclique", "--n", "1"], "--n 1"),
+    (["verify", "structure", "--n-max", "1"], "--n-max 1"),
+])
+def test_bounds_below_range_are_usage_errors(argv, named, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert named in err
 
 
 def test_analyze_snapshot_input(tmp_path, capsys):

@@ -70,13 +70,6 @@ def test_query_examples():
     assert rec.witnesses == (edgeless(4),)
 
 
-def test_query_requires_frozen():
-    from cogex.enumerator import Registry
-    r = Registry(3, 2)
-    with pytest.raises(ValueError):
-        query(r, forbidden_biclique_profile(2, 2))
-
-
 @pytest.mark.parametrize("st", sorted(ORACLE_EX))
 def test_dp_matches_oracle_table(st):
     s, t = st

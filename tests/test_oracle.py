@@ -121,5 +121,5 @@ def test_balanced_biclique_degenerate_single_vertex():
 
 
 def test_structure_theorems_small():
-    report = check_structure_theorems(range(2, 8))
-    assert report["passed"], [c for c in report["checks"] if not c["passed"]]
+    results = check_structure_theorems(range(2, 8))
+    assert all(r.passed for r in results), [r for r in results if not r.passed]

@@ -12,13 +12,13 @@ from cogex.cotree import (
     clique,
     edgeless,
     make_product,
+    product_entries,
+    sum_entries,
 )
 from cogex.profile import (
     BicliqueProfile,
     ProfileError,
     binding_cap,
-    combine_product,
-    combine_sum,
     dominates,
     forbidden_biclique_profile,
     format_profile,
@@ -110,12 +110,12 @@ def test_dominates_strict_partial_order():
 
 
 def test_combine_examples(k1, e2, k3):
-    s_e2 = biclique_sequence(e2, 4)
-    assert combine_product(s_e2, s_e2, 4).entries == (4, 2, 2, 0, 0)
-    s_k3 = biclique_sequence(k3, 3)
-    assert combine_sum(s_k3, s_k3, 3).entries == (6, 2, 1, 0)
-    s_k1 = biclique_sequence(k1, 2)
-    assert combine_product(s_k1, s_k1, 2).entries == (2, 1, 0)
+    s_e2 = biclique_sequence(e2, 4).entries
+    assert product_entries(s_e2, s_e2, 4) == (4, 2, 2, 0, 0)
+    s_k3 = biclique_sequence(k3, 3).entries
+    assert sum_entries(s_k3, s_k3, 3) == (6, 2, 1, 0)
+    s_k1 = biclique_sequence(k1, 2).entries
+    assert product_entries(s_k1, s_k1, 2) == (2, 1, 0)
 
 
 def test_combine_matches_oracle_exhaustively():
@@ -125,17 +125,17 @@ def test_combine_matches_oracle_exhaustively():
 
     pool = [g for n in range(1, 5) for g in enumerate_cotrees(n).items]
     for a in pool:
-        sa = biclique_sequence(a, a.n + 3)
         for b in pool:
             if a.n + b.n > 7:
                 continue
-            sb = biclique_sequence(b, b.n + 3)
             cap = a.n + b.n
+            sa = biclique_sequence(a, cap).entries
+            sb = biclique_sequence(b, cap).entries
             s = make_sum([a, b])
             p = make_product([a, b])
-            assert combine_sum(sa, sb, cap).entries == \
+            assert sum_entries(sa, sb, cap) == \
                 biclique_sequence_bruteforce(to_adjacency(s), cap).entries
-            assert combine_product(sa, sb, cap).entries == \
+            assert product_entries(sa, sb, cap) == \
                 biclique_sequence_bruteforce(to_adjacency(p), cap).entries
 
 

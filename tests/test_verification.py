@@ -24,9 +24,65 @@ def test_pump_invariants_deterministic_seed():
     assert a.detail == b.detail
 
 
+# (check, params) of every check in ``run_suite("all", small=True)``, in order
+SMALL_BUNDLE = [
+    ("balanced-biclique", {"n": 2, "t": 1}), ("balanced-biclique", {"n": 3, "t": 1}),
+    ("balanced-biclique", {"n": 4, "t": 1}), ("balanced-biclique", {"n": 5, "t": 1}),
+    ("balanced-biclique", {"n": 6, "t": 2}), ("balanced-biclique", {"n": 7, "t": 2}),
+    ("balanced-biclique", {"n": 8, "t": 2}), ("sequences", {"n_max": 6}),
+    ("fulfillment-agreement", {"n_max": 6, "pairs": [[2, 2], [2, 3], [3, 3]]}),
+    ("dp-vs-oracle", {"s": 1, "t": 2, "n_max": 7}),
+    ("dp-vs-oracle", {"s": 1, "t": 3, "n_max": 7}),
+    ("dp-vs-oracle", {"s": 2, "t": 2, "n_max": 7}),
+    ("dp-vs-oracle", {"s": 2, "t": 3, "n_max": 7}),
+    ("dp-vs-oracle", {"s": 3, "t": 3, "n_max": 7}),
+    ("strict-bound", {"s": 2, "t": 2, "n_max": 20, "alpha": "3/2"}),
+    ("strict-bound", {"s": 2, "t": 3, "n_max": 20, "alpha": "2"}),
+    ("strict-bound", {"s": 3, "t": 3, "n_max": 20, "alpha": "3"}),
+    ("universal-vertex", {"n": 2, "t": 2}), ("universal-vertex", {"n": 2, "t": 3}),
+    ("k33-extremal-shape", {"n": 2}),
+    ("lifting-decomposition", {"n": 2, "s": 2, "t": 2}),
+    ("lifting-decomposition", {"n": 2, "s": 2, "t": 3}),
+    ("lifting-decomposition", {"n": 2, "s": 3, "t": 3}),
+    ("star-extremal-shape", {"n": 3, "t": 3}), ("universal-vertex", {"n": 3, "t": 2}),
+    ("universal-vertex", {"n": 3, "t": 3}), ("k33-extremal-shape", {"n": 3}),
+    ("lifting-decomposition", {"n": 3, "s": 2, "t": 2}),
+    ("lifting-decomposition", {"n": 3, "s": 2, "t": 3}),
+    ("lifting-decomposition", {"n": 3, "s": 3, "t": 3}),
+    ("star-extremal-shape", {"n": 4, "t": 3}), ("universal-vertex", {"n": 4, "t": 2}),
+    ("universal-vertex", {"n": 4, "t": 3}), ("k33-extremal-shape", {"n": 4}),
+    ("lifting-decomposition", {"n": 4, "s": 2, "t": 2}),
+    ("lifting-decomposition", {"n": 4, "s": 2, "t": 3}),
+    ("lifting-decomposition", {"n": 4, "s": 3, "t": 3}),
+    ("star-extremal-shape", {"n": 5, "t": 3}), ("universal-vertex", {"n": 5, "t": 2}),
+    ("universal-vertex", {"n": 5, "t": 3}), ("k33-extremal-shape", {"n": 5}),
+    ("lifting-decomposition", {"n": 5, "s": 2, "t": 2}),
+    ("lifting-decomposition", {"n": 5, "s": 2, "t": 3}),
+    ("lifting-decomposition", {"n": 5, "s": 3, "t": 3}),
+    ("star-extremal-shape", {"n": 6, "t": 3}), ("universal-vertex", {"n": 6, "t": 2}),
+    ("universal-vertex", {"n": 6, "t": 3}), ("k33-extremal-shape", {"n": 6}),
+    ("lifting-decomposition", {"n": 6, "s": 2, "t": 2}),
+    ("lifting-decomposition", {"n": 6, "s": 2, "t": 3}),
+    ("lifting-decomposition", {"n": 6, "s": 3, "t": 3}),
+    ("star-extremal-shape", {"n": 7, "t": 3}), ("universal-vertex", {"n": 7, "t": 2}),
+    ("universal-vertex", {"n": 7, "t": 3}), ("k33-extremal-shape", {"n": 7}),
+    ("lifting-decomposition", {"n": 7, "s": 2, "t": 2}),
+    ("lifting-decomposition", {"n": 7, "s": 2, "t": 3}),
+    ("lifting-decomposition", {"n": 7, "s": 3, "t": 3}),
+    ("restriction-transport", {"g1_max": 3, "g2_max": 4}),
+    ("regular-constructor", {"n_max": 20, "exhaustive_max": 8}),
+    ("pareto-safety", {"n_max": 6, "pairs": [[1, 2], [1, 3], [2, 2], [2, 3], [3, 3]]}),
+    ("constructions-optimum", {"n_max": 8}), ("clique-product-formula", {"max_r": 6}),
+    ("pump-invariants", {"seed": 20240817, "trials": 60}),
+    ("height-bound", {"n_max": 6, "trials": 200}),
+    ("complement-involution", {"n_max": 6}),
+]
+
+
 def test_small_bundle():
     report = run_suite("all", small=True)
     assert report["passed"], [c["check"] for c in report["checks"] if not c["passed"]]
     names = {c["check"] for c in report["checks"]}
     assert {"sequences", "dp-vs-oracle", "pareto-safety", "regular-constructor",
             "restriction-transport"} <= names
+    assert [(c["check"], c["params"]) for c in report["checks"]] == SMALL_BUNDLE
