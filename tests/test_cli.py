@@ -41,6 +41,19 @@ def test_enumerate_small_n_complete_graph(capsys):
         assert row["ex"] == n * (n - 1) // 2
 
 
+def test_enumerate_s1_summary_names_the_equalities(capsys):
+    # K_{1,t}: ex(n) = (t-1)n/2 wherever a (t-1)-regular graph exists, so
+    # the strict bound is not claimed; the summary lists where it is met
+    code, out, err = run(["enumerate", "--s", "1", "--t", "1", "--n-max", "4"], capsys)
+    assert code == 0
+    assert [row["ex"] for row in json.loads(out)["rows"]] == [0, 0, 0, 0]
+    assert "holds throughout" not in err
+    assert "strict bound not asserted for s = 1; ex >= 0 * n at n=[1, 2, 3, 4]" in err
+    code, _, err = run(["enumerate", "--s", "1", "--t", "3", "--n-max", "8"], capsys)
+    assert code == 0
+    assert "ex >= 1 * n at n=[3, 4, 6, 7, 8]" in err
+
+
 def test_enumerate_usage_error(capsys):
     code, _, err = run(["enumerate", "--n-max", "5"], capsys)
     assert code == 2

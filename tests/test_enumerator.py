@@ -4,8 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from cogex.cotree import NEG_INF, clique, edgeless, make_product, make_sum
+from cogex.cotree import (
+    NEG_INF,
+    CapacityError,
+    clique,
+    edgeless,
+    make_leaf,
+    make_product,
+    make_sum,
+    product_entries,
+    sum_entries,
+)
 from cogex.enumerator import (
+    DEFAULT_WITNESS_LIMIT,
     ExtremalSeries,
     analyze_periodicity,
     build_registries,
@@ -15,7 +26,8 @@ from cogex.enumerator import (
     query,
 )
 from cogex.oracle import extremal_bruteforce
-from cogex.profile import forbidden_biclique_profile, validate
+from cogex.profile import binding_cap, forbidden_biclique_profile, parse_profile, validate
+from cogex.verification import verify_pareto_safety
 from cogex.cotree import INF
 
 # brute-force extremal values, frozen from the oracle (n = 1..9)
@@ -25,6 +37,34 @@ ORACLE_EX = {
     (2, 2): [0, 1, 3, 4, 6, 7, 9, 10, 12],
     (2, 3): [0, 1, 3, 6, 7, 9, 12, 13, 15],
     (3, 3): [0, 1, 3, 6, 10, 12, 15, 19, 21],
+}
+
+
+# ex(n) for n = 1..len(row), pinned from the pair-loop DP before its
+# fast path; K_{4,4} and K_{4,5} stop at n = 28 to keep the suite quick
+EX_TABLES = {
+    (1, 2): [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10,
+             10, 11, 11, 12, 12, 13, 13, 14, 14, 15, 15, 16, 16, 17, 17, 18,
+             18, 19, 19, 20],
+    (1, 3): [0, 1, 3, 4, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18,
+             19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34,
+             35, 36, 37, 38, 39, 40],
+    (2, 2): [0, 1, 3, 4, 6, 7, 9, 10, 12, 13, 15, 16, 18, 19, 21, 22, 24, 25,
+             27, 28, 30, 31, 33, 34, 36, 37, 39, 40, 42, 43, 45, 46, 48, 49,
+             51, 52, 54, 55, 57, 58],
+    (2, 3): [0, 1, 3, 6, 7, 9, 12, 13, 15, 18, 19, 21, 24, 25, 27, 30, 31, 33,
+             36, 37, 39, 42, 43, 45, 48, 49, 51, 54, 55, 57, 60, 61, 63, 66,
+             67, 69, 72, 73, 75, 78],
+    (3, 3): [0, 1, 3, 6, 10, 12, 15, 19, 21, 24, 28, 30, 33, 37, 39, 42, 46,
+             48, 51, 55, 57, 60, 64, 66, 69, 73, 75, 78, 82, 84, 87, 91, 93,
+             96, 100, 102, 105, 109, 111, 114],
+    (3, 4): [0, 1, 3, 6, 10, 15, 17, 20, 24, 29, 31, 34, 38, 43, 45, 48, 52,
+             57, 59, 62, 66, 71, 73, 76, 80, 85, 87, 90, 94, 99, 101, 104,
+             108, 113, 115, 118, 122, 127, 129, 132],
+    (4, 4): [0, 1, 3, 6, 10, 15, 21, 24, 28, 33, 39, 42, 46, 51, 57, 60, 64,
+             69, 75, 78, 82, 87, 93, 96, 100, 105, 111, 114],
+    (4, 5): [0, 1, 3, 6, 10, 15, 21, 28, 31, 35, 40, 46, 53, 56, 60, 65, 71,
+             78, 81, 85, 90, 96, 103, 106, 110, 115, 121, 128],
 }
 
 
@@ -75,6 +115,109 @@ def test_dp_matches_oracle_table(st):
     s, t = st
     series = extremal_function(s, t, range(1, 10))
     assert [series.values[n] for n in range(1, 10)] == ORACLE_EX[st]
+
+
+@pytest.mark.parametrize("st", sorted(EX_TABLES))
+def test_ex_table_pinned(st):
+    s, t = st
+    want = EX_TABLES[st]
+    series = extremal_function(s, t, range(1, len(want) + 1))
+    assert [series.values[n] for n in range(1, len(want) + 1)] == want
+
+
+def _reference_registries(n_max, cap, prune=None, exhaustive=False,
+                          witness_limit=DEFAULT_WITNESS_LIMIT, max_records=None):
+    """The DP without its fast path: every sum and join of every record pair
+    through sum_entries and product_entries, then the window check, then an
+    all-pairs dominance filter.  Levels are lists of (key, edges, witnesses)."""
+    window = prune.window(cap + 1) if prune is not None else None
+    limit = None if exhaustive else witness_limit
+
+    def fits(key):
+        return window is None or all(a <= b for a, b in zip(key, window))
+
+    base = (1, 0) + (NEG_INF,) * (cap - 1)
+    levels = [{base: (0, (make_leaf(),))} if fits(base) else {}]
+    for n in range(2, n_max + 1):
+        cands = {}
+        for n1 in range(1, n // 2 + 1):
+            n2 = n - n1
+            for k1, (e1, _) in levels[n1 - 1].items():
+                for k2, (e2, _) in levels[n2 - 1].items():
+                    if n1 == n2 and k2 < k1:
+                        continue
+                    for maker, key, edges in (
+                            (make_sum, sum_entries(k1, k2, cap), e1 + e2),
+                            (make_product, product_entries(k1, k2, cap),
+                             e1 + e2 + n1 * n2)):
+                        if not fits(key):
+                            continue
+                        best, sources = cands.get(key, (-1, []))
+                        if edges > best:
+                            best, sources = edges, []
+                        if edges == best:
+                            sources.append((maker, n1, k1, k2))
+                        cands[key] = (best, sources)
+        if max_records is not None and len(cands) > max_records:
+            raise CapacityError(f"level {n} produced {len(cands)} profile keys "
+                                f"(limit {max_records})")
+        keep = set(cands) if exhaustive else {
+            k for k, (e, _) in cands.items()
+            if not any(k2 != k and e2 >= e and all(a <= b for a, b in zip(k2, k))
+                       for k2, (e2, _) in cands.items())}
+        level = {}
+        for key in sorted(keep):
+            edges, sources = cands[key]
+            wits = sorted({maker([a, b]) for maker, n1, k1, k2 in sources
+                           for a in levels[n1 - 1][k1][1]
+                           for b in levels[n - n1 - 1][k2][1]})
+            level[key] = (edges, tuple(wits[:limit]))
+        levels.append(level)
+    return [[(k, e, w) for k, (e, w) in level.items()] for level in levels]
+
+
+def _as_levels(registries):
+    for reg in registries:
+        assert all(r.key == k for k, r in reg.records.items())
+    return [[(k, r.edges, r.witnesses) for k, r in reg.records.items()]
+            for reg in registries]
+
+
+def _kst(s, t):
+    p = forbidden_biclique_profile(s, t)
+    return dict(cap=binding_cap(p) + 1, prune=p)
+
+
+def _profile(text):
+    p = parse_profile(text)
+    return dict(cap=binding_cap(p) + 1, prune=p)
+
+
+REFERENCE_CASES = {
+    **{f"K{s}{t}": (20, _kst(s, t)) for s, t in (
+        (1, 2), (1, 3), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 5))},
+    "n-bounded": (8, _profile("3,1,0;-inf")),     # sums checked at entry 0
+    "neg-inf-window": (8, _profile("inf,inf,1;-inf")),  # and at entry 3
+    "no-window": (9, dict(cap=2)),
+    "exhaustive": (10, dict(_kst(3, 3), exhaustive=True)),
+    "all-witnesses": (14, dict(_kst(2, 3), witness_limit=None)),
+}
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_fast_dp_matches_reference(case):
+    n_max, opts = REFERENCE_CASES[case]
+    assert _as_levels(build_registries(n_max, **opts)) == \
+        _reference_registries(n_max, **opts)
+
+
+def test_fast_dp_capacity_error_matches_reference():
+    opts = dict(_kst(3, 3), max_records=20)
+    with pytest.raises(CapacityError) as fast:
+        build_registries(30, **opts)
+    with pytest.raises(CapacityError) as ref:
+        _reference_registries(30, **opts)
+    assert str(fast.value) == str(ref.value)
 
 
 def test_dp_matches_oracle_extended_pairs():
@@ -149,6 +292,12 @@ def test_exhaustive_and_filtered_values_agree():
         a = extremal_function(s, t, range(1, 9))
         b = extremal_function(s, t, range(1, 9), exhaustive=True)
         assert a.values == b.values
+
+
+def test_pareto_safety_beyond_small_pairs():
+    # wider windows than SMALL_PAIRS, past the oracle's reach
+    result = verify_pareto_safety(14, ((3, 4), (4, 4), (4, 5), (5, 5)))
+    assert result.passed, result.counterexamples
 
 
 def test_strict_bound_small():
