@@ -6,6 +6,13 @@ limit, biclique containment by common-neighborhood search on the dense
 expansion, extremal values by scanning the catalog, and the structural
 spot checks used by the verification suite.
 
+Biclique sequences come from one pass over the subset lattice: a set's
+common neighborhood is that of the set without its highest vertex, ANDed
+with that vertex's row.  Extremal values read a per-n table, built on
+first use and kept for the process, that groups the catalog by
+brute-force sequence, so each distinct sequence is tested against a
+profile once rather than each graph.
+
 The biclique computations here deliberately avoid the cotree recursion:
 they work on adjacency bitmasks only, so they can serve as an independent
 oracle for it.
@@ -90,12 +97,16 @@ def _part_multisets(n_left: int, size_cap: int, idx_cap: int | None):
                 yield (options[i],) + rest
 
 
-def enumerate_cotrees(n: int, limit: int = DEFAULT_CATALOG_LIMIT) -> CographCatalog:
-    """One reduced canonical cotree per isomorphism class of n-vertex cographs."""
+def _check_catalog_size(n: int, limit: int) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > limit:
         raise CapacityError(f"catalog for n={n} exceeds limit {limit}")
+
+
+def enumerate_cotrees(n: int, limit: int = DEFAULT_CATALOG_LIMIT) -> CographCatalog:
+    """One reduced canonical cotree per isomorphism class of n-vertex cographs."""
+    _check_catalog_size(n, limit)
     if n == 1:
         return CographCatalog(1, (make_leaf(),))
     items = tuple(sorted(_connected_cotrees(n) + _sum_rooted_cotrees(n)))
@@ -104,10 +115,7 @@ def enumerate_cotrees(n: int, limit: int = DEFAULT_CATALOG_LIMIT) -> CographCata
 
 def connected_cotrees(n: int, limit: int = DEFAULT_CATALOG_LIMIT) -> tuple[Cotree, ...]:
     """All connected unlabeled cographs on n vertices."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > limit:
-        raise CapacityError(f"catalog for n={n} exceeds limit {limit}")
+    _check_catalog_size(n, limit)
     return _connected_cotrees(n)
 
 
@@ -155,27 +163,41 @@ def contains_biclique(a: AdjacencyGraph, s: int, t: int) -> bool:
 
 
 def biclique_sequence_bruteforce(a: AdjacencyGraph, cap: int) -> BicliqueSequence:
-    """Entries 0..cap of the biclique sequence by common-neighborhood search."""
+    """Entries 0..cap of the biclique sequence by common-neighborhood search.
+
+    One pass over the subset lattice, pruned to sets of at most ``cap``
+    vertices: a set's common neighborhood is that of the set without its
+    highest vertex, ANDed with that vertex's row.  Rows are loop-free, so a
+    nonempty set never meets its own common neighborhood.  A set whose
+    common neighborhood is empty is not grown further, since the edgeless
+    biclique K_{s,0} is already the floor of every entry with s <= n.
+    """
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    entries: list[float] = [a.n]
-    full = (1 << a.n) - 1
-    for s in range(1, cap + 1):
-        if s > a.n:
-            entries.append(NEG_INF)
-            continue
-        best = 0  # the edgeless biclique K_{s,0} always fits when s <= n
-        for subset in combinations(range(a.n), s):
-            common = full
-            picked = 0
-            for v in subset:
-                common &= a.rows[v]
-                picked |= 1 << v
-            c = (common & ~picked).bit_count()
-            if c > best:
-                best = c
-        entries.append(best)
-    return BicliqueSequence(tuple(entries))
+    top = min(cap, a.n)
+    best = [0] * (top + 1)
+    # commons[k]: the nonempty common neighborhoods of the k-sets among the
+    # vertices seen so far; the empty set's is every vertex
+    commons: list[list[int]] = [[(1 << a.n) - 1]] + [[] for _ in range(top)]
+    for v, row in enumerate(a.rows):
+        for k in range(min(top, v + 1), 0, -1):
+            grown = [m for c in commons[k - 1] if (m := c & row)]
+            if grown:
+                commons[k] += grown
+                best[k] = max(best[k], max(map(int.bit_count, grown)))
+    return BicliqueSequence((a.n, *best[1:]) + (NEG_INF,) * (cap - top))
+
+
+@lru_cache(maxsize=None)
+def _sequence_table(n: int) -> tuple[tuple[BicliqueSequence, tuple[Cotree, ...]], ...]:
+    """The n-vertex catalog grouped by brute-force sequence, one (sequence,
+    graphs) pair per distinct sequence.  Built on first use; callers check
+    their catalog limit before asking."""
+    groups: dict[BicliqueSequence, list[Cotree]] = {}
+    for g in enumerate_cotrees(n, limit=n).items:
+        seq = biclique_sequence_bruteforce(to_adjacency(g), g.n)
+        groups.setdefault(seq, []).append(g)
+    return tuple((seq, tuple(graphs)) for seq, graphs in groups.items())
 
 
 def extremal_bruteforce(
@@ -183,18 +205,23 @@ def extremal_bruteforce(
     p: BicliqueProfile,
     limit: int = DEFAULT_CATALOG_LIMIT,
 ) -> tuple[int, tuple[Cotree, ...]]:
-    """Max edge count and all witnesses among n-vertex cographs fulfilling p."""
+    """Max edge count and all witnesses among n-vertex cographs fulfilling p.
+
+    Fulfillment is decided once per distinct brute-force sequence of the
+    catalog (``_sequence_table``), not once per graph.
+    """
+    _check_catalog_size(n, limit)
     best = -1
     witnesses: list[Cotree] = []
-    for g in enumerate_cotrees(n, limit=limit).items:
-        seq = biclique_sequence_bruteforce(to_adjacency(g), g.n)
+    for seq, graphs in _sequence_table(n):
         if not fulfills(seq, p):
             continue
-        if g.edges > best:
-            best = g.edges
-            witnesses = [g]
-        elif g.edges == best:
-            witnesses.append(g)
+        for g in graphs:
+            if g.edges > best:
+                best = g.edges
+                witnesses = [g]
+            elif g.edges == best:
+                witnesses.append(g)
     if best < 0:
         return -1, ()
     return best, tuple(sorted(witnesses))
@@ -366,7 +393,8 @@ def check_balanced_biclique(n: int, limit: int = DEFAULT_CATALOG_LIMIT) -> Check
     """
     t = n // 6 + 1
     bad = []
-    for g in enumerate_cotrees(n, limit=limit).items:
+    items = enumerate_cotrees(n, limit=limit).items
+    for g in items:
         a = to_adjacency(g)
         if not (contains_biclique(a, t, t) or contains_biclique(a.complement(), t, t)):
             bad.append(canonical_form(g).decode("ascii"))
@@ -374,7 +402,7 @@ def check_balanced_biclique(n: int, limit: int = DEFAULT_CATALOG_LIMIT) -> Check
         name="balanced-biclique",
         params={"n": n, "t": t},
         passed=not bad,
-        detail=f"checked {len(enumerate_cotrees(n, limit=limit).items)} cographs",
+        detail=f"checked {len(items)} cographs",
         counterexamples=bad,
     )
 

@@ -54,6 +54,16 @@ def test_enumerate_s1_summary_names_the_equalities(capsys):
     assert "ex >= 1 * n at n=[3, 4, 6, 7, 8]" in err
 
 
+def test_enumerate_profile_from_index_0_asserts_no_strict_bound(capsys):
+    # entry 0 finite bounds the vertex count; alpha is no edge bound then
+    code, out, err = run(["enumerate", "--profile", "3,1,0;-inf", "--n-max", "12"],
+                         capsys)
+    assert code == 0
+    assert [row["ex"] for row in json.loads(out)["rows"]] == [0, 1, 1]
+    assert "violated" not in err
+    assert "strict bound not asserted for s = 0; ex >= 1/2 * n at n=[2]" in err
+
+
 def test_enumerate_usage_error(capsys):
     code, _, err = run(["enumerate", "--n-max", "5"], capsys)
     assert code == 2

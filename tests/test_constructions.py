@@ -22,6 +22,7 @@ from cogex.cotree import (
     is_induced_p4_free,
     to_adjacency,
 )
+from cogex.enumerator import extremal_function
 from cogex.oracle import enumerate_cotrees, extremal_bruteforce
 from cogex.profile import alpha_for, forbidden_biclique_profile, fulfills
 
@@ -212,6 +213,28 @@ def test_k33_meets_oracle():
         g = k33_extremal(n)
         assert g.n == n and g.edges == want, n
         assert fulfills(biclique_sequence(g, g.n), forbidden_biclique_profile(3, 3))
+
+
+@pytest.mark.parametrize("s,t,n_min,n_max,family", [
+    (3, 3, 2, 40, k33_extremal),
+    (2, 2, 2, 40, lambda n: k2t_extremal(2, n)),
+    (2, 3, 2, 40, lambda n: k2t_extremal(3, n)),
+    (1, 2, 1, 24, lambda n: star_extremal(2, n)),
+    (1, 3, 1, 24, lambda n: star_extremal(3, n)),
+], ids=["k33", "k22", "k23", "star2", "star3"])
+def test_families_match_dp_past_oracle_scale(s, t, n_min, n_max, family):
+    """DP ex equals the family's edge count where the oracle cannot reach,
+    and every DP witness is recounted and re-checked against the profile."""
+    p = forbidden_biclique_profile(s, t)
+    series = extremal_function(s, t, range(1, n_max + 1))
+    for n in range(n_min, n_max + 1):
+        assert series.values[n] == family(n).edges, n
+    for n, witnesses in series.witnesses.items():
+        assert witnesses, n
+        for w in witnesses:
+            assert w.n == n and w.edges == series.values[n]
+            assert to_adjacency(w, limit=n).edge_count() == w.edges
+            assert fulfills(biclique_sequence(w, w.n), p)
 
 
 def test_constructions_are_cographs():

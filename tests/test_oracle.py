@@ -1,8 +1,16 @@
 """Oracle soundness and completeness; independent census cross-checks."""
 
+import subprocess
+import sys
+from itertools import combinations
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cogex.cotree import (
+    AdjacencyGraph,
+    BicliqueSequence,
     CapacityError,
     biclique_sequence,
     clique,
@@ -20,9 +28,11 @@ from cogex.oracle import (
     extremal_bruteforce,
     labeled_p4_free_count,
     orbit_count_identity,
+    _sequence_table,
 )
 from cogex.profile import forbidden_biclique_profile, fulfills, validate
 from cogex.cotree import NEG_INF
+from cogex.verification import SMALL_PAIRS
 
 # unlabeled cograph counts, cross-checked against the labeled census below
 CATALOG_SIZES = [1, 2, 4, 10, 24, 66, 180, 522, 1532]
@@ -123,3 +133,112 @@ def test_balanced_biclique_degenerate_single_vertex():
 def test_structure_theorems_small():
     results = check_structure_theorems(range(2, 8))
     assert all(r.passed for r in results), [r for r in results if not r.passed]
+
+
+# -- the lattice search and the per-n sequence table against plain loops -----
+
+def _reference_sequence(a, cap):
+    """Biclique sequence by one combinations loop per part size."""
+    entries = [a.n]
+    full = (1 << a.n) - 1
+    for s in range(1, cap + 1):
+        if s > a.n:
+            entries.append(NEG_INF)
+            continue
+        best = 0
+        for subset in combinations(range(a.n), s):
+            common = full
+            picked = 0
+            for v in subset:
+                common &= a.rows[v]
+                picked |= 1 << v
+            best = max(best, (common & ~picked).bit_count())
+        entries.append(best)
+    return BicliqueSequence(tuple(entries))
+
+
+def _reference_extremal(n, p):
+    """Max edges and witnesses by a scan of every catalog graph, no table."""
+    best = -1
+    witnesses = []
+    for g in enumerate_cotrees(n).items:
+        if not fulfills(biclique_sequence_bruteforce(to_adjacency(g), g.n), p):
+            continue
+        if g.edges > best:
+            best, witnesses = g.edges, [g]
+        elif g.edges == best:
+            witnesses.append(g)
+    return (best, tuple(sorted(witnesses))) if best >= 0 else (-1, ())
+
+
+def test_bruteforce_sequence_matches_reference_on_catalog():
+    # the reference's entry s does not depend on cap, so one run at the
+    # largest cap gives it at every smaller cap as a prefix
+    for n in range(1, 10):
+        for g in enumerate_cotrees(n).items:
+            a = to_adjacency(g)
+            want = _reference_sequence(a, n + 1).entries
+            for cap in range(n + 2):
+                assert biclique_sequence_bruteforce(a, cap).entries == \
+                    want[:cap + 1], (n, cap)
+
+
+@st.composite
+def non_cographs(draw):
+    """A graph on 4..10 vertices with an induced P4."""
+    n = draw(st.integers(4, 10))
+    edges = draw(st.sets(st.sampled_from(list(combinations(range(n), 2)))))
+    a = AdjacencyGraph.from_edges(n, edges)
+    assume(not is_induced_p4_free(a))
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(non_cographs(), st.integers(0, 11))
+def test_bruteforce_sequence_matches_reference_off_cographs(a, cap):
+    assert biclique_sequence_bruteforce(a, cap) == _reference_sequence(a, cap)
+
+
+def test_bruteforce_sequence_empty_graph_and_bad_cap():
+    assert biclique_sequence_bruteforce(AdjacencyGraph(0, ()), 2).entries == \
+        (0, NEG_INF, NEG_INF)
+    with pytest.raises(ValueError):
+        biclique_sequence_bruteforce(AdjacencyGraph(0, ()), -1)
+
+
+def test_sequence_table_not_built_at_import():
+    code = ("import cogex.cli, cogex.oracle; "
+            "print(cogex.oracle._sequence_table.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "0"
+
+
+def test_sequence_table_groups_the_catalog():
+    tables = [_sequence_table(n) for n in range(1, 10)]
+    assert sum(len(t) for t in tables) == 228
+    for n, table in enumerate(tables, start=1):
+        assert len({seq for seq, _ in table}) == len(table)
+        grouped = [g for _, graphs in table for g in graphs]
+        assert sorted(grouped) == sorted(enumerate_cotrees(n).items)
+        for seq, graphs in table:
+            assert all(biclique_sequence_bruteforce(to_adjacency(g), n) == seq
+                       for g in graphs)
+
+
+def test_cached_table_keeps_the_limit():
+    p = forbidden_biclique_profile(3, 3)
+    extremal_bruteforce(9, p)
+    assert _sequence_table.cache_info().currsize >= 1
+    with pytest.raises(CapacityError):
+        extremal_bruteforce(9, p, limit=8)
+    with pytest.raises(ValueError):
+        extremal_bruteforce(0, p)
+
+
+# SMALL_PAIRS holds the star (1, t) and K_{2,t} profiles that verify scans
+@pytest.mark.parametrize("s,t", list(SMALL_PAIRS) + [(3, 4)])
+def test_extremal_bruteforce_matches_uncached_scan(s, t):
+    p = forbidden_biclique_profile(s, t)
+    for n in range(1, 10):
+        assert extremal_bruteforce(n, p) == _reference_extremal(n, p), n
