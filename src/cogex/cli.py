@@ -4,6 +4,12 @@ Subcommands: enumerate, construct, verify, analyze, export.  Machine
 output (JSON, CSV, graph6, DOT) goes to --output or stdout; the human
 summary always goes to stderr.  Exit codes: 0 ok, 1 check failed,
 2 usage error, 3 capacity exceeded.
+
+The argument parser is built once per process, on the first ``main``
+call, and reused: each call still parses into a fresh namespace.
+``construct`` writes its cotree document with
+``serialize.dumps_cotree_document``, without the ``json`` encoder but
+byte-identical to ``json.dumps(..., indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .constructions import (
@@ -33,8 +40,8 @@ from .enumerator import (
 )
 from .profile import forbidden_biclique_profile, fulfills, parse_profile
 from .serialize import (
-    cotree_to_obj,
     dumps_cotree,
+    dumps_cotree_document,
     graph6_bytes,
     loads_cotree,
     series_from_obj,
@@ -178,12 +185,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
         _emit_json({"infeasible": True, "reason": exc.args[0]}, out)
         return EXIT_CHECK_FAILED
 
-    verification = {
-        "vertices": g.n,
-        "edges": g.edges,
-        "formula": to_formula(g),
-        **extra,
-    }
+    formula = to_formula(g)
+    verification = {"vertices": g.n, "edges": g.edges, "formula": formula, **extra}
     if g.n <= 16:
         adj = to_adjacency(g)
         degs = sorted(set(adj.degree_sequence()))
@@ -199,9 +202,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
     elif args.format == "dot":
         _emit(to_dot(g), out)
     else:
-        _emit_json({"format": "cogex.cotree/1", "cotree": cotree_to_obj(g),
-                    "verification": verification}, out)
-    _human(f"constructed {to_formula(g)}: {g.n} vertices, {g.edges} edges")
+        _emit(dumps_cotree_document(g, verification), out)
+    _human(f"constructed {formula}: {g.n} vertices, {g.edges} edges")
     return EXIT_OK
 
 
@@ -265,7 +267,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    f"paths resolve under ${OUTPUT_DIR_ENV} when set")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``cogex`` parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="cogex",
         description="Edge-maximal biclique-free cographs: enumerate, construct, verify.")
@@ -370,8 +374,7 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _convert(args)
     except ValueError as exc:

@@ -242,27 +242,20 @@ def to_adjacency(g: Cotree, limit: int = DEFAULT_ADJACENCY_LIMIT) -> AdjacencyGr
     if g.n > limit:
         raise CapacityError(f"adjacency expansion of {g.n} vertices exceeds limit {limit}")
     rows = [0] * g.n
-
-    def fill(node: Cotree, offset: int) -> None:
-        if node.kind == LEAF:
-            return
-        pos = offset
-        spans = []
+    # (node, index of its first leaf); a join links each child's leaf range
+    # to the rest of its parent's range
+    stack = [(g, 0)]
+    while stack:
+        node, pos = stack.pop()
+        whole = ((1 << node.n) - 1) << pos
         for c in node.children:
-            spans.append((pos, c.n))
-            fill(c, pos)
-            pos += c.n
-        if node.kind == PROD:
-            masks = [((1 << cn) - 1) << start for start, cn in spans]
-            total = 0
-            for m in masks:
-                total |= m
-            for m, (start, cn) in zip(masks, spans):
-                other = total & ~m
-                for v in range(start, start + cn):
+            if node.kind == PROD:
+                other = whole & ~(((1 << c.n) - 1) << pos)
+                for v in range(pos, pos + c.n):
                     rows[v] |= other
-
-    fill(g, 0)
+            if c.kind != LEAF:
+                stack.append((c, pos))
+            pos += c.n
     return AdjacencyGraph(g.n, tuple(rows))
 
 

@@ -9,7 +9,10 @@ from fractions import Fraction
 
 from .cotree import (
     INF,
+    LEAF,
     NEG_INF,
+    PROD,
+    SUM,
     AdjacencyGraph,
     Cotree,
     canonical_form,
@@ -72,11 +75,69 @@ def dumps_cotree(g: Cotree) -> str:
     return json.dumps(cotree_to_obj(g), sort_keys=True, separators=(",", ":"))
 
 
+def _inner_node_text(depth: int) -> tuple:
+    """Text pieces of an inner node whose fields sit at nesting depth
+    ``depth`` in indent-2 JSON: its opening up to the first child, its
+    closing by kind, the separator before each later child, and a leaf
+    child (fields at depth + 2) with and without that separator."""
+    outer, fields, item = ("  " * k for k in (depth - 1, depth, depth + 1))
+    leaf = '{\n' + item + '  "op": "leaf"\n' + item + '}'
+    sep = ',\n' + item
+    closing = {kind: '\n' + fields + '],\n' + fields + '"op": "' + kind + '"\n' + outer + '}'
+               for kind in (SUM, PROD)}
+    return '{\n' + fields + '"children": [\n' + item, closing, sep, leaf, sep + leaf
+
+
+def dumps_cotree_document(g: Cotree, verification: dict) -> str:
+    """The ``cogex.cotree/1`` document of g with its verification block.
+
+    The text is byte-identical to ``json.dumps({"cotree": cotree_to_obj(g),
+    "format": COTREE_FORMAT, "verification": verification}, indent=2,
+    sort_keys=True)``, but the cotree is written without the ``json``
+    encoder, whose indenting mode runs in pure Python.  One loop over an
+    explicit stack of text fragments and pending inner nodes appends to a
+    list that is joined once, so deep trees cannot exhaust the recursion
+    limit.  Only the fixed pieces of each depth are reused, not the text
+    of subtrees, which would hold a copy of the output in memory.
+    """
+    parts = ['{\n  "cotree": ']
+    emit = parts.append
+    stack: list = [(g, 2)] if g.kind != LEAF else ['{\n    "op": "leaf"\n  }']
+    push, pop = stack.append, stack.pop
+    pieces: dict[int, tuple] = {}
+    while stack:
+        item = pop()
+        if item.__class__ is str:
+            emit(item)
+            continue
+        node, depth = item
+        opening, closing, sep, leaf, sep_leaf = (
+            pieces.get(depth) or pieces.setdefault(depth, _inner_node_text(depth)))
+        emit(opening)
+        push(closing[node.kind])
+        kids, depth = node.children, depth + 2
+        for c in reversed(kids[1:]):
+            if c.kind == LEAF:
+                push(sep_leaf)
+            else:
+                push((c, depth))
+                push(sep)
+        push(leaf if kids[0].kind == LEAF else (kids[0], depth))
+    emit(',\n  "format": "' + COTREE_FORMAT + '",\n  "verification": ')
+    emit(json.dumps(verification, indent=2, sort_keys=True).replace("\n", "\n  "))
+    emit("\n}")
+    return "".join(parts)
+
+
 def loads_cotree(text: str) -> Cotree:
+    """Parse cotree JSON, bare or as the ``cotree`` field of a
+    ``cogex.cotree/1`` document such as ``construct`` writes."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CotreeFormatError(f"invalid JSON: {exc.msg}", f"line {exc.lineno}") from exc
+    if isinstance(obj, dict) and obj.get("format") == COTREE_FORMAT:
+        return cotree_from_obj(obj.get("cotree"), "/cotree")
     return cotree_from_obj(obj)
 
 

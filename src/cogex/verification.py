@@ -37,7 +37,7 @@ from .cotree import (
 from .enumerator import extremal_function
 from .oracle import (
     CheckResult,
-    biclique_sequence_bruteforce,
+    _sequence_table,
     check_balanced_biclique,
     check_structure_theorems,
     contains_biclique,
@@ -56,15 +56,20 @@ SMALL_PAIRS = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
 
 
 def verify_sequences(n_max: int = 7) -> CheckResult:
-    """Cotree sequence recursion == brute-force search, all cographs <= n_max."""
+    """Cotree sequence recursion == brute-force search, all cographs <= n_max.
+
+    The brute-force sequences are read from the oracle's per-n table, which
+    the DP-against-oracle checks share.
+    """
     bad = []
     total = 0
     for n in range(1, n_max + 1):
         items = enumerate_cotrees(n, limit=max(10, n_max)).items
+        brute = {g: seq for seq, graphs in _sequence_table(n) for g in graphs}
         total += len(items)
         for g in items:
             rec = biclique_sequence(g, g.n)
-            if rec != biclique_sequence_bruteforce(to_adjacency(g), g.n):
+            if rec != brute[g]:
                 bad.append(canonical_form(g).decode("ascii"))
             else:
                 check_sequence_invariants(rec)

@@ -1,10 +1,17 @@
 """CLI surface: subcommands, exit codes, artifact determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cogex
 from cogex.cli import main
+from cogex.constructions import clique_product_family
+from cogex.serialize import dumps_cotree
 
 
 def run(argv, capsys):
@@ -233,3 +240,81 @@ def test_capacity_exit_code(capsys):
                         "--max-records", "3"], capsys)
     assert code == 3
     assert "capacity" in err.lower()
+
+
+# Runs each argv list of argv[1] (JSON) through one main() in this process;
+# prints [exit code, stdout] per call.
+_SEQUENCE = """
+import contextlib, io, json, sys
+from cogex.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _run_sequence(ops, cwd):
+    env = {k: v for k, v in os.environ.items() if k != "COGEX_OUTPUT_DIR"}
+    # cwd moves, so a relative PYTHONPATH would no longer find the package
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cogex.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", _SEQUENCE, json.dumps(ops)], cwd=cwd,
+                         env=env, capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
+
+
+def test_parser_reuse_matches_fresh_processes(tmp_path):
+    src = tmp_path / "in.json"
+    src.write_text(dumps_cotree(clique_product_family(3, 3, 2)))
+    ops = [
+        ["construct", "k33", "--n", "0"],  # usage error
+        ["construct", "bogus"],  # argparse rejection
+        ["construct", "pump", "--input", str(src), "--path", "2/0", "--k", "5",
+         "-o", "pump.json"],
+        ["construct", "pump", "--input", str(src), "--k", "1"],  # --path not carried over
+        ["construct", "k33"],
+        ["construct", "k33", "--n", "40"],
+        ["export", "--input", str(src), "--format", "graph6", "-o", "g.g6"],
+        ["enumerate", "--s", "2", "--t", "3", "--n-max", "10"],
+    ]
+    (tmp_path / "together").mkdir()
+    together = _run_sequence(ops, tmp_path / "together")
+    assert [code for code, _ in together] == [2, 2, 0, 2, 2, 0, 0, 0]
+    for i, op in enumerate(ops):
+        alone_dir = tmp_path / f"alone{i}"
+        alone_dir.mkdir()
+        assert _run_sequence([op], alone_dir) == [together[i]]
+        if "-o" in op:
+            name = op[op.index("-o") + 1]
+            assert (alone_dir / name).read_bytes() == (tmp_path / "together" / name).read_bytes()
+
+
+def test_import_builds_no_parser_and_no_numpy():
+    code = """
+import argparse, contextlib, io, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import cogex.cli
+counts = [len(built), "numpy" in sys.modules]
+for _ in range(3):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        cogex.cli.main(["construct", "k33", "--n", "5"])
+    counts.append(len(built))
+print(counts)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    none_built, numpy_imported, *after = eval(out)
+    assert none_built == 0 and not numpy_imported
+    assert after[0] > 0 and after == [after[0]] * 3  # built on the first call only

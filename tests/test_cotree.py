@@ -24,6 +24,14 @@ from cogex.cotree import (
     to_adjacency,
     to_formula,
 )
+from cogex.constructions import (
+    clique_product_family,
+    k2t_extremal,
+    k33_extremal,
+    pump,
+    regular_cograph,
+    star_extremal,
+)
 from cogex.oracle import enumerate_cotrees, random_cotree
 
 
@@ -198,3 +206,46 @@ def test_trees_are_reduced_and_canonical():
     for n in range(1, 7):
         for g in enumerate_cotrees(n).items:
             _assert_reduced_canonical(g)
+
+
+def _reference_adjacency_rows(g):
+    """The recursive expansion that the explicit-stack loop replaced."""
+    rows = [0] * g.n
+
+    def fill(node, offset):
+        if node.kind == "leaf":
+            return
+        pos = offset
+        spans = []
+        for c in node.children:
+            spans.append((pos, c.n))
+            fill(c, pos)
+            pos += c.n
+        if node.kind == "prod":
+            masks = [((1 << cn) - 1) << start for start, cn in spans]
+            total = 0
+            for m in masks:
+                total |= m
+            for m, (start, cn) in zip(masks, spans):
+                for v in range(start, start + cn):
+                    rows[v] |= total & ~m
+
+    fill(g, 0)
+    return tuple(rows)
+
+
+def test_to_adjacency_matches_recursive_reference():
+    # graph6 bytes depend on the DFS leaf numbering, so rows must be equal
+    graphs = [g for n in range(1, 10) for g in enumerate_cotrees(n).items]
+    sizes = range(2, 17)
+    graphs += [k33_extremal(n) for n in sizes]
+    graphs += [k2t_extremal(t, n) for t in (2, 3) for n in sizes]
+    graphs += [star_extremal(t, n) for t in range(2, 7) for n in sizes]
+    graphs += [g for n in sizes for d in range(n)
+               if (g := regular_cograph(n, d)) is not None]
+    graphs += [clique_product_family(s, t, r) for s in (1, 2, 3) for t in (3, 4)
+               for r in (1, 2, 3)]
+    graphs += [pump(clique_product_family(3, 3, 2), (2, 0), 1)]
+    assert max(g.n for g in graphs) == 16
+    for g in graphs:
+        assert to_adjacency(g).rows == _reference_adjacency_rows(g)
