@@ -123,12 +123,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         _human(f"  n={n:3d}  ex={series.values[n]:5d}  {marker} {series.alpha * n}")
     if not at_bound:
         summary = "strict bound holds throughout"
-    elif series.s is None or series.s >= 2:
+    elif series.asserts_strict_bound:
         _human(f"strict bound violated at n={at_bound}")
         return EXIT_CHECK_FAILED
     else:
-        # the bound is strict only for s >= 2; K_{1,t} meets it at regular
-        # graphs, and a profile starting at index 0 bounds the vertex count
         summary = (f"strict bound not asserted for s = {series.s}; "
                    f"ex >= {series.alpha} * n at n={at_bound}")
     _human(f"enumerated {series.constraint} for {len(series.values)} values of n; "

@@ -2,8 +2,8 @@
 
 Pumping replicates a summand (every copy automatically inherits the
 original's outside neighborhood, since all vertices under a sum node share
-it).  The regular constructor realizes every feasible (n, d) pair by a
-recursion over cliques, complements and the complete multipartite block
+it).  The regular constructor realizes every feasible (n, d) pair by a loop
+that peels off cliques, complements and the complete multipartite block
 H_d; the star / K_{2,t} / K_{3,3} families realize the known extremal
 shapes; the subsequence utility extracts a zero-sum-mod-n subsequence by
 prefix-sum pigeonhole.
@@ -23,6 +23,7 @@ from .cotree import (
     make_product,
     make_sum,
     max_degree,
+    summands,
     to_adjacency,
 )
 
@@ -90,23 +91,10 @@ def pump_subset(g: Cotree, leaf_ids: Sequence[int], k: int,
         elif outside != nb:
             raise ValueError("subset vertices do not share their outside neighborhood")
 
-    target = None
-
-    def walk(node: Cotree, offset: int, path: tuple[int, ...], parent_kind: str | None):
-        nonlocal target
-        span = ((1 << node.n) - 1) << offset
-        if span == subset and parent_kind == SUM:
-            target = path
-            return
-        pos = offset
-        for idx, c in enumerate(node.children):
-            walk(c, pos, path + (idx,), node.kind)
-            pos += c.n
-
-    walk(g, 0, (), None)
-    if target is None:
-        raise ValueError("subset is not a summand of the cotree")
-    return pump(g, target, k)
+    for path, c, first, _ in summands(g):
+        if ((1 << c.n) - 1) << first == subset:
+            return pump(g, path, k)
+    raise ValueError("subset is not a summand of the cotree")
 
 
 # =============================================================================
@@ -137,19 +125,25 @@ def regular_cograph(n: int, d: int) -> Cotree | None:
 
 
 def _regular(n: int, d: int) -> Cotree:
-    if d == 0:
-        return edgeless(n)
-    if d == n - 1:
-        return clique(n)
-    if 2 * d >= n:
-        # complement degree is below n/2, so this flip happens at most once
-        return complement(_regular(n, n - 1 - d))
-    if d % 2 == 0 and n % 2 == 0 and 3 * d == n - 2:
-        # K_{d+1} would leave an excluded odd remainder; use the d-regular
-        # complete multipartite block on d + 2 vertices instead
-        block = make_product([edgeless(2) for _ in range(d // 2 + 1)])
-        return make_sum([block, _regular(2 * d, d)])
-    return make_sum([clique(d + 1), _regular(n - d - 1, d)])
+    # peel K_{d+1} parts off until a clique or an edgeless graph is left;
+    # when 2d >= n, build the complement (degree n - 1 - d) one layer down
+    layers: list[list[Cotree]] = [[]]
+    while 0 < d < n - 1:
+        if 2 * d >= n:
+            layers.append([])
+            d = n - 1 - d
+        elif d % 2 == 0 and n % 2 == 0 and 3 * d == n - 2:
+            # K_{d+1} would leave an excluded odd remainder; use the d-regular
+            # complete multipartite block on d + 2 vertices instead
+            layers[-1].append(make_product([edgeless(2) for _ in range(d // 2 + 1)]))
+            n = 2 * d
+        else:
+            layers[-1].append(clique(d + 1))
+            n -= d + 1
+    g = make_sum(layers.pop() + [edgeless(n) if d == 0 else clique(n)])
+    for parts in reversed(layers):
+        g = make_sum(parts + [complement(g)])
+    return g
 
 
 # =============================================================================
@@ -179,7 +173,8 @@ def star_extremal(t: int, n: int, catalog_limit: int = 12) -> Cotree:
 
     A clique when n < t, a (t-1)-regular cograph when one exists, and
     otherwise a (t-1)-regular part plus the best connected remainder of at
-    most 2t-3 vertices, found by exhaustive search.
+    most 2t-3 vertices, found by exhaustive search over the oracle's
+    catalog; a remainder size past ``catalog_limit`` raises CapacityError.
     """
     if t < 2 or n < 1:
         raise ValueError(f"need t >= 2 and n >= 1, got ({t}, {n})")
@@ -192,7 +187,8 @@ def star_extremal(t: int, n: int, catalog_limit: int = 12) -> Cotree:
     from .oracle import connected_cotrees
 
     best: tuple[int, bytes, Cotree] | None = None
-    for r in range(1, min(n, 2 * t - 3) + 1):
+    # largest remainder first, so a catalog past the limit fails before any search
+    for r in range(min(n, 2 * t - 3), 0, -1):
         rest = n - r
         regular_part = None
         if rest > 0:
@@ -201,7 +197,7 @@ def star_extremal(t: int, n: int, catalog_limit: int = 12) -> Cotree:
             regular_part = regular_cograph(rest, t - 1)
             if regular_part is None:
                 continue
-        for comp in connected_cotrees(r, limit=max(catalog_limit, r)):
+        for comp in connected_cotrees(r, limit=catalog_limit):
             if max_degree(comp) > t - 1:
                 continue
             total = comp if regular_part is None else make_sum([regular_part, comp])

@@ -8,14 +8,20 @@ a sum child, no product node a product child) and *canonical* (children
 sorted by a recursive encoding), so two trees encode isomorphic cographs
 exactly when their encodings are equal.
 
+No function that takes a Cotree recurses, so trees of any height work at
+the default recursion limit: traversals use ``fold``, a post-order fold
+over an explicit stack, or ``summands``, a pre-order walk over the
+children of sum nodes; pre-order writers keep their own explicit stacks.
+
 Everything here is immutable after construction and safe to share between
 threads.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 NEG_INF = float("-inf")
 INF = float("inf")
@@ -127,49 +133,73 @@ def canonical_form(g: Cotree) -> bytes:
     return g._canon
 
 
+def fold(g: Cotree, leaf, inner: Callable[[Cotree, list], object]):
+    """Post-order fold over an explicit stack: a leaf's value is ``leaf``, an
+    inner node's is ``inner(node, values of its children in order)``.  Leaf
+    children take ``leaf`` in place and never go through the stack."""
+    if g.kind == LEAF:
+        return leaf
+    stack = [(g, iter(g.children), [])]  # node, children left, values so far
+    while True:
+        node, kids, values = stack[-1]
+        for c in kids:
+            if c.kind != LEAF:
+                stack.append((c, iter(c.children), []))
+                break
+            values.append(leaf)
+        else:
+            stack.pop()
+            if not stack:
+                return inner(node, values)
+            stack[-1][2].append(inner(node, values))
+
+
+def summands(g: Cotree) -> Iterator[tuple[tuple[int, ...], Cotree, int, int]]:
+    """Pre-order walk over the children of sum nodes, over an explicit stack.
+    Yields (child-index path, summand, index of its first leaf in DFS order,
+    number of outside neighbours, those below product siblings on its path)."""
+    stack = [((), g, 0, 0, False)]  # path, node, first leaf, outside, under a sum?
+    while stack:
+        path, node, first, outside, summand = stack.pop()
+        if summand:
+            yield path, node, first, outside
+        below = []
+        is_sum = node.kind == SUM
+        for i, c in enumerate(node.children):
+            if is_sum or c.kind != LEAF:  # a product's leaf child has nothing to yield
+                joined = 0 if is_sum else node.n - c.n
+                below.append((path + (i,), c, first, outside + joined, is_sum))
+            first += c.n
+        stack += reversed(below)
+
+
 def complement(g: Cotree) -> Cotree:
     """Cotree of the complement graph (sum and product labels swapped)."""
-    if g.kind == LEAF:
-        return g
-    kids = [complement(c) for c in g.children]
-    return make_sum(kids) if g.kind == PROD else make_product(kids)
+    return fold(g, make_leaf(), lambda node, kids: (
+        make_sum(kids) if node.kind == PROD else make_product(kids)))
 
 
 def height(g: Cotree) -> int:
     """Maximum number of edges on a root-to-leaf path of the reduced tree."""
-    if g.kind == LEAF:
-        return 0
-    return 1 + max(height(c) for c in g.children)
+    return fold(g, 0, lambda node, heights: 1 + max(heights))
 
 
 def clique_number(g: Cotree) -> int:
     """Clique number: max over sum children, additive over product children."""
-    if g.kind == LEAF:
-        return 1
-    if g.kind == SUM:
-        return max(clique_number(c) for c in g.children)
-    return sum(clique_number(c) for c in g.children)
+    return fold(g, 1, lambda node, omegas: max(omegas) if node.kind == SUM else sum(omegas))
 
 
 def max_degree(g: Cotree) -> int:
     """Maximum vertex degree, computed on the cotree."""
-    if g.kind == LEAF:
-        return 0
-    if g.kind == SUM:
-        return max(max_degree(c) for c in g.children)
-    return max(max_degree(c) + g.n - c.n for c in g.children)
+    return fold(g, 0, lambda node, degrees: max(degrees) if node.kind == SUM else max(
+        d + node.n - c.n for d, c in zip(degrees, node.children)))
 
 
 def to_formula(g: Cotree) -> str:
     """Human-readable construction formula, e.g. ``(v*v*(K3+K3))``."""
-    if g.kind == LEAF:
-        return "v"
-    if g.kind == PROD and all(c.kind == LEAF for c in g.children):
-        return f"K{g.n}"
-    if g.kind == SUM and all(c.kind == LEAF for c in g.children):
-        return f"E{g.n}"
-    sep = "+" if g.kind == SUM else "*"
-    return "(" + sep.join(to_formula(c) for c in g.children) + ")"
+    return fold(g, "v", lambda node, parts: (
+        f"{'K' if node.kind == PROD else 'E'}{node.n}" if node.n == len(parts)  # all leaves
+        else "(" + ("+" if node.kind == SUM else "*").join(parts) + ")"))
 
 
 # =============================================================================
@@ -396,20 +426,12 @@ def product_entries(e1: tuple[float, ...], e2: tuple[float, ...], cap: int) -> t
 
 
 def biclique_sequence(g: Cotree, cap: int) -> BicliqueSequence:
-    """Entries 0..cap of the biclique sequence, by recursion on the cotree."""
+    """Entries 0..cap of the biclique sequence, folded over the cotree."""
     if cap < 0:
         raise ValueError("cap must be >= 0")
-
-    def rec(node: Cotree) -> tuple[float, ...]:
-        if node.kind == LEAF:
-            return _leaf_entries(cap)
-        parts = [rec(c) for c in node.children]
-        acc = parts[0]
-        for p in parts[1:]:
-            acc = (sum_entries if node.kind == SUM else product_entries)(acc, p, cap)
-        return acc
-
-    return BicliqueSequence(rec(g))
+    combine = {SUM: sum_entries, PROD: product_entries}
+    return BicliqueSequence(fold(g, _leaf_entries(cap), lambda node, parts: reduce(
+        lambda acc, p: combine[node.kind](acc, p, cap), parts)))
 
 
 def check_sequence_invariants(seq: BicliqueSequence) -> None:

@@ -268,6 +268,13 @@ class ExtremalSeries:
     def ns(self) -> list[int]:
         return sorted(self.values)
 
+    @property
+    def asserts_strict_bound(self) -> bool:
+        """Whether ex(n) < alpha * n is claimed: for s >= 2 or s unknown.
+        K_{1,t} meets the bound at regular graphs, and a profile starting
+        at index 0 bounds the vertex count."""
+        return self.s is None or self.s >= 2
+
 
 def _normalize_range(n_range) -> range:
     if isinstance(n_range, range):
@@ -381,14 +388,15 @@ def analyze_periodicity(
 ) -> PeriodicityReport:
     """Detect eventual periodicity of ex(n) - alpha*n over the series.
 
-    For each candidate period R covered at least three times by the range,
-    each residue class must end in a constant run of at least three
-    observations (two would accept spurious small periods whenever the last
-    two residuals happen to coincide).  Reports the smallest stabilizing R,
-    the per-residue constants, the onset of stability, whether all
-    constants are negative, and whether ex(n) < alpha*n holds throughout.
-    A finite-difference slope over the last detected period cross-checks
-    alpha.
+    R is the smallest candidate period, covered at least three times by the
+    range, whose periodic tail (residual[n] = residual[n + R] throughout)
+    covers at least max(3R, span // 2) vertex counts; three periods alone
+    would accept R = 1 for K_{3,5} on 5..40, whose last three residuals
+    coincide.  Reports R, the per-residue constants (the last residual of
+    each class), the onset of stability (the latest start of a class's
+    final constant run), whether all constants are negative, and whether
+    ex(n) < alpha*n holds throughout.  A finite-difference slope over the
+    last detected period cross-checks alpha.
     """
     if alpha is None:
         alpha = series.alpha
@@ -403,38 +411,37 @@ def analyze_periodicity(
     residual = {n: Fraction(series.values[n]) - alpha * n for n in ns}
     strict = all(Fraction(series.values[n]) < alpha * n for n in ns)
 
+    n_last = ns[-1]
     for r in candidates:
+        # the periodic tail: residual[n] = residual[n + r] from n = tail on
+        tail = n_last
+        while tail - 1 in residual and (
+                tail - 1 + r > n_last or residual[tail - 1] == residual[tail - 1 + r]):
+            tail -= 1
+        if n_last - tail + 1 < max(3 * r, span // 2):
+            continue
         constants: dict[int, Fraction] = {}
         onsets: list[int] = []
-        ok = True
         for q in range(r):
             obs = [n for n in ns if n % r == q]
-            if len(obs) < 3:
-                ok = False
-                break
             run_start = len(obs) - 1
             while run_start > 0 and residual[obs[run_start - 1]] == residual[obs[-1]]:
                 run_start -= 1
-            if len(obs) - run_start < 3:
-                ok = False
-                break
             constants[q] = residual[obs[-1]]
             onsets.append(obs[run_start])
-        if ok:
-            n_last = ns[-1]
-            slope = Fraction(series.values[n_last] - series.values[n_last - r], r) \
-                if n_last - r in series.values else None
-            return PeriodicityReport(
-                alpha=alpha,
-                detected_period=r,
-                constants=constants,
-                onset=max(onsets),
-                all_negative=all(a < 0 for a in constants.values()),
-                strict_bound=strict,
-                slope_estimate=slope,
-                candidates_examined=candidates,
-                status="periodic",
-            )
+        slope = Fraction(series.values[n_last] - series.values[n_last - r], r) \
+            if n_last - r in series.values else None
+        return PeriodicityReport(
+            alpha=alpha,
+            detected_period=r,
+            constants=constants,
+            onset=max(onsets),
+            all_negative=all(a < 0 for a in constants.values()),
+            strict_bound=strict,
+            slope_estimate=slope,
+            candidates_examined=candidates,
+            status="periodic",
+        )
     return PeriodicityReport(
         alpha=alpha,
         detected_period=None,

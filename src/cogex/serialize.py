@@ -16,6 +16,7 @@ from .cotree import (
     AdjacencyGraph,
     Cotree,
     canonical_form,
+    fold,
     make_leaf,
     make_product,
     make_sum,
@@ -41,9 +42,8 @@ class CotreeFormatError(ValueError):
 # =============================================================================
 
 def cotree_to_obj(g: Cotree) -> dict:
-    if g.kind == "leaf":
-        return {"op": "leaf"}
-    return {"op": g.kind, "children": [cotree_to_obj(c) for c in g.children]}
+    """The cotree JSON object of g; its leaves share one dict."""
+    return fold(g, {"op": "leaf"}, lambda node, kids: {"op": node.kind, "children": kids})
 
 
 def cotree_from_obj(obj, path: str = "") -> Cotree:
@@ -72,10 +72,13 @@ def cotree_from_obj(obj, path: str = "") -> Cotree:
 
 def dumps_cotree(g: Cotree) -> str:
     """Canonical JSON text: stable key order, no whitespace."""
-    return json.dumps(cotree_to_obj(g), sort_keys=True, separators=(",", ":"))
+    # the pieces of _indented_node_text in compact JSON, the same at every depth
+    pieces = ('{"children":[', {k: '],"op":"' + k + '"}' for k in (SUM, PROD)},
+              ',', '{"op":"leaf"}', ',{"op":"leaf"}')
+    return "".join(_cotree_json(g, 0, lambda depth: pieces, []))
 
 
-def _inner_node_text(depth: int) -> tuple:
+def _indented_node_text(depth: int) -> tuple:
     """Text pieces of an inner node whose fields sit at nesting depth
     ``depth`` in indent-2 JSON: its opening up to the first child, its
     closing by kind, the separator before each later child, and a leaf
@@ -88,21 +91,14 @@ def _inner_node_text(depth: int) -> tuple:
     return '{\n' + fields + '"children": [\n' + item, closing, sep, leaf, sep + leaf
 
 
-def dumps_cotree_document(g: Cotree, verification: dict) -> str:
-    """The ``cogex.cotree/1`` document of g with its verification block.
-
-    The text is byte-identical to ``json.dumps({"cotree": cotree_to_obj(g),
-    "format": COTREE_FORMAT, "verification": verification}, indent=2,
-    sort_keys=True)``, but the cotree is written without the ``json``
-    encoder, whose indenting mode runs in pure Python.  One loop over an
-    explicit stack of text fragments and pending inner nodes appends to a
-    list that is joined once, so deep trees cannot exhaust the recursion
-    limit.  Only the fixed pieces of each depth are reused, not the text
-    of subtrees, which would hold a copy of the output in memory.
-    """
-    parts = ['{\n  "cotree": ']
+def _cotree_json(g: Cotree, depth: int, node_text, parts: list[str]) -> list[str]:
+    """Append to ``parts`` the JSON text of g, whose fields sit at nesting
+    depth ``depth``, in one loop over an explicit stack of text fragments
+    and pending inner nodes.  Only the fixed pieces ``node_text(depth)`` of
+    each depth are reused, not the text of subtrees, which would hold a
+    copy of the output in memory."""
     emit = parts.append
-    stack: list = [(g, 2)] if g.kind != LEAF else ['{\n    "op": "leaf"\n  }']
+    stack: list = [(g, depth)] if g.kind != LEAF else [node_text(depth - 2)[3]]
     push, pop = stack.append, stack.pop
     pieces: dict[int, tuple] = {}
     while stack:
@@ -112,7 +108,7 @@ def dumps_cotree_document(g: Cotree, verification: dict) -> str:
             continue
         node, depth = item
         opening, closing, sep, leaf, sep_leaf = (
-            pieces.get(depth) or pieces.setdefault(depth, _inner_node_text(depth)))
+            pieces.get(depth) or pieces.setdefault(depth, node_text(depth)))
         emit(opening)
         push(closing[node.kind])
         kids, depth = node.children, depth + 2
@@ -123,9 +119,20 @@ def dumps_cotree_document(g: Cotree, verification: dict) -> str:
                 push((c, depth))
                 push(sep)
         push(leaf if kids[0].kind == LEAF else (kids[0], depth))
-    emit(',\n  "format": "' + COTREE_FORMAT + '",\n  "verification": ')
-    emit(json.dumps(verification, indent=2, sort_keys=True).replace("\n", "\n  "))
-    emit("\n}")
+    return parts
+
+
+def dumps_cotree_document(g: Cotree, verification: dict) -> str:
+    """The ``cogex.cotree/1`` document of g with its verification block.
+
+    The text is byte-identical to ``json.dumps({"cotree": cotree_to_obj(g),
+    "format": COTREE_FORMAT, "verification": verification}, indent=2,
+    sort_keys=True)``, but the cotree is written by ``_cotree_json``, not
+    the ``json`` encoder, whose indenting mode runs in pure Python.
+    """
+    parts = _cotree_json(g, 2, _indented_node_text, ['{\n  "cotree": '])
+    parts += [',\n  "format": "' + COTREE_FORMAT + '",\n  "verification": ',
+              json.dumps(verification, indent=2, sort_keys=True).replace("\n", "\n  "), "\n}"]
     return "".join(parts)
 
 
@@ -181,25 +188,23 @@ _DOT_LABEL = {"sum": "+", "prod": "×", "leaf": "•"}
 
 
 def to_dot(g: Cotree, name: str = "cotree") -> str:
-    """DOT digraph: inner nodes labeled +/x, root highlighted."""
-    lines = [f"digraph {name} {{", "  node [shape=circle];"]
-    counter = 0
-
-    def visit(node: Cotree, parent: str | None) -> None:
-        nonlocal counter
-        nid = f"n{counter}"
-        counter += 1
-        label = _DOT_LABEL[node.kind]
-        attrs = f'label="{label}"'
-        if parent is None:
-            attrs += ' style=filled fillcolor="mediumpurple"'
-        lines.append(f"  {nid} [{attrs}];")
-        if parent is not None:
+    """DOT digraph: inner nodes labeled +/x, root highlighted, numbered in pre-order."""
+    lines = [f"digraph {name} {{", "  node [shape=circle];",
+             f'  n0 [label="{_DOT_LABEL[g.kind]}" style=filled fillcolor="mediumpurple"];']
+    stack = [("n0", iter(g.children))]  # node id, children left
+    count = 0
+    while stack:
+        parent, kids = stack[-1]
+        for c in kids:
+            count += 1
+            nid = f"n{count}"
+            lines.append(f'  {nid} [label="{_DOT_LABEL[c.kind]}"];')
             lines.append(f"  {parent} -> {nid};")
-        for c in node.children:
-            visit(c, nid)
-
-    visit(g, None)
+            if c.kind != LEAF:
+                stack.append((nid, iter(c.children)))
+                break
+        else:
+            stack.pop()
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -262,7 +267,7 @@ def series_to_obj(series: ExtremalSeries, detected_period: int | None = None) ->
             "n": n,
             "ex": ex,
             "alpha_n": str(alpha_n),
-            "bound_ok": (Fraction(ex) < alpha_n) if (series.s or 2) >= 2 else None,
+            "bound_ok": Fraction(ex) < alpha_n if series.asserts_strict_bound else None,
             "residue": (n % detected_period) if detected_period else None,
             "witnesses": [canonical_form(w).decode("ascii")
                           for w in series.witnesses.get(n, ())],
@@ -301,7 +306,7 @@ def series_to_csv(series: ExtremalSeries, detected_period: int | None = None) ->
     for n in series.ns():
         ex = series.values[n]
         alpha_n = series.alpha * n
-        bound_ok = (Fraction(ex) < alpha_n) if (series.s or 2) >= 2 else ""
+        bound_ok = Fraction(ex) < alpha_n if series.asserts_strict_bound else ""
         residue = (n % detected_period) if detected_period else ""
         wits = series.witnesses.get(n, ())
         witness = canonical_form(wits[0]).decode("ascii") if wits else ""

@@ -20,9 +20,7 @@ from .constructions import (
     star_extremal,
 )
 from .cotree import (
-    SUM,
     CapacityError,
-    Cotree,
     biclique_sequence,
     canonical_form,
     check_sequence_invariants,
@@ -31,6 +29,7 @@ from .cotree import (
     height,
     is_induced_p4_free,
     make_product,
+    summands,
     to_adjacency,
     to_formula,
 )
@@ -273,11 +272,11 @@ def verify_pump_invariants(seed: int = 20240817, trials: int = 120,
     tried = 0
     while tried < trials:
         g = random_cotree(rng, rng.randint(3, 9))
-        paths = _summand_paths(g)
+        paths = list(summands(g))
         if not paths:
             continue
         tried += 1
-        path, child, w = paths[rng.randrange(len(paths))]
+        path, child, _, w = paths[rng.randrange(len(paths))]
         k = rng.randint(1, 2)
         pumped = pump(g, path, k)
         if pumped.n != g.n + k * child.n:
@@ -295,23 +294,6 @@ def verify_pump_invariants(seed: int = 20240817, trials: int = 120,
                 bad.append(f"({s},{t}) fulfillment lost: {to_formula(g)} at {path}")
     return CheckResult("pump-invariants", {"seed": seed, "trials": trials},
                        not bad, f"{tried} pumps", bad)
-
-
-def _summand_paths(g: Cotree) -> list[tuple[tuple[int, ...], Cotree, int]]:
-    """(path, summand, outside-neighborhood size) for every sum child."""
-    out = []
-
-    def walk(node: Cotree, path: tuple[int, ...], joined: int) -> None:
-        if node.kind == "leaf":
-            return
-        for idx, c in enumerate(node.children):
-            child_joined = joined + (node.n - c.n if node.kind == "prod" else 0)
-            if node.kind == SUM:
-                out.append((path + (idx,), c, joined))
-            walk(c, path + (idx,), child_joined)
-
-    walk(g, (), 0)
-    return out
 
 
 def verify_height_bound(n_max: int = 7, seed: int = 7, trials: int = 200) -> CheckResult:

@@ -103,6 +103,44 @@ def test_construct_infeasible_regular_to_output(tmp_path, capsys):
     assert "2d = n-1" in report["reason"]
 
 
+@pytest.mark.parametrize("argv, vertices, edges", [
+    (["regular", "--n", "3000", "--d", "1"], 3000, 1500),
+    (["k2t", "--t", "2", "--n", "5000"], 5000, 4999 + 2499),
+    (["star", "--t", "2", "--n", "5001"], 5001, 2500),
+])
+def test_construct_large_flat_families(argv, vertices, edges, capsys):
+    # each family peels thousands of parts off; none may recurse per part
+    code, out, _ = run(["construct", *argv], capsys)
+    assert code == 0
+    v = json.loads(out)["verification"]
+    assert (v["vertices"], v["edges"]) == (vertices, edges)
+
+
+def test_construct_star_past_catalog_limit_is_capacity_error(capsys):
+    # no 7-regular cograph on 101 vertices; the remainder search would need
+    # the connected cographs on 13 vertices, past the catalog limit of 12
+    code, out, err = run(["construct", "star", "--t", "8", "--n", "101"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "catalog for n=13 exceeds limit 12" in err
+
+
+def test_strict_bound_rule_shared_by_writers_and_summary(capsys):
+    # a profile from index 0 asserts no strict bound: no bound_ok values
+    argv = ["enumerate", "--profile", "3,1,0;-inf", "--n-max", "4"]
+    code, out, err = run(argv, capsys)
+    assert code == 0 and "strict bound not asserted for s = 0" in err
+    assert [row["bound_ok"] for row in json.loads(out)["rows"]] == [None] * 3
+    code, out, _ = run(argv + ["--format", "csv"], capsys)
+    assert code == 0
+    assert [line.split(",")[3] for line in out.splitlines()[1:]] == [""] * 3
+    # K_{s,t}: bound_ok exactly when s >= 2
+    for s, expected in (("1", [None] * 4), ("2", [True] * 4)):
+        code, out, _ = run(["enumerate", "--s", s, "--t", "3", "--n-max", "4"], capsys)
+        assert code == 0
+        assert [row["bound_ok"] for row in json.loads(out)["rows"]] == expected
+
+
 def test_construct_clique_product(capsys):
     code, out, _ = run(["construct", "clique-product", "--s", "3", "--t", "3",
                         "--r", "2"], capsys)

@@ -17,6 +17,7 @@ from cogex.constructions import (
     star_extremal,
 )
 from cogex.cotree import (
+    CapacityError,
     biclique_sequence,
     clique,
     is_induced_p4_free,
@@ -59,17 +60,17 @@ def test_pump_rejects_non_summand(k2_join_two_triangles):
 
 def test_pump_growth_formula():
     rng = random.Random(41)
-    from cogex.verification import _summand_paths
+    from cogex.cotree import summands
     from cogex.oracle import random_cotree
 
     done = 0
     while done < 60:
         g = random_cotree(rng, rng.randint(3, 9))
-        paths = _summand_paths(g)
+        paths = list(summands(g))
         if not paths:
             continue
         done += 1
-        path, child, w = paths[rng.randrange(len(paths))]
+        path, child, _, w = paths[rng.randrange(len(paths))]
         k = rng.randint(1, 3)
         pumped = pump(g, path, k)
         assert pumped.n == g.n + k * child.n
@@ -169,6 +170,14 @@ def test_star_extremal_examples():
     assert set(to_adjacency(g).degree_sequence()) == {2}
     assert star_extremal(3, 5).edges == 4
     assert star_extremal(3, 2) == clique(2)  # n < t gives a clique
+
+
+def test_star_extremal_honours_catalog_limit():
+    # t = 6, n = 21: no 5-regular cograph (both odd), so the search tries
+    # connected remainders of up to 2t - 3 = 9 vertices
+    with pytest.raises(CapacityError, match="n=9 exceeds limit 8"):
+        star_extremal(6, 21, catalog_limit=8)
+    assert star_extremal(6, 21, catalog_limit=9) == star_extremal(6, 21)
 
 
 def test_star_extremal_meets_oracle():

@@ -52,9 +52,9 @@ def _sum_child_path(g):
 # families at small, typical (up to 500 vertices) and 3,000-vertex sizes
 FAMILIES = [
     *[(f"k33 n={n}", lambda n=n: k33_extremal(n)) for n in (2, 9, 347, 3000)],
-    # k2t with t = 2 recurses once per edge of its matching, so it stays at 500
     *[(f"k2t t={t} n={n}", lambda t=t, n=n: k2t_extremal(t, n))
-      for t, n in ((2, 2), (2, 11), (2, 500), (3, 2), (3, 11), (3, 412), (3, 3000))],
+      for t, n in ((2, 2), (2, 11), (2, 500), (2, 3000), (3, 2), (3, 11), (3, 412),
+                   (3, 3000))],
     *[(f"star t={t} n={n}", lambda t=t, n=n: star_extremal(t, n))
       for t, n in ((3, 2), (4, 7), (7, 300), (20, 3000), (40, 3000))],
     *[(f"regular n={n} d={d}", lambda n=n, d=d: regular_cograph(n, d))
@@ -95,7 +95,7 @@ def test_document_of_a_deep_cotree():
     g = make_leaf()
     for i in range(height):
         g = (make_sum if i % 2 else make_product)([g, make_leaf()])
-    v = {"vertices": g.n, "edges": g.edges}  # to_formula recurses
+    v = {"vertices": g.n, "edges": g.edges, "formula": to_formula(g)}
     text = dumps_cotree_document(g, v)  # at the default recursion limit
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 6 * height))

@@ -26,7 +26,7 @@ from cogex.enumerator import (
     query,
 )
 from cogex.oracle import extremal_bruteforce
-from cogex.profile import binding_cap, forbidden_biclique_profile, parse_profile, validate
+from cogex.profile import alpha_for, binding_cap, forbidden_biclique_profile, parse_profile, validate
 from cogex.verification import verify_pareto_safety
 from cogex.cotree import INF
 
@@ -350,3 +350,73 @@ def test_periodicity_inconclusive():
     rep = analyze_periodicity(series, alpha=Fraction(0), periods=[1, 2, 3])
     assert rep.status == "inconclusive"
     assert rep.detected_period is None
+
+
+
+def test_periodicity_last_value_breaks_the_tail():
+    # alternating residuals whose last value breaks the pattern: every
+    # periodic tail ends before n_max, so no period stabilizes
+    values = {n: n % 2 for n in range(1, 12)} | {12: 5}
+    series = ExtremalSeries(constraint="broken", alpha=Fraction(0), values=values)
+    rep = analyze_periodicity(series, alpha=Fraction(0))
+    assert rep.status == "inconclusive"
+
+# ex(n) for n = 1..len(row) where EX_TABLES stops short, from the DP; the
+# detector is pinned on these values because the DP would take minutes
+EX_LONG = {
+    (2, 3): [0, 1, 3, 6, 7, 9, 12, 13, 15, 18, 19, 21, 24, 25, 27, 30, 31, 33,
+             36, 37, 39, 42, 43, 45, 48, 49, 51, 54, 55, 57, 60, 61, 63, 66, 67,
+             69, 72, 73, 75, 78, 79, 81, 84, 85, 87, 90, 91, 93, 96, 97, 99, 102,
+             103, 105, 108, 109, 111, 114, 115, 117],
+    (2, 4): [0, 1, 3, 6, 10, 11, 13, 16, 20, 21, 23, 26, 30, 31, 33, 36, 40, 41,
+             43, 46, 50, 51, 53, 56, 60, 61, 63, 66, 70, 71, 73, 76, 80, 81, 83,
+             86, 90, 91, 93, 96],
+    (3, 3): [0, 1, 3, 6, 10, 12, 15, 19, 21, 24, 28, 30, 33, 37, 39, 42, 46, 48,
+             51, 55, 57, 60, 64, 66, 69, 73, 75, 78, 82, 84, 87, 91, 93, 96, 100,
+             102, 105, 109, 111, 114, 118, 120, 123, 127, 129, 132, 136, 138],
+    (3, 5): [0, 1, 3, 6, 10, 15, 21, 24, 26, 30, 35, 41, 44, 48, 50, 55, 61, 64,
+             68, 72, 75, 81, 84, 88, 92, 96, 101, 104, 108, 112, 116, 121, 124,
+             128, 132, 136, 141, 144, 148, 152],
+    (4, 4): [0, 1, 3, 6, 10, 15, 21, 24, 28, 33, 39, 42, 46, 51, 57, 60, 64, 69,
+             75, 78, 82, 87, 93, 96, 100, 105, 111, 114, 118, 123, 129, 132, 136,
+             141, 147, 150, 154, 159, 165, 168],
+    (4, 5): [0, 1, 3, 6, 10, 15, 21, 28, 31, 35, 40, 46, 53, 56, 60, 65, 71, 78,
+             81, 85, 90, 96, 103, 106, 110, 115, 121, 128, 131, 135, 140, 146,
+             153, 156, 160, 165, 171, 178, 181, 185],
+    (5, 5): [0, 1, 3, 6, 10, 15, 21, 28, 36, 40, 45, 51, 58, 66, 70, 76, 81, 88,
+             96, 100, 106, 112, 118, 126, 130, 136, 142, 148, 156, 160, 166, 172,
+             178, 186, 190, 196, 202, 208, 216, 220, 226, 232, 238, 246],
+}
+
+# (s, t, n_min, n_max, R, constants by residue): R is what the detector that
+# required three periods gave, except for K_{3,5}, whose last three residuals
+# coincide: that detector reported R = 1 from n = 38 on both ranges
+PERIODS = [
+    (2, 2, 1, 40, 2, ["-2", "-3/2"]),
+    (2, 3, 1, 40, 3, ["-3", "-2", "-3"]),
+    (2, 3, 1, 60, 3, ["-3", "-2", "-3"]),
+    (2, 4, 1, 40, 4, ["-4", "-5/2", "-4", "-9/2"]),
+    (3, 3, 1, 40, 3, ["-6", "-6", "-5"]),
+    (3, 3, 1, 48, 3, ["-6", "-6", "-5"]),
+    (3, 4, 1, 40, 4, ["-8", "-15/2", "-6", "-15/2"]),
+    (3, 5, 1, 40, None, []),
+    (3, 5, 5, 40, 5, ["-8", "-8", "-7", "-8", "-8"]),
+    (4, 4, 1, 40, 4, ["-12", "-25/2", "-12", "-21/2"]),
+    (4, 5, 1, 22, 5, ["-15", "-15", "-14", "-12", "-14"]),
+    (4, 5, 1, 40, 5, ["-15", "-15", "-14", "-12", "-14"]),
+    (5, 5, 1, 20, None, []),
+    (5, 5, 1, 44, 5, ["-20", "-20", "-20", "-20", "-18"]),
+]
+
+
+@pytest.mark.parametrize("s, t, n_min, n_max, period, constants", PERIODS)
+def test_period_pinned(s, t, n_min, n_max, period, constants):
+    ex = EX_LONG.get((s, t)) or EX_TABLES[(s, t)]
+    assert len(ex) >= n_max
+    series = ExtremalSeries(constraint=f"K{{{s},{t}}}", alpha=alpha_for(s, t),
+                            values={n: ex[n - 1] for n in range(n_min, n_max + 1)},
+                            s=s, t=t)
+    rep = analyze_periodicity(series)
+    assert rep.detected_period == period
+    assert rep.constants == {q: Fraction(c) for q, c in enumerate(constants)}
+    assert rep.status == ("periodic" if period else "inconclusive")

@@ -23,16 +23,15 @@ from cogex.oracle import (
     check_balanced_biclique,
     check_structure_theorems,
     contains_biclique,
-    count_p4_free_classes_bruteforce,
     enumerate_cotrees,
     extremal_bruteforce,
-    labeled_p4_free_count,
-    orbit_count_identity,
     _sequence_table,
 )
 from cogex.profile import forbidden_biclique_profile, fulfills, validate
 from cogex.cotree import NEG_INF
 from cogex.verification import SMALL_PAIRS
+
+from census import count_p4_free_classes_bruteforce, labeled_p4_free_count, orbit_count_identity
 
 # unlabeled cograph counts, cross-checked against the labeled census below
 CATALOG_SIZES = [1, 2, 4, 10, 24, 66, 180, 522, 1532]

@@ -1,0 +1,319 @@
+"""Cotree traversals: the explicit-stack fold and walk against the recursive
+versions they replaced, and on cotrees far deeper than the recursion limit."""
+
+import ast
+import json
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cogex
+from cogex.constructions import (
+    pump,
+    pump_subset,
+    regular_cograph,
+    regular_infeasibility_reason,
+)
+from cogex.cotree import (
+    LEAF,
+    PROD,
+    SUM,
+    biclique_sequence,
+    check_sequence_invariants,
+    clique,
+    clique_number,
+    complement,
+    edgeless,
+    height,
+    make_leaf,
+    make_product,
+    make_sum,
+    max_degree,
+    product_entries,
+    sum_entries,
+    summands,
+    to_formula,
+)
+from cogex.oracle import enumerate_cotrees, random_cotree
+from cogex.serialize import cotree_to_obj, dumps_cotree, dumps_cotree_document, to_dot
+
+# =============================================================================
+# The recursive versions, as they were before the fold and the walk
+# =============================================================================
+
+
+def old_complement(g):
+    if g.kind == LEAF:
+        return g
+    kids = [old_complement(c) for c in g.children]
+    return make_sum(kids) if g.kind == PROD else make_product(kids)
+
+
+def old_height(g):
+    if g.kind == LEAF:
+        return 0
+    return 1 + max(old_height(c) for c in g.children)
+
+
+def old_clique_number(g):
+    if g.kind == LEAF:
+        return 1
+    if g.kind == SUM:
+        return max(old_clique_number(c) for c in g.children)
+    return sum(old_clique_number(c) for c in g.children)
+
+
+def old_max_degree(g):
+    if g.kind == LEAF:
+        return 0
+    if g.kind == SUM:
+        return max(old_max_degree(c) for c in g.children)
+    return max(old_max_degree(c) + g.n - c.n for c in g.children)
+
+
+def old_to_formula(g):
+    if g.kind == LEAF:
+        return "v"
+    if g.kind == PROD and all(c.kind == LEAF for c in g.children):
+        return f"K{g.n}"
+    if g.kind == SUM and all(c.kind == LEAF for c in g.children):
+        return f"E{g.n}"
+    sep = "+" if g.kind == SUM else "*"
+    return "(" + sep.join(old_to_formula(c) for c in g.children) + ")"
+
+
+def old_biclique_entries(g, cap):
+    def rec(node):
+        if node.kind == LEAF:
+            return (1, 0) + (float("-inf"),) * (cap - 1) if cap >= 1 else (1,)
+        parts = [rec(c) for c in node.children]
+        acc = parts[0]
+        for p in parts[1:]:
+            acc = (sum_entries if node.kind == SUM else product_entries)(acc, p, cap)
+        return acc
+
+    return rec(g)
+
+
+def old_cotree_to_obj(g):
+    if g.kind == "leaf":
+        return {"op": "leaf"}
+    return {"op": g.kind, "children": [old_cotree_to_obj(c) for c in g.children]}
+
+
+def old_dumps_cotree(g):
+    return json.dumps(old_cotree_to_obj(g), sort_keys=True, separators=(",", ":"))
+
+
+def old_to_dot(g, name="cotree"):
+    lines = [f"digraph {name} {{", "  node [shape=circle];"]
+    counter = 0
+    labels = {"sum": "+", "prod": "×", "leaf": "•"}
+
+    def visit(node, parent):
+        nonlocal counter
+        nid = f"n{counter}"
+        counter += 1
+        attrs = f'label="{labels[node.kind]}"'
+        if parent is None:
+            attrs += ' style=filled fillcolor="mediumpurple"'
+        lines.append(f"  {nid} [{attrs}];")
+        if parent is not None:
+            lines.append(f"  {parent} -> {nid};")
+        for c in node.children:
+            visit(c, nid)
+
+    visit(g, None)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def old_summand_paths(g):
+    """verification._summand_paths: (path, summand, outside neighbours)."""
+    out = []
+
+    def walk(node, path, joined):
+        if node.kind == "leaf":
+            return
+        for idx, c in enumerate(node.children):
+            child_joined = joined + (node.n - c.n if node.kind == "prod" else 0)
+            if node.kind == SUM:
+                out.append((path + (idx,), c, joined))
+            walk(c, path + (idx,), child_joined)
+
+    walk(g, (), 0)
+    return out
+
+
+def old_pump_target(g, subset):
+    """The summand search of constructions.pump_subset."""
+    target = None
+
+    def walk(node, offset, path, parent_kind):
+        nonlocal target
+        span = ((1 << node.n) - 1) << offset
+        if span == subset and parent_kind == SUM:
+            target = path
+            return
+        pos = offset
+        for idx, c in enumerate(node.children):
+            walk(c, pos, path + (idx,), node.kind)
+            pos += c.n
+
+    walk(g, 0, (), None)
+    return target
+
+
+def old_regular(n, d):
+    if d == 0:
+        return edgeless(n)
+    if d == n - 1:
+        return clique(n)
+    if 2 * d >= n:
+        return old_complement(old_regular(n, n - 1 - d))
+    if d % 2 == 0 and n % 2 == 0 and 3 * d == n - 2:
+        block = make_product([edgeless(2) for _ in range(d // 2 + 1)])
+        return make_sum([block, old_regular(2 * d, d)])
+    return make_sum([clique(d + 1), old_regular(n - d - 1, d)])
+
+
+# =============================================================================
+# Equality with the recursive versions
+# =============================================================================
+
+
+def _assert_traversals_match(g):
+    assert height(g) == old_height(g)
+    assert clique_number(g) == old_clique_number(g)
+    assert max_degree(g) == old_max_degree(g)
+    assert complement(g) == old_complement(g)
+    assert to_formula(g) == old_to_formula(g)
+    for cap in {0, 1, 3, min(g.n, 24)}:
+        assert biclique_sequence(g, cap).entries == old_biclique_entries(g, cap)
+    assert cotree_to_obj(g) == old_cotree_to_obj(g)
+    assert dumps_cotree(g) == old_dumps_cotree(g)
+    assert to_dot(g) == old_to_dot(g)
+    walked = list(summands(g))
+    assert [(path, c, outside) for path, c, _, outside in walked] == old_summand_paths(g)
+    for path, c, first, _ in walked:
+        assert old_pump_target(g, ((1 << c.n) - 1) << first) == path
+
+
+def test_traversals_match_recursion_on_the_catalog():
+    for n in range(1, 10):
+        for g in enumerate_cotrees(n).items:
+            _assert_traversals_match(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 150))
+def test_traversals_match_recursion_on_random_cotrees(seed, n):
+    _assert_traversals_match(random_cotree(random.Random(seed), n))
+
+
+def test_pump_subset_finds_every_summand():
+    for n in range(1, 9):
+        for g in enumerate_cotrees(n).items:
+            for path, c, first, _ in summands(g):
+                assert pump_subset(g, range(first, first + c.n), 1) == pump(g, path, 1)
+
+
+def test_regular_matches_recursion():
+    for n in range(1, 61):
+        for d in range(n):
+            g = regular_cograph(n, d)
+            assert (g is None) == (regular_infeasibility_reason(n, d) is not None)
+            if g is not None:
+                assert g == old_regular(n, d), (n, d)
+
+
+def test_no_function_taking_a_cotree_calls_itself():
+    recursive = []
+    for path in sorted(Path(cogex.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            if not any(a.annotation is not None and "Cotree" in ast.unparse(a.annotation)
+                       for a in fn.args.args):
+                continue
+            if any(isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
+                   and c.func.id == fn.name for c in ast.walk(fn)):
+                recursive.append(f"{path.name}:{fn.name}")
+    assert recursive == []
+
+
+# =============================================================================
+# Deep cotrees at the default recursion limit
+# =============================================================================
+
+HEIGHT = 3000
+
+
+def _caterpillar(h):
+    """Alternating product/sum chain: each level joins or adds one vertex."""
+    g = make_leaf()
+    for i in range(h):
+        g = (make_sum if i % 2 else make_product)([g, make_leaf()])
+    return g
+
+
+@pytest.fixture(scope="module")
+def deep():
+    return _caterpillar(HEIGHT)
+
+
+def test_deep_fold(deep):
+    g = deep
+    # the same figures level by level: a joined vertex sees every earlier one
+    n, omega, delta = 1, 1, 0
+    for i in range(HEIGHT):
+        if i % 2 == 0:
+            omega, delta = omega + 1, max(delta + 1, n)
+        n += 1
+    assert (g.n, height(g), clique_number(g), max_degree(g)) == (n, HEIGHT, omega, delta)
+    c = complement(g)
+    assert c.edges == n * (n - 1) // 2 - g.edges and complement(c) == g
+    formula = to_formula(g)
+    assert formula.count("v") == n - 2 and formula.count("K2") == 1
+    seq = biclique_sequence(g, 4)
+    check_sequence_invariants(seq)
+    assert seq.entries[:2] == (n, delta)
+    obj, depth = cotree_to_obj(g), 0
+    while obj["op"] != "leaf":
+        obj, depth = obj["children"][-1], depth + 1
+    assert depth == HEIGHT
+
+
+def test_deep_writers(deep):
+    g = deep
+    expected = '{"op":"leaf"}'
+    for i in range(HEIGHT):
+        expected = ('{"children":[{"op":"leaf"},' + expected + '],"op":"'
+                    + ("sum" if i % 2 else "prod") + '"}')
+    assert dumps_cotree(g) == expected
+    doc = dumps_cotree_document(g, {"vertices": g.n})
+    assert doc.count('"op": "leaf"') == g.n
+    dot = to_dot(g)
+    assert dot.count('label="•"') == g.n
+    assert dot.count('label="+"') == dot.count('label="×"') == HEIGHT // 2
+    assert dot.count(" -> ") == 2 * HEIGHT
+
+
+def test_deep_walk_and_pump(deep):
+    g = deep
+    count, deepest = 0, None
+    for path, c, first, outside in summands(g):
+        count += 1
+        if c.kind != LEAF:
+            deepest = (path, c, first, outside)
+    assert count == HEIGHT  # two children under each of the HEIGHT / 2 sum nodes
+    path, c, first, outside = deepest
+    assert len(path) == HEIGHT - 1 and c == clique(2)
+    assert (first, outside) == (g.n - 2, HEIGHT // 2 - 1)
+    pumped = pump(g, path, 2)
+    assert pumped.n == g.n + 4
+    assert pumped.edges == g.edges + 2 * (c.edges + c.n * outside)
+    assert pump_subset(g, range(first, first + c.n), 2, limit=g.n) == pumped
