@@ -10,7 +10,6 @@ from .cotree import (
     clique,
     clique_number,
     complement,
-    edge_contribution,
     edgeless,
     height,
     is_induced_p4_free,

@@ -96,9 +96,12 @@ def _emit_json(obj, path: Path | None) -> None:
 # =============================================================================
 
 def _series(args: argparse.Namespace, exhaustive: bool = False) -> ExtremalSeries:
-    """The DP series on --n-min .. --n-max under --profile, or --s and --t."""
+    """The DP series on --n-min .. --n-max under --profile, or --s and --t.
+
+    analyze writes no witnesses, so its DP keeps one per record.
+    """
     ns = range(args.n_min, args.n_max + 1)
-    opts = dict(exhaustive=exhaustive, witness_limit=args.witness_max,
+    opts = dict(exhaustive=exhaustive, witness_limit=vars(args).get("witness_max", 1),
                 max_records=args.max_records)
     if args.profile:
         return extremal_series_for_profile(parse_profile(args.profile), ns, **opts)
@@ -322,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="series snapshot JSON from enumerate")
     p.add_argument("--alpha", help="exact rational, e.g. 3/2 (default: from s,t)")
     p.add_argument("--periods", help="comma-separated candidate periods")
-    p.add_argument("--witness-max", type=int, default=4)
     p.add_argument("--max-records", type=int, default=None)
     _add_common(p)
 

@@ -231,9 +231,6 @@ class AdjacencyGraph:
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
-
     def complement(self) -> "AdjacencyGraph":
         full = (1 << self.n) - 1
         rows = tuple((full & ~r) & ~(1 << v) for v, r in enumerate(self.rows))
@@ -287,32 +284,6 @@ def to_adjacency(g: Cotree, limit: int = DEFAULT_ADJACENCY_LIMIT) -> AdjacencyGr
                 stack.append((c, pos))
             pos += c.n
     return AdjacencyGraph(g.n, tuple(rows))
-
-
-def edge_contribution(g: Cotree, leaf_ids: Iterable[int],
-                      limit: int = DEFAULT_ADJACENCY_LIMIT) -> int:
-    """Internal edges of the subset plus its cross edges to the rest.
-
-    ``leaf_ids`` index vertices in the DFS leaf numbering used by
-    ``to_adjacency``.
-    """
-    adj = to_adjacency(g, limit=limit)
-    subset = 0
-    for i in leaf_ids:
-        if not 0 <= i < g.n:
-            raise ValueError(f"leaf id {i} out of range for n={g.n}")
-        subset |= 1 << i
-    internal = 0
-    degree_sum = 0
-    v_mask = subset
-    while v_mask:
-        v = (v_mask & -v_mask).bit_length() - 1
-        v_mask &= v_mask - 1
-        degree_sum += adj.rows[v].bit_count()
-        internal += (adj.rows[v] & subset).bit_count()
-    internal //= 2
-    # degree sum counts internal edges twice and cross edges once
-    return degree_sum - internal
 
 
 def is_induced_p4_free(a: AdjacencyGraph) -> bool:

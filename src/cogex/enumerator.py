@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import le
+from operator import attrgetter, le
 from typing import Iterable, Sequence
 
 from .cotree import (
@@ -38,6 +38,7 @@ from .cotree import (
     NEG_INF,
     CapacityError,
     Cotree,
+    _leaf_entries,
     make_leaf,
     make_product,
     make_sum,
@@ -46,11 +47,11 @@ from .cotree import (
 )
 from .profile import (
     BicliqueProfile,
-    alpha_for,
     binding_cap,
     forbidden_biclique_profile,
     format_profile,
     profile_alpha,
+    start_index,
 )
 
 Key = tuple[float, ...]
@@ -143,7 +144,7 @@ def build_registries(
 
     registries: list[Registry] = []
     base = Registry(1, cap)
-    base_key: Key = (1, 0) + (NEG_INF,) * (cap - 1)
+    base_key: Key = _leaf_entries(cap)
     if _passes(base_key, window):
         base.records[base_key] = ExtremalRecord(base_key, 0, (make_leaf(),))
     registries.append(base)
@@ -220,33 +221,23 @@ def build_registries(
     return registries
 
 
-def query(r: Registry, p: BicliqueProfile) -> ExtremalRecord | None:
-    """Best record whose key fits under the profile on the truncated window."""
+def _fitting(r: Registry, p: BicliqueProfile) -> list[ExtremalRecord]:
+    """Records whose key fits under the profile on the truncated window, in
+    key order."""
     window = p.window(r.cap + 1)
-    best: ExtremalRecord | None = None
-    for key in sorted(r.records):
-        if not _passes(key, window):
-            continue
-        rec = r.records[key]
-        if best is None or rec.edges > best.edges:
-            best = rec
-    return best
+    return [r.records[key] for key in sorted(r.records) if _passes(key, window)]
+
+
+def query(r: Registry, p: BicliqueProfile) -> ExtremalRecord | None:
+    """Best fitting record; the first in key order among equal edge counts."""
+    return max(_fitting(r, p), key=attrgetter("edges"), default=None)
 
 
 def query_witnesses(r: Registry, p: BicliqueProfile) -> tuple[int, tuple[Cotree, ...]]:
     """Best edge count under the profile, with witnesses merged across keys."""
-    window = p.window(r.cap + 1)
-    best = -1
-    wits: set[Cotree] = set()
-    for key in sorted(r.records):
-        if not _passes(key, window):
-            continue
-        rec = r.records[key]
-        if rec.edges > best:
-            best = rec.edges
-            wits = set(rec.witnesses)
-        elif rec.edges == best:
-            wits.update(rec.witnesses)
+    fitting = _fitting(r, p)
+    best = max((rec.edges for rec in fitting), default=-1)
+    wits = {w for rec in fitting if rec.edges == best for w in rec.witnesses}
     return best, tuple(sorted(wits))
 
 
@@ -276,39 +267,25 @@ class ExtremalSeries:
         return self.s is None or self.s >= 2
 
 
-def _normalize_range(n_range) -> range:
-    if isinstance(n_range, range):
-        rng = n_range
-    elif isinstance(n_range, tuple) and len(n_range) == 2:
-        rng = range(n_range[0], n_range[1] + 1)
-    elif isinstance(n_range, int):
-        rng = range(1, n_range + 1)
-    else:
-        raise ValueError(f"bad n range: {n_range!r}")
-    if rng.step != 1 or len(rng) == 0 or rng.start < 1:
-        raise ValueError(f"need a nonempty contiguous range of n >= 1, got {n_range!r}")
-    return rng
-
-
 def extremal_series_for_profile(
     p: BicliqueProfile,
-    n_range,
+    n_range: range,
     exhaustive: bool = False,
     witness_limit: int | None = DEFAULT_WITNESS_LIMIT,
     max_records: int | None = None,
     constraint: str | None = None,
 ) -> ExtremalSeries:
     """Profile-extremal edge counts for every n in the range."""
-    from .profile import start_index
-
-    rng = _normalize_range(n_range)
+    if (not isinstance(n_range, range) or n_range.step != 1 or not n_range
+            or n_range.start < 1):
+        raise ValueError(f"need a nonempty contiguous range of n >= 1, got {n_range!r}")
     cap = binding_cap(p) + 1
     registries = build_registries(
-        rng.stop - 1, cap, prune=p, exhaustive=exhaustive,
+        n_range.stop - 1, cap, prune=p, exhaustive=exhaustive,
         witness_limit=witness_limit, max_records=max_records)
     values: dict[int, int] = {}
     witnesses: dict[int, tuple[Cotree, ...]] = {}
-    for n in rng:
+    for n in n_range:
         edges, wits = query_witnesses(registries[n - 1], p)
         if edges < 0:
             continue  # no cograph on n vertices fulfills the profile
@@ -331,7 +308,7 @@ def extremal_series_for_profile(
 def extremal_function(
     s: int,
     t: int,
-    n_range,
+    n_range: range,
     exhaustive: bool = False,
     witness_limit: int | None = DEFAULT_WITNESS_LIMIT,
     max_records: int | None = None,
@@ -339,16 +316,13 @@ def extremal_function(
     """ex(n, K_{s,t}-free cographs) over the range, with witnesses.
 
     s = 1 runs through the same registry machinery with the max-degree
-    profile; there is no special code path.
+    profile; there is no special code path.  The series' alpha, s and t
+    come from the profile and equal alpha_for(s, t), s and t.
     """
-    p = forbidden_biclique_profile(s, t)
-    series = extremal_series_for_profile(
-        p, n_range, exhaustive=exhaustive, witness_limit=witness_limit,
-        max_records=max_records, constraint=f"K{{{s},{t}}}")
-    series.alpha = alpha_for(s, t)
-    series.s = s
-    series.t = t
-    return series
+    return extremal_series_for_profile(
+        forbidden_biclique_profile(s, t), n_range, exhaustive=exhaustive,
+        witness_limit=witness_limit, max_records=max_records,
+        constraint=f"K{{{s},{t}}}")
 
 
 # =============================================================================

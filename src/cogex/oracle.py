@@ -4,7 +4,9 @@ Everything the dynamic program or the constructions claim is re-derivable
 here by exhaustion: the catalog of all unlabeled cographs up to the size
 limit, biclique containment by common-neighborhood search on the dense
 expansion, extremal values by scanning the catalog, and the structural
-spot checks used by the verification suite.
+spot checks used by the verification suite.  The structure checks are
+guarded once: ``check_structure_theorems`` checks its largest n against
+the catalog limit before any work.
 
 Biclique sequences come from one pass over the subset lattice: a set's
 common neighborhood is that of the set without its highest vertex, ANDed
@@ -38,7 +40,7 @@ from .cotree import (
     make_sum,
     to_adjacency,
 )
-from .profile import BicliqueProfile, fulfills
+from .profile import BicliqueProfile, forbidden_biclique_profile, fulfills
 
 DEFAULT_CATALOG_LIMIT = 10
 
@@ -294,13 +296,15 @@ def _has_edge_times_cliques_shape(g: Cotree) -> bool:
     return len(rest) == 1 and _is_sum_of_cliques(rest[0])
 
 
-def check_star_extremal_regular(n: int, t: int,
-                                limit: int = DEFAULT_CATALOG_LIMIT) -> CheckResult:
+def _extremal_witnesses(n: int, s: int, t: int) -> tuple[Cotree, ...]:
+    """All K_{s,t}-extremal n-vertex cographs, from an unguarded catalog."""
+    return extremal_bruteforce(n, forbidden_biclique_profile(s, t), limit=n)[1]
+
+
+def check_star_extremal_regular(n: int, t: int) -> CheckResult:
     """Shape of K_{1,t}-extremal cographs: (t-1)-regular, or regular plus one
     connected remainder of at most 2t-3 vertices."""
-    from .profile import forbidden_biclique_profile
-
-    _, witnesses = extremal_bruteforce(n, forbidden_biclique_profile(1, t), limit=limit)
+    witnesses = _extremal_witnesses(n, 1, t)
     bad = []
     even_all_regular = True
     for g in witnesses:
@@ -325,12 +329,9 @@ def check_star_extremal_regular(n: int, t: int,
     )
 
 
-def check_universal_vertex(n: int, t: int,
-                           limit: int = DEFAULT_CATALOG_LIMIT) -> CheckResult:
+def check_universal_vertex(n: int, t: int) -> CheckResult:
     """Every K_{2,t}-extremal cograph (t in {2,3}) has a universal vertex."""
-    from .profile import forbidden_biclique_profile
-
-    _, witnesses = extremal_bruteforce(n, forbidden_biclique_profile(2, t), limit=limit)
+    witnesses = _extremal_witnesses(n, 2, t)
     bad = [canonical_form(g).decode("ascii") for g in witnesses
            if _universal_vertex_count(to_adjacency(g)) == 0]
     return CheckResult(
@@ -342,11 +343,9 @@ def check_universal_vertex(n: int, t: int,
     )
 
 
-def check_k33_shape(n: int, limit: int = DEFAULT_CATALOG_LIMIT) -> CheckResult:
+def check_k33_shape(n: int) -> CheckResult:
     """Some K_{3,3}-extremal cograph is an edge joined to a sum of cliques."""
-    from .profile import forbidden_biclique_profile
-
-    _, witnesses = extremal_bruteforce(n, forbidden_biclique_profile(3, 3), limit=limit)
+    witnesses = _extremal_witnesses(n, 3, 3)
     shaped = [g for g in witnesses if _has_edge_times_cliques_shape(g)]
     two_universal = [g for g in witnesses
                      if _universal_vertex_count(to_adjacency(g)) >= 2]
@@ -368,17 +367,14 @@ def _min_factor_size(comp: Cotree) -> int:
     return min(c.n for c in comp.children)
 
 
-def check_lifting_decomposition(n: int, s: int, t: int,
-                                limit: int = DEFAULT_CATALOG_LIMIT) -> CheckResult:
+def check_lifting_decomposition(n: int, s: int, t: int) -> CheckResult:
     """Extremal witnesses decompose into products with small minimal factors.
 
     For each witness: every component's minimal factor size is < t; for each
     j in 1..s-1, at most one component has minimal factor size j; components
     splittable into two factors of >= s vertices each have <= 2(t-1) vertices.
     """
-    from .profile import forbidden_biclique_profile
-
-    _, witnesses = extremal_bruteforce(n, forbidden_biclique_profile(s, t), limit=limit)
+    witnesses = _extremal_witnesses(n, s, t)
     bad = []
     for g in witnesses:
         comps = g.children if g.kind == "sum" else (g,)
@@ -419,18 +415,21 @@ def _balanced_split_exists(sizes: list[int], s: int) -> bool:
 
 
 def check_structure_theorems(
-    n_range,
+    n_range: range,
     limit: int = DEFAULT_CATALOG_LIMIT,
 ) -> list[CheckResult]:
-    """Run the structural checks over a range of vertex counts."""
+    """Run the structural checks over a range of vertex counts, once its
+    largest n is within the catalog limit."""
+    if n_range:
+        _check_catalog_size(max(n_range), limit)
     results: list[CheckResult] = []
     for n in n_range:
         if n >= 3:
-            results.append(check_star_extremal_regular(n, 3, limit=limit))
+            results.append(check_star_extremal_regular(n, 3))
         for t in (2, 3):
-            results.append(check_universal_vertex(n, t, limit=limit))
+            results.append(check_universal_vertex(n, t))
         if n >= 2:
-            results.append(check_k33_shape(n, limit=limit))
+            results.append(check_k33_shape(n))
         for s, t in ((2, 2), (2, 3), (3, 3)):
-            results.append(check_lifting_decomposition(n, s, t, limit=limit))
+            results.append(check_lifting_decomposition(n, s, t))
     return results

@@ -22,7 +22,7 @@ from .cotree import (
     make_sum,
 )
 from .enumerator import ExtremalRecord, ExtremalSeries, Registry
-from .profile import BicliqueProfile, format_profile, parse_profile
+from .profile import BicliqueProfile, _format_value, _parse_value, format_profile, parse_profile
 
 COTREE_FORMAT = "cogex.cotree/1"
 REGISTRY_FORMAT = "cogex.registry/1"
@@ -213,20 +213,15 @@ def to_dot(g: Cotree, name: str = "cotree") -> str:
 # Registry and series snapshots
 # =============================================================================
 
-def _value_to_json(v: float):
-    if v == INF:
-        return "inf"
-    if v == NEG_INF:
-        return "-inf"
-    return int(v)
+def _value_to_json(v: float) -> int | str:
+    """A key entry: finite entries stay JSON ints, infinite ones use the
+    profile text form."""
+    return _format_value(v) if v in (INF, NEG_INF) else int(v)
 
 
 def _value_from_json(v) -> float:
-    if v == "inf":
-        return INF
-    if v == "-inf":
-        return NEG_INF
-    return int(v)
+    """Inverse of ``_value_to_json``; a non-integer entry raises ValueError."""
+    return _parse_value(str(v))
 
 
 def registry_to_obj(r: Registry, prune: BicliqueProfile | None = None) -> dict:

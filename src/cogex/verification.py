@@ -331,9 +331,11 @@ def _given(value: int | None, default: int) -> int:
 # The verify selectors in the order ``all`` runs them (``all`` leaves out
 # bound-2t): selector -> (runner, whether it scans the oracle catalog).  A
 # runner takes run_suite's keyword arguments and returns its checks.
+# run_suite holds a catalog runner to --catalog-max before it starts, so the
+# runner's own catalog limit is max(10, the largest n it asks for).
 SELECTORS: dict[str, tuple[Callable[..., list[CheckResult]], bool]] = {
     "balanced-biclique": (lambda small, n, n_max, **_: [
-        check_balanced_biclique(k)
+        check_balanced_biclique(k, limit=max(10, k))
         for k in range(2, _given(n, _given(n_max, 8 if small else 9)) + 1)], True),
     "sequences": (lambda small, n_max, **_: [
         verify_sequences(_given(n_max, 6 if small else 7))], True),
@@ -349,7 +351,8 @@ SELECTORS: dict[str, tuple[Callable[..., list[CheckResult]], bool]] = {
         verify_strict_bound(s, t, _given(n_max, 20 if small else 30))
         for s, t in ((2, 2), (2, 3), (3, 3))], False),
     "structure": (lambda small, n_max, **_: check_structure_theorems(
-        range(2, _given(n_max, 7 if small else 8) + 1)), True),
+        range(2, _given(n_max, 7 if small else 8) + 1),
+        limit=max(10, n_max or 0)), True),
     "restriction": (lambda small, **_: [
         verify_restriction_transport(3, 4 if small else 5)], True),
     "regular": (lambda small, **_: [
@@ -379,7 +382,8 @@ def run_suite(
     """Dispatch for the CLI verify subcommand; returns a JSON-ready report."""
     selected = [k for k in SELECTORS if k != "bound-2t"] if which == "all" else [which]
     if catalog_max is not None and any(SELECTORS[k][1] for k in selected):
-        requested = max(x for x in (n, n_max, 9) if x is not None)
+        # the largest catalog the selected suite builds at its defaults
+        requested = max(x for x in (n, n_max, 8 if small else 9) if x is not None)
         if requested > catalog_max:
             raise CapacityError(
                 f"requested n up to {requested} exceeds --catalog-max {catalog_max}")

@@ -1,0 +1,37 @@
+"""The benchmark's tracing hooks name functions that cogex still has.
+
+``perfbench/spans.py`` rebinds functions by module and name when it traces
+a run; a name deleted from cogex would break ``run.py --trace 1``.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+
+def _load_spans():
+    path = Path(__file__).parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = _load_spans()
+HOOKS = [(module, fname) for module, fnames, _ in [*spans.SPANS, spans.WITNESS]
+         for fname in fnames]
+
+
+@pytest.mark.parametrize("module, fname", HOOKS)
+def test_traced_function_resolves(module, fname):
+    home = importlib.import_module(f"cogex.{module}")
+    assert callable(getattr(home, fname, None)), f"cogex.{module}.{fname}"
+
+
+@pytest.mark.parametrize("module, prefix", sorted(spans.CHECK_MODULES.items()))
+def test_check_modules_define_checks(module, prefix):
+    home = importlib.import_module(f"cogex.{module}")
+    assert any(name.startswith(prefix) and callable(fn)
+               for name, fn in vars(home).items())

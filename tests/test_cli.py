@@ -11,6 +11,7 @@ import pytest
 import cogex
 from cogex.cli import main
 from cogex.constructions import clique_product_family
+from cogex.enumerator import analyze_periodicity, extremal_function
 from cogex.serialize import dumps_cotree
 
 
@@ -278,6 +279,58 @@ def test_capacity_exit_code(capsys):
                         "--max-records", "3"], capsys)
     assert code == 3
     assert "capacity" in err.lower()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "balanced-biclique", "--n", "11"],
+    ["verify", "structure", "--n-max", "11"],
+])
+def test_catalog_max_raises_the_catalog_limit(argv, capsys):
+    code, out, err = run(argv + ["--catalog-max", "10"], capsys)
+    assert code == 3 and out == ""
+    assert "exceeds --catalog-max 10" in err
+    code, out, _ = run(argv + ["--catalog-max", "11"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert max(c["params"]["n"] for c in report["checks"]) == 11
+
+
+def test_small_suite_fits_a_catalog_of_8(monkeypatch, capsys):
+    import cogex.oracle as oracle
+
+    sizes = []
+    check = oracle._check_catalog_size
+
+    def record(n, limit):
+        sizes.append(n)
+        check(n, limit)
+
+    monkeypatch.setattr(oracle, "_check_catalog_size", record)
+    code, _, _ = run(["verify", "all", "--small", "--catalog-max", "8"], capsys)
+    assert code == 0
+    assert max(sizes) == 8
+    code, _, err = run(["verify", "all", "--small", "--catalog-max", "7"], capsys)
+    assert code == 3
+    assert "requested n up to 8 exceeds --catalog-max 7" in err
+
+
+def test_analyze_has_no_witness_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--s", "2", "--t", "3", "--n-max", "40", "--witness-max", "4"])
+    assert exc.value.code == 2
+    assert "--witness-max" in capsys.readouterr().err
+
+
+def test_analyze_output_matches_the_full_witness_series(capsys):
+    # analyze keeps one witness per record; its report is that of the
+    # series built with the default witness limit
+    code, out, _ = run(["analyze", "--s", "2", "--t", "3", "--n-max", "40"], capsys)
+    assert code == 0
+    series = extremal_function(2, 3, range(1, 41))
+    want = analyze_periodicity(series).to_json()
+    want["constraint"] = series.constraint
+    assert out == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
 # Runs each argv list of argv[1] (JSON) through one main() in this process;

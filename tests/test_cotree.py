@@ -14,7 +14,6 @@ from cogex.cotree import (
     clique,
     clique_number,
     complement,
-    edge_contribution,
     edgeless,
     height,
     is_induced_p4_free,
@@ -153,15 +152,6 @@ def test_expansions_are_p4_free():
 def test_p4_detected():
     p4 = AdjacencyGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert not is_induced_p4_free(p4)
-
-
-def test_edge_contribution(c4):
-    assert edge_contribution(c4, range(4)) == c4.edges
-    assert edge_contribution(c4, []) == 0
-    for v in range(4):
-        assert edge_contribution(c4, [v]) == 2
-    with pytest.raises(ValueError):
-        edge_contribution(c4, [7])
 
 
 def test_biclique_sequence_examples(c4, p3, k1):

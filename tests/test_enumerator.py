@@ -245,6 +245,17 @@ def test_profile_route_equals_st_route():
     via_profile = extremal_series_for_profile(
         forbidden_biclique_profile(3, 3), range(1, 11))
     assert direct.values == via_profile.values
+    # the K_{s,t} series takes alpha, s and t from its profile
+    for s in range(1, 9):
+        for t in range(s, 9):
+            series = extremal_function(s, t, range(1, 2))
+            assert (series.alpha, series.s, series.t) == (alpha_for(s, t), s, t)
+
+
+@pytest.mark.parametrize("n_range", [5, (1, 5), range(0, 5), range(3, 3), range(1, 9, 2)])
+def test_series_needs_a_contiguous_range(n_range):
+    with pytest.raises(ValueError, match="contiguous range"):
+        extremal_function(2, 2, n_range)
 
 
 def test_small_n_is_complete_graph():

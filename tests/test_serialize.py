@@ -99,6 +99,15 @@ def test_registry_snapshot_round_trip():
     assert restored.records == regs[4].records
 
 
+def test_registry_snapshot_keys_are_ints_and_inf_text():
+    p = forbidden_biclique_profile(2, 2)
+    obj = registry_to_obj(build_registries(1, 2, prune=p)[0], p)
+    assert obj["records"][0]["key"] == [1, 0, "-inf"]
+    obj["records"][0]["key"] = [1, 0.7, True]
+    with pytest.raises(ValueError):
+        registry_from_obj(obj)
+
+
 def test_series_snapshot_and_csv():
     series = extremal_function(2, 2, range(1, 11))
     rep = analyze_periodicity(series)
