@@ -13,17 +13,23 @@ least as many edges never hurts: the frontier keeps at least one extremal
 cograph per level.  Candidate generation per level is associative and
 order-independent; the implementation runs it sequentially.
 
-Pair combination is the hot loop, and three facts keep it short.  A join's
-entry j is at least k1[j] + n2 and at least k2[j] + n1, so each part is
-tested once per split against the window's bounded entries, and only pairs
-of parts that both pass reach ``product_entries``; when n1 and n2 are both
-at least s, no K_{s,t} join survives and none is computed.  When the larger
-part has at least ``cap`` vertices, the sum key is the pointwise maximum
-(the 0 floor of ``sum_entries`` cannot apply), built by ``map(max, ...)``;
-as both parts passed the window, a sum can fail it only at entry 0 (the
-vertex count) or where the window is negative.  Dominance and window tests
-run as ``all(map(le, ...))``.  The loop stays pure Python: importing numpy
-would raise the CLI's peak resident set from about 18 MB to 30 MB.
+Pair combination is the hot loop.  Passes 1 and 2 (combination and
+Pareto reduction) key each candidate by one Python int (``_encode``).
+Entry 0 is dropped, since every key of a level has the same n; entry
+j = 1..cap is stored as v + 1 low set bits of its own field, entry 1 in
+the most significant one.  Integer order is then tuple order, ``a | b`` is
+the pointwise maximum and ``not a & ~b`` is pointwise a <= b, against a
+key or a window.  A sum's key is ``c1 | c2 | floor``, the floor being the
+code of the edgeless graph on n vertices (the 0 floor of ``sum_entries``);
+as both parts passed the window, the sums of a level pass or fail it
+together, at entry 0 or at the floor.  A join's entry j is at least
+k1[j] + n2 and at least k2[j] + n1, so each part is tested once per split
+against the window's bounded entries, and only pairs of parts that both
+pass reach ``product_entries`` on tuple keys; when n1 and n2 are both at
+least s, no K_{s,t} join survives and none is computed.  Survivors are
+decoded once, so registries and everything after the DP see tuple keys.
+The loop stays pure Python: importing numpy would raise the CLI's peak
+resident set from about 18 MB to 30 MB.
 """
 
 from __future__ import annotations
@@ -43,7 +49,6 @@ from .cotree import (
     make_product,
     make_sum,
     product_entries,
-    sum_entries,
 )
 from .profile import (
     BicliqueProfile,
@@ -83,31 +88,52 @@ class Registry:
         return f"Registry(n={self.n}, records={len(self.records)})"
 
 
-def pareto_filter(candidates: Iterable[tuple[Key, int]]) -> set[tuple[Key, int]]:
-    """Non-dominated (key, edges) pairs: no other pair has a pointwise
-    smaller-or-equal key and at least as many edges with one strict."""
-    best: dict[Key, int] = {}
-    for key, edges in candidates:
-        if best.get(key, -1) < edges:
-            best[key] = edges
-    kept: list[Key] = []
-    for key, _ in sorted(best.items(), key=lambda kv: (-kv[1], kv[0])):
-        # every kept key has at least as many edges, by sort order
-        for kkey in kept:
-            if all(map(le, kkey, key)):
+def pareto_filter(candidates: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
+    """Non-dominated (code, edges) pairs of one level, codes from ``_encode``:
+    no other pair has a pointwise smaller-or-equal key (``not other & ~code``)
+    and at least as many edges with one strict."""
+    best: dict[int, int] = {}
+    for code, edges in candidates:
+        if best.get(code, -1) < edges:
+            best[code] = edges
+    kept: list[int] = []
+    for code, _ in sorted(best.items(), key=lambda kv: (-kv[1], kv[0])):
+        # every kept code has at least as many edges, by sort order
+        over = ~code
+        for kcode in kept:
+            if not kcode & over:
                 break
         else:
-            kept.append(key)
-    return {(key, best[key]) for key in kept}
+            kept.append(code)
+    return {(code, best[code]) for code in kept}
+
+
+def _encode(entries: Sequence[float], width: int) -> int:
+    """Code of entries 1.. of a key or window (entry 0 is dropped).
+
+    Entry v takes v + 1 low set bits of its own field of ``width`` bits,
+    entry 1 in the most significant field.  -inf (or any negative value)
+    sets no bits and +inf (or any value of at least ``width``) fills its
+    field.  For keys whose entries lie in 0..width - 2 or are -inf, integer
+    order is tuple order, ``a | b`` is the pointwise maximum and
+    ``not a & ~b`` is pointwise a <= b, against a key or a window.
+    """
+    code = 0
+    for v in entries[1:]:
+        bits = 0 if v < 0 else width if v >= width else int(v) + 1
+        code = code << width | ((1 << bits) - 1)
+    return code
+
+
+def _decode(code: int, n: int, cap: int, width: int) -> Key:
+    """The key (n, entries 1..cap) whose ``_encode`` is ``code``."""
+    mask = (1 << width) - 1
+    fields = [code >> (cap - j) * width & mask for j in range(1, cap + 1)]
+    return (n, *(f.bit_length() - 1 if f else NEG_INF for f in fields))
 
 
 def _passes(key: Key, window: tuple[float, ...] | None) -> bool:
     return window is None or all(map(le, key, window))
-
-
-def _rows(reg: Registry) -> list[tuple[Key, Key, int]]:
-    """(key, key[1:], edges) for each record, in key order."""
-    return [(k, k[1:], rec.edges) for k, rec in sorted(reg.records.items())]
 
 
 def _joinable(key: Key, other_n: int, window: tuple[float, ...] | None,
@@ -141,51 +167,58 @@ def build_registries(
         witness_limit = None
     # window indices a join can exceed; a -inf entry forbids any finite one
     bounded = [j for j, w in enumerate(window) if w < INF] if window else []
+    # entries are at most n_max - 1, so a field has room for every one and +inf
+    width = n_max + 2
 
     registries: list[Registry] = []
+    # per level: (code, key, edges) for each record, in key order
+    rows: list[list[tuple[int, Key, int]]] = []
     base = Registry(1, cap)
     base_key: Key = _leaf_entries(cap)
     if _passes(base_key, window):
         base.records[base_key] = ExtremalRecord(base_key, 0, (make_leaf(),))
     registries.append(base)
+    rows.append([(_encode(base_key, width), base_key, 0)] if base.records else [])
 
     for n in range(2, n_max + 1):
         # pass 1: combine keys, remembering where each best candidate came from
-        candidates: dict[Key, tuple[int, list[tuple[int, int, Key, Key]]]] = {}
-        # a sum's entries past 0 are maxima of entries that passed, or the
-        # 0 floor: only entry 0 (= n) and negative window entries can fail
-        check_sums = window is not None and (n > window[0] or min(window[1:]) < 0)
+        candidates: dict[int, tuple[int, list[tuple[int, int, Key, Key]]]] = {}
+        # a sum's key is the pointwise maximum of its parts' keys and the
+        # edgeless graph's: the 0 floor of sum_entries up to entry n
+        floor = _encode((n,) + (0,) * min(n, cap) + (NEG_INF,) * (cap - n), width)
+        # parts passed the window, so only entry 0 and the floor can fail it,
+        # and then they fail it for every sum of the level
+        sums = window is None or (n <= window[0] and not floor & ~_encode(window, width))
         for n1 in range(1, n // 2 + 1):
             n2 = n - n1
             same = n1 == n2
-            left = _rows(registries[n1 - 1])
-            right = left if same else _rows(registries[n2 - 1])
-            # with both parts below cap vertices, sum_entries floors -inf to 0
-            floored = n2 < cap
-            for i, (k1, t1, e1) in enumerate(left):
-                for k2, t2, e2 in right[i:] if same else right:
-                    key = sum_entries(k1, k2, cap) if floored else (n, *map(max, t1, t2))
-                    if check_sums and not _passes(key, window):
-                        continue
-                    edges = e1 + e2
-                    cur = candidates.get(key)
-                    if cur is None or edges > cur[0]:
-                        candidates[key] = (edges, [(0, n1, k1, k2)])
-                    elif edges == cur[0]:
-                        cur[1].append((0, n1, k1, k2))
-            join_left = [r for r in left if _joinable(r[0], n2, window, bounded)]
+            left = rows[n1 - 1]
+            right = rows[n2 - 1]
+            if sums:
+                for i, (c1, k1, e1) in enumerate(left):
+                    c1 |= floor
+                    for c2, k2, e2 in right[i:] if same else right:
+                        code = c1 | c2
+                        edges = e1 + e2
+                        cur = candidates.get(code)
+                        if cur is None or edges > cur[0]:
+                            candidates[code] = (edges, [(0, n1, k1, k2)])
+                        elif edges == cur[0]:
+                            cur[1].append((0, n1, k1, k2))
+            join_left = [r for r in left if _joinable(r[1], n2, window, bounded)]
             join_right = join_left if same else [
-                r for r in right if _joinable(r[0], n1, window, bounded)]
+                r for r in right if _joinable(r[1], n1, window, bounded)]
             cross = n1 * n2
-            for i, (k1, _, e1) in enumerate(join_left):
-                for k2, _, e2 in join_right[i:] if same else join_right:
+            for i, (_, k1, e1) in enumerate(join_left):
+                for _, k2, e2 in join_right[i:] if same else join_right:
                     key = product_entries(k1, k2, cap)
                     if not _passes(key, window):
                         continue
+                    code = _encode(key, width)
                     edges = e1 + e2 + cross
-                    cur = candidates.get(key)
+                    cur = candidates.get(code)
                     if cur is None or edges > cur[0]:
-                        candidates[key] = (edges, [(1, n1, k1, k2)])
+                        candidates[code] = (edges, [(1, n1, k1, k2)])
                     elif edges == cur[0]:
                         cur[1].append((1, n1, k1, k2))
         if max_records is not None and len(candidates) > max_records:
@@ -197,13 +230,14 @@ def build_registries(
         if exhaustive:
             surviving = set(candidates)
         else:
-            frontier = pareto_filter((k, e) for k, (e, _) in candidates.items())
-            surviving = {k for k, _ in frontier}
+            frontier = pareto_filter((c, e) for c, (e, _) in candidates.items())
+            surviving = {c for c, _ in frontier}
 
-        # pass 3: materialize witnesses for survivors only
+        # pass 3: materialize witnesses for survivors only, in key order
         reg = Registry(n, cap)
-        for key in sorted(surviving):
-            edges, sources = candidates[key]
+        level: list[tuple[int, Key, int]] = []
+        for code in sorted(surviving):
+            edges, sources = candidates[code]
             wits: set[Cotree] = set()
             for op, n1, k1, k2 in sources:
                 w1 = registries[n1 - 1].records[k1].witnesses
@@ -215,8 +249,11 @@ def build_registries(
             ordered = tuple(sorted(wits))
             if witness_limit is not None:
                 ordered = ordered[:witness_limit]
+            key = _decode(code, n, cap, width)
             reg.records[key] = ExtremalRecord(key, edges, ordered)
+            level.append((code, key, edges))
         registries.append(reg)
+        rows.append(level)
 
     return registries
 

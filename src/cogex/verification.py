@@ -329,43 +329,42 @@ def _given(value: int | None, default: int) -> int:
 
 
 # The verify selectors in the order ``all`` runs them (``all`` leaves out
-# bound-2t): selector -> (runner, whether it scans the oracle catalog).  A
-# runner takes run_suite's keyword arguments and returns its checks.
-# run_suite holds a catalog runner to --catalog-max before it starts, so the
-# runner's own catalog limit is max(10, the largest n it asks for).
-SELECTORS: dict[str, tuple[Callable[..., list[CheckResult]], bool]] = {
-    "balanced-biclique": (lambda small, n, n_max, **_: [
+# bound-2t): selector -> (runner, its default catalog size as (with
+# --small, without), or None when it scans no oracle catalog).  A runner
+# takes run_suite's keyword arguments, with ``size`` its default catalog
+# size, and returns its checks.  run_suite holds the selected runners to
+# --catalog-max before they start, so a runner's own catalog limit is
+# max(10, the largest n it asks for).
+SELECTORS: dict[str, tuple[Callable[..., list[CheckResult]], tuple[int, int] | None]] = {
+    "balanced-biclique": (lambda n, n_max, size, **_: [
         check_balanced_biclique(k, limit=max(10, k))
-        for k in range(2, _given(n, _given(n_max, 8 if small else 9)) + 1)], True),
-    "sequences": (lambda small, n_max, **_: [
-        verify_sequences(_given(n_max, 6 if small else 7))], True),
-    "profiles": (lambda small, n_max, **_: [
-        verify_fulfillment_agreement(_given(n_max, 6 if small else 7))], True),
-    "dp-vs-oracle": (lambda small, n_max, s, t, **_: [
-        verify_dp_vs_oracle(ss, tt, _given(n_max, 7 if small else 8))
+        for k in range(2, _given(n, _given(n_max, size)) + 1)], (8, 9)),
+    "sequences": (lambda n_max, size, **_: [
+        verify_sequences(_given(n_max, size))], (6, 7)),
+    "profiles": (lambda n_max, size, **_: [
+        verify_fulfillment_agreement(_given(n_max, size))], (6, 7)),
+    "dp-vs-oracle": (lambda n_max, s, t, size, **_: [
+        verify_dp_vs_oracle(ss, tt, _given(n_max, size))
         for ss, tt in ([(s, t)] if s is not None and t is not None else SMALL_PAIRS)],
-        True),
+        (7, 8)),
     "bound-2t": (lambda n_max, t, **_: [
-        verify_bound_2t(_given(t, 3), _given(n_max, 20))], False),
+        verify_bound_2t(_given(t, 3), _given(n_max, 20))], None),
     "bounds": (lambda small, n_max, **_: [
         verify_strict_bound(s, t, _given(n_max, 20 if small else 30))
-        for s, t in ((2, 2), (2, 3), (3, 3))], False),
-    "structure": (lambda small, n_max, **_: check_structure_theorems(
-        range(2, _given(n_max, 7 if small else 8) + 1),
-        limit=max(10, n_max or 0)), True),
-    "restriction": (lambda small, **_: [
-        verify_restriction_transport(3, 4 if small else 5)], True),
-    "regular": (lambda small, **_: [
-        verify_regular_constructor(20 if small else 40, 8 if small else 9)], True),
-    "pareto": (lambda small, **_: [verify_pareto_safety(6 if small else 8)], False),
-    "constructions": (lambda small, **_: [
-        verify_constructions_meet_optimum(8 if small else 9),
-        verify_clique_product_formula()], True),
+        for s, t in ((2, 2), (2, 3), (3, 3))], None),
+    "structure": (lambda n_max, size, **_: check_structure_theorems(
+        range(2, _given(n_max, size) + 1), limit=max(10, n_max or 0)), (7, 8)),
+    "restriction": (lambda size, **_: [verify_restriction_transport(3, size)], (4, 5)),
+    "regular": (lambda small, size, **_: [
+        verify_regular_constructor(20 if small else 40, size)], (8, 9)),
+    "pareto": (lambda small, **_: [verify_pareto_safety(6 if small else 8)], None),
+    "constructions": (lambda size, **_: [
+        verify_constructions_meet_optimum(size), verify_clique_product_formula()], (8, 9)),
     "pump": (lambda small, seed, **_: [
-        verify_pump_invariants(seed=seed, trials=60 if small else 120)], False),
+        verify_pump_invariants(seed=seed, trials=60 if small else 120)], None),
     "invariants": (lambda small, **_: [
         verify_height_bound(6 if small else 7),
-        verify_complement_involution(6 if small else 7)], False),
+        verify_complement_involution(6 if small else 7)], None),
 }
 
 
@@ -381,15 +380,17 @@ def run_suite(
 ) -> dict:
     """Dispatch for the CLI verify subcommand; returns a JSON-ready report."""
     selected = [k for k in SELECTORS if k != "bound-2t"] if which == "all" else [which]
-    if catalog_max is not None and any(SELECTORS[k][1] for k in selected):
-        # the largest catalog the selected suite builds at its defaults
-        requested = max(x for x in (n, n_max, 8 if small else 9) if x is not None)
+    sizes = {k: SELECTORS[k][1] and SELECTORS[k][1][0 if small else 1] for k in selected}
+    catalogs = [size for size in sizes.values() if size]
+    if catalog_max is not None and catalogs:
+        # the largest catalog the selected selectors build at their defaults
+        requested = max(x for x in (n, n_max, *catalogs) if x is not None)
         if requested > catalog_max:
             raise CapacityError(
                 f"requested n up to {requested} exceeds --catalog-max {catalog_max}")
 
     results = [r for k in selected for r in SELECTORS[k][0](
-        small=small, seed=seed, n=n, n_max=n_max, s=s, t=t)]
+        small=small, seed=seed, n=n, n_max=n_max, s=s, t=t, size=sizes[k])]
     if not results:
         bounds = ", ".join(f"{flag} {v}" for flag, v in (("--n", n), ("--n-max", n_max))
                            if v is not None)

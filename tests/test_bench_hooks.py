@@ -35,3 +35,23 @@ def test_check_modules_define_checks(module, prefix):
     home = importlib.import_module(f"cogex.{module}")
     assert any(name.startswith(prefix) and callable(fn)
                for name, fn in vars(home).items())
+
+
+def test_pareto_filter_runs_once_per_level(monkeypatch):
+    """The benchmark reads the size of each pareto_filter argument and
+    result as a level's candidates and survivors: one call per level
+    n >= 2, whose result is that level's registry."""
+    from cogex import enumerator
+    from cogex.profile import forbidden_biclique_profile
+
+    results = []
+    original = enumerator.pareto_filter
+
+    def record(candidates):
+        result = original(candidates)
+        results.append(len(result))
+        return result
+
+    monkeypatch.setattr(enumerator, "pareto_filter", record)
+    regs = enumerator.build_registries(16, 4, prune=forbidden_biclique_profile(3, 3))
+    assert results == [len(r) for r in regs[1:]]

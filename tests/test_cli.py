@@ -296,6 +296,23 @@ def test_catalog_max_raises_the_catalog_limit(argv, capsys):
     assert max(c["params"]["n"] for c in report["checks"]) == 11
 
 
+@pytest.mark.parametrize("selector, catalog_max, code", [
+    ("structure", 8, 0),
+    ("sequences", 7, 0),
+    ("structure", 7, 3),
+])
+def test_catalog_max_is_held_to_the_selected_catalogs(selector, catalog_max, code,
+                                                       capsys):
+    # structure builds catalogs up to 8 by default and sequences up to 7,
+    # not the whole suite's 9
+    got, out, err = run(["verify", selector, "--catalog-max", str(catalog_max)], capsys)
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["passed"] is True
+    else:
+        assert "requested n up to 8 exceeds --catalog-max 7" in err
+
+
 def test_small_suite_fits_a_catalog_of_8(monkeypatch, capsys):
     import cogex.oracle as oracle
 

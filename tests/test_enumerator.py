@@ -15,9 +15,12 @@ from cogex.cotree import (
     product_entries,
     sum_entries,
 )
+from cogex import enumerator
 from cogex.enumerator import (
     DEFAULT_WITNESS_LIMIT,
     ExtremalSeries,
+    _decode,
+    _encode,
     analyze_periodicity,
     build_registries,
     extremal_function,
@@ -86,11 +89,47 @@ def test_level_two_keeps_both_records():
     assert records[(2, 0, 0)].witnesses == (edgeless(2),)
 
 
+def _coded(pairs, width=5):
+    return {(_encode(key, width), edges) for key, edges in pairs}
+
+
 def test_pareto_filter_examples():
-    assert pareto_filter({((3, 1, 0), 2), ((3, 2, 1), 2)}) == {((3, 1, 0), 2)}
-    both = {((3, 1, 0), 2), ((3, 2, 1), 3)}
+    assert pareto_filter(_coded({((3, 1, 0), 2), ((3, 2, 1), 2)})) == \
+        _coded({((3, 1, 0), 2)})
+    both = _coded({((3, 1, 0), 2), ((3, 2, 1), 3)})
     assert pareto_filter(both) == both
-    assert pareto_filter([((3, 1, 0), 2), ((3, 1, 0), 2)]) == {((3, 1, 0), 2)}
+    assert pareto_filter([(_encode((3, 1, 0), 5), 2)] * 2) == _coded({((3, 1, 0), 2)})
+
+
+def _tuple_frontier(pairs):
+    """The all-pairs filter on tuple keys: drop a pair when another has a
+    pointwise smaller-or-equal key and at least as many edges."""
+    return {(k, e) for k, e in pairs
+            if not any(k2 != k and e2 >= e and all(a <= b for a, b in zip(k2, k))
+                       for k2, e2 in pairs)}
+
+
+@pytest.mark.parametrize("st", [(3, 3), (4, 4)])
+def test_pareto_filter_on_codes_matches_tuple_filter(st, monkeypatch):
+    """On every level's candidates, the filter on codes keeps the frontier
+    that the all-pairs filter keeps on the decoded keys."""
+    levels = []
+    original = enumerator.pareto_filter
+
+    def record(candidates):
+        candidates = list(candidates)
+        levels.append(candidates)
+        return original(candidates)
+
+    monkeypatch.setattr(enumerator, "pareto_filter", record)
+    n_max, opts = 20, _kst(*st)
+    cap, width = opts["cap"], n_max + 2
+    build_registries(n_max, **opts)
+    assert len(levels) == n_max - 1
+    for n, candidates in enumerate(levels, start=2):
+        decoded = [(_decode(c, n, cap, width), e) for c, e in candidates]
+        assert {(_decode(c, n, cap, width), e) for c, e in original(candidates)} == \
+            _tuple_frontier(decoded)
 
 
 def test_query_examples():

@@ -1,17 +1,22 @@
 """Property tests over random cotrees for the facts the DP's fast path uses."""
 
+from operator import le
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cogex.cotree import (
+    INF,
     NEG_INF,
     biclique_sequence,
+    edgeless,
     make_leaf,
     make_product,
     make_sum,
     product_entries,
     sum_entries,
 )
+from cogex.enumerator import _decode, _encode, _passes
 
 MAX_N = 12
 
@@ -57,3 +62,51 @@ def test_sum_key_is_pointwise_max_above_cap(g1, g2, cap):
     else:
         # below cap the floor lifts the -inf entries both parts share
         assert key != sum_entries(k1, k2, cap)
+
+
+# build_registries' field width for n_max = 2 * MAX_N, the largest sum of
+# two drawn cotrees
+WIDTH = 2 * MAX_N + 2
+windows = st.lists(st.sampled_from((NEG_INF, -1, *range(MAX_N + 4), INF)),
+                   min_size=7, max_size=7)
+
+
+def _key(g, cap):
+    return biclique_sequence(g, cap).entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(cotrees(), caps)
+def test_codec_round_trip(g, cap):
+    key = _key(g, cap)
+    assert _decode(_encode(key, WIDTH), g.n, cap, WIDTH) == key
+
+
+@settings(max_examples=300, deadline=None)
+@given(cotrees(), cotrees(), caps)
+def test_code_order_and_dominance_are_tuple_order_and_pointwise_le(g1, g2, cap):
+    k1, k2 = _key(g1, cap), _key(g2, cap)
+    c1, c2 = _encode(k1, WIDTH), _encode(k2, WIDTH)
+    assert (c1 < c2) == (k1[1:] < k2[1:])
+    assert (c1 == c2) == (k1[1:] == k2[1:])
+    assert (not c1 & ~c2) == all(map(le, k1[1:], k2[1:]))
+    assert (not c2 & ~c1) == all(map(le, k2[1:], k1[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cotrees(), cotrees(), caps)
+def test_sum_code_is_or_with_the_edgeless_floor(g1, g2, cap):
+    """For every split size, sum_entries is the pointwise maximum of both
+    parts' keys and the edgeless graph's key on as many vertices."""
+    k1, k2 = _key(g1, cap), _key(g2, cap)
+    floor = _encode(_key(edgeless(g1.n + g2.n), cap), WIDTH)
+    code = _encode(k1, WIDTH) | _encode(k2, WIDTH) | floor
+    assert code == _encode(sum_entries(k1, k2, cap), WIDTH)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cotrees(), caps, windows)
+def test_coded_window_test_is_passes(g, cap, window):
+    key, window = _key(g, cap), tuple(window[:cap + 1])
+    coded = key[0] <= window[0] and not _encode(key, WIDTH) & ~_encode(window, WIDTH)
+    assert coded == _passes(key, window)
