@@ -362,6 +362,8 @@ def _validate(args: argparse.Namespace) -> None:
             raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
     if opts.get("witness_max", 1) < 1:
         raise ValueError("--witness-max must be >= 1")
+    if opts.get("periods") and min(args.periods) < 1:
+        raise ValueError("--periods entries must be >= 1")
 
 
 _DISPATCH = {

@@ -8,6 +8,14 @@ a sum child, no product node a product child) and *canonical* (children
 sorted by a recursive encoding), so two trees encode isomorphic cographs
 exactly when their encodings are equal.
 
+Nodes are built in one pass over their children.  Every leaf is one
+shared node (``make_leaf``).  ``_node`` builds an inner node from children
+that are already reduced: it sorts them, sums their sizes and edges in one
+loop and joins their encodings.  ``make_sum`` and ``make_product`` splice
+in the children of same-kind children first; ``clique`` and ``edgeless``
+build their node over k leaves directly, and the cotree JSON loader calls
+``_node`` itself, since it has already rejected same-kind children.
+
 No function that takes a Cotree recurses, so trees of any height work at
 the default recursion limit: traversals use ``fold``, a post-order fold
 over an explicit stack, or ``summands``, a pre-order walk over the
@@ -21,6 +29,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import combinations
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 NEG_INF = float("-inf")
@@ -67,18 +76,33 @@ class Cotree:
         return f"Cotree({self._canon.decode('ascii')})"
 
 
-_LEAF_CANON = b"*"
-_OP_TAG = {SUM: b"+", PROD: b"x"}
+_OP_TAG = {SUM: b"+(", PROD: b"x("}
+_canon_of = attrgetter("_canon")
+
+# K_1: cotrees are immutable, so every leaf is this one node
+_LEAF = Cotree(LEAF, (), 1, 0, b"*")
 
 
-def _build(kind: str, children: tuple[Cotree, ...], n: int, edges: int) -> Cotree:
-    canon = _OP_TAG[kind] + b"(" + b",".join(c._canon for c in children) + b")"
-    return Cotree(kind, children, n, edges, canon)
+def _node(kind: str, kids: list[Cotree]) -> Cotree:
+    """Inner node of ``kind`` over at least two children, none of them of
+    ``kind`` itself; sorts ``kids`` in place into canonical order."""
+    kids.sort(key=_canon_of)
+    n = edges = squares = 0
+    for c in kids:
+        size = c.n
+        n += size
+        edges += c.edges
+        squares += size * size
+    if kind == PROD:
+        # join adds all cross edges between distinct factors
+        edges += (n * n - squares) // 2
+    return Cotree(kind, tuple(kids), n, edges,
+                  _OP_TAG[kind] + b",".join(map(_canon_of, kids)) + b")")
 
 
 def make_leaf() -> Cotree:
     """The single-vertex cograph K_1."""
-    return Cotree(LEAF, (), 1, 0, _LEAF_CANON)
+    return _LEAF
 
 
 def _make_inner(kind: str, children: Iterable[Cotree]) -> Cotree:
@@ -94,14 +118,7 @@ def _make_inner(kind: str, children: Iterable[Cotree]) -> Cotree:
             flat.extend(c.children)
         else:
             flat.append(c)
-    flat.sort(key=lambda c: c._canon)
-    n = sum(c.n for c in flat)
-    edges = sum(c.edges for c in flat)
-    if kind == PROD:
-        # join adds all cross edges between distinct factors
-        cross = (n * n - sum(c.n * c.n for c in flat)) // 2
-        edges += cross
-    return _build(kind, tuple(flat), n, edges)
+    return _node(kind, flat)
 
 
 def make_sum(children: Iterable[Cotree]) -> Cotree:
@@ -114,18 +131,26 @@ def make_product(children: Iterable[Cotree]) -> Cotree:
     return _make_inner(PROD, children)
 
 
+def _over_leaves(kind: str, k: int) -> Cotree:
+    """The node of ``kind`` over k >= 1 leaves, built directly."""
+    if k == 1:
+        return _LEAF
+    return Cotree(kind, (_LEAF,) * k, k, k * (k - 1) // 2 if kind == PROD else 0,
+                  _OP_TAG[kind] + b"*," * (k - 1) + b"*)")
+
+
 def clique(k: int) -> Cotree:
     """K_k."""
     if k < 1:
         raise ValueError("clique size must be >= 1")
-    return make_product([make_leaf() for _ in range(k)])
+    return _over_leaves(PROD, k)
 
 
 def edgeless(k: int) -> Cotree:
     """E_k, the empty graph on k vertices."""
     if k < 1:
         raise ValueError("vertex count must be >= 1")
-    return make_sum([make_leaf() for _ in range(k)])
+    return _over_leaves(SUM, k)
 
 
 def canonical_form(g: Cotree) -> bytes:

@@ -23,9 +23,10 @@ key or a window.  A sum's key is ``c1 | c2 | floor``, the floor being the
 code of the edgeless graph on n vertices (the 0 floor of ``sum_entries``);
 as both parts passed the window, the sums of a level pass or fail it
 together, at entry 0 or at the floor.  A join's entry j is at least
-k1[j] + n2 and at least k2[j] + n1, so each part is tested once per split
-against the window's bounded entries, and only pairs of parts that both
-pass reach ``product_entries`` on tuple keys; when n1 and n2 are both at
+k1[j] + n2 and at least k2[j] + n1, so each record stores once its join
+slack, the least window[j] - key[j] over the window's bounded entries, and
+only pairs of parts whose slack covers the other part's size reach
+``product_entries`` on tuple keys; when n1 and n2 are both at
 least s, no K_{s,t} join survives and none is computed.  Survivors are
 decoded once, so registries and everything after the DP see tuple keys.
 The loop stays pure Python: importing numpy would raise the CLI's peak
@@ -136,11 +137,12 @@ def _passes(key: Key, window: tuple[float, ...] | None) -> bool:
     return window is None or all(map(le, key, window))
 
 
-def _joinable(key: Key, other_n: int, window: tuple[float, ...] | None,
-              bounded: list[int]) -> bool:
-    """Necessary condition for a join with a part of other_n vertices to
-    pass the window: the join's entry j is at least key[j] + other_n."""
-    return all(key[j] + other_n <= window[j] for j in bounded)
+def _join_slack(key: Key, window: tuple[float, ...] | None, bounded: list[int]) -> float:
+    """The most vertices a part with this key can be joined with and still
+    pass the window: the join's entry j is at least key[j] + other_n, so
+    the least window[j] - key[j] over the bounded entries.  A -inf key
+    entry bounds nothing (and -inf - -inf would be NaN)."""
+    return min((window[j] - key[j] for j in bounded if key[j] != NEG_INF), default=INF)
 
 
 def build_registries(
@@ -171,14 +173,15 @@ def build_registries(
     width = n_max + 2
 
     registries: list[Registry] = []
-    # per level: (code, key, edges) for each record, in key order
-    rows: list[list[tuple[int, Key, int]]] = []
+    # per level: (code, key, edges, join slack) for each record, in key order
+    rows: list[list[tuple[int, Key, int, float]]] = []
     base = Registry(1, cap)
     base_key: Key = _leaf_entries(cap)
     if _passes(base_key, window):
         base.records[base_key] = ExtremalRecord(base_key, 0, (make_leaf(),))
     registries.append(base)
-    rows.append([(_encode(base_key, width), base_key, 0)] if base.records else [])
+    rows.append([(_encode(base_key, width), base_key, 0, _join_slack(base_key, window, bounded))]
+                if base.records else [])
 
     for n in range(2, n_max + 1):
         # pass 1: combine keys, remembering where each best candidate came from
@@ -195,9 +198,9 @@ def build_registries(
             left = rows[n1 - 1]
             right = rows[n2 - 1]
             if sums:
-                for i, (c1, k1, e1) in enumerate(left):
+                for i, (c1, k1, e1, _) in enumerate(left):
                     c1 |= floor
-                    for c2, k2, e2 in right[i:] if same else right:
+                    for c2, k2, e2, _ in right[i:] if same else right:
                         code = c1 | c2
                         edges = e1 + e2
                         cur = candidates.get(code)
@@ -205,12 +208,11 @@ def build_registries(
                             candidates[code] = (edges, [(0, n1, k1, k2)])
                         elif edges == cur[0]:
                             cur[1].append((0, n1, k1, k2))
-            join_left = [r for r in left if _joinable(r[1], n2, window, bounded)]
-            join_right = join_left if same else [
-                r for r in right if _joinable(r[1], n1, window, bounded)]
+            join_left = [r for r in left if r[3] >= n2]
+            join_right = join_left if same else [r for r in right if r[3] >= n1]
             cross = n1 * n2
-            for i, (_, k1, e1) in enumerate(join_left):
-                for _, k2, e2 in join_right[i:] if same else join_right:
+            for i, (_, k1, e1, _) in enumerate(join_left):
+                for _, k2, e2, _ in join_right[i:] if same else join_right:
                     key = product_entries(k1, k2, cap)
                     if not _passes(key, window):
                         continue
@@ -235,7 +237,7 @@ def build_registries(
 
         # pass 3: materialize witnesses for survivors only, in key order
         reg = Registry(n, cap)
-        level: list[tuple[int, Key, int]] = []
+        level: list[tuple[int, Key, int, float]] = []
         for code in sorted(surviving):
             edges, sources = candidates[code]
             wits: set[Cotree] = set()
@@ -251,7 +253,7 @@ def build_registries(
                 ordered = ordered[:witness_limit]
             key = _decode(code, n, cap, width)
             reg.records[key] = ExtremalRecord(key, edges, ordered)
-            level.append((code, key, edges))
+            level.append((code, key, edges, _join_slack(key, window, bounded)))
         registries.append(reg)
         rows.append(level)
 

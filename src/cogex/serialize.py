@@ -1,4 +1,11 @@
-"""File formats: cotree JSON, graph6, DOT, registry and series snapshots."""
+"""File formats: cotree JSON, graph6, DOT, registry and series snapshots.
+
+Cotree JSON is written and read without recursion.  The writers keep
+explicit stacks of text pieces; the loader, ``cotree_from_obj``, is one
+loop over an explicit stack of open nodes that hands each node to
+``cotree._node`` and every leaf to the shared leaf node.  Only
+``json.loads`` still limits the depth of a cotree that can be read.
+"""
 
 from __future__ import annotations
 
@@ -13,13 +20,12 @@ from .cotree import (
     NEG_INF,
     PROD,
     SUM,
+    _LEAF,
     AdjacencyGraph,
     Cotree,
+    _node,
     canonical_form,
     fold,
-    make_leaf,
-    make_product,
-    make_sum,
 )
 from .enumerator import ExtremalRecord, ExtremalSeries, Registry
 from .profile import BicliqueProfile, _format_value, _parse_value, format_profile, parse_profile
@@ -46,28 +52,62 @@ def cotree_to_obj(g: Cotree) -> dict:
     return fold(g, {"op": "leaf"}, lambda node, kids: {"op": node.kind, "children": kids})
 
 
+_LEAF_OBJ = {"op": LEAF}
+
+
 def cotree_from_obj(obj, path: str = "") -> Cotree:
-    """Parse, enforcing >= 2 children and sum/product alternation."""
-    if not isinstance(obj, dict) or "op" not in obj:
-        raise CotreeFormatError("expected an object with an 'op' field", path)
-    op = obj["op"]
-    if op == "leaf":
-        if "children" in obj:
-            raise CotreeFormatError("leaf must not have children", path)
-        return make_leaf()
-    if op not in ("sum", "prod"):
-        raise CotreeFormatError(f"unknown op {op!r}", path)
-    children = obj.get("children")
-    if not isinstance(children, list) or len(children) < 2:
-        raise CotreeFormatError("inner node needs a list of >= 2 children", path)
-    kids = []
-    for i, child in enumerate(children):
-        child_path = f"{path}/children/{i}"
-        if isinstance(child, dict) and child.get("op") == op:
-            raise CotreeFormatError(f"{op} child under {op} node violates reduction",
-                                    child_path)
-        kids.append(cotree_from_obj(child, child_path))
-    return make_sum(kids) if op == "sum" else make_product(kids)
+    """Parse, enforcing >= 2 children and sum/product alternation.
+
+    One loop over an explicit stack of open inner nodes, so any depth
+    parses at the default recursion limit.  Nodes are checked in
+    depth-first order, and a malformed node's path is built from the stack
+    only when its error is raised.  Children were checked not to be of
+    their parent's kind, so each node goes to ``_node`` without splicing.
+    """
+    stack: list = []  # open inner nodes: (kind, children left, kids parsed so far)
+
+    def malformed(message: str) -> CotreeFormatError:
+        # the node in question is child len(kids) of each open node
+        return CotreeFormatError(message, path + "".join(
+            f"/children/{len(kids)}" for _, _, kids in stack))
+
+    def check(obj) -> Cotree | None:
+        """A leaf, or None once a well-formed inner node is on the stack."""
+        if not isinstance(obj, dict) or "op" not in obj:
+            raise malformed("expected an object with an 'op' field")
+        op = obj["op"]
+        if op == LEAF:
+            if "children" in obj:
+                raise malformed("leaf must not have children")
+            return _LEAF
+        if op not in (SUM, PROD):
+            raise malformed(f"unknown op {op!r}")
+        children = obj.get("children")
+        if not isinstance(children, list) or len(children) < 2:
+            raise malformed("inner node needs a list of >= 2 children")
+        stack.append((SUM if op == SUM else PROD, iter(children), []))
+        return None
+
+    leaf = check(obj)
+    if leaf is not None:
+        return leaf
+    while True:
+        kind, left, kids = stack[-1]
+        for child in left:
+            if child == _LEAF_OBJ:
+                kids.append(_LEAF)
+            elif isinstance(child, dict) and child.get("op") == kind:
+                raise malformed(f"{kind} child under {kind} node violates reduction")
+            elif check(child) is None:
+                break  # parse the child's children first
+            else:
+                kids.append(_LEAF)
+        else:
+            stack.pop()
+            node = _node(kind, kids)
+            if not stack:
+                return node
+            stack[-1][2].append(node)
 
 
 def dumps_cotree(g: Cotree) -> str:
@@ -279,13 +319,36 @@ def series_to_obj(series: ExtremalSeries, detected_period: int | None = None) ->
     }
 
 
+def _field(obj: dict, name: str, kind: type, where: str = "series snapshot"):
+    """obj[name], which must be a ``kind`` (not a bool); ValueError naming
+    the field otherwise."""
+    if name not in obj:
+        raise ValueError(f"{where} has no {name!r} field")
+    value = obj[name]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{where} field {name!r} must be of type {kind.__name__}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
 def series_from_obj(obj: dict) -> ExtremalSeries:
-    if obj.get("format") != SERIES_FORMAT:
+    """The series of a ``cogex.series/1`` snapshot; ValueError names the
+    first missing or mistyped field."""
+    if not isinstance(obj, dict) or obj.get("format") != SERIES_FORMAT:
         raise ValueError(f"not a {SERIES_FORMAT} snapshot")
-    values = {row["n"]: row["ex"] for row in obj["rows"]}
+    values = {}
+    for i, row in enumerate(_field(obj, "rows", list)):
+        if not isinstance(row, dict):
+            raise ValueError(f"series row {i} must be an object, got {type(row).__name__}")
+        where = f"series row {i}"
+        values[_field(row, "n", int, where)] = _field(row, "ex", int, where)
+    try:
+        alpha = Fraction(_field(obj, "alpha", str))
+    except ZeroDivisionError:
+        raise ValueError("series snapshot field 'alpha' has a zero denominator") from None
     return ExtremalSeries(
-        constraint=obj["constraint"],
-        alpha=Fraction(obj["alpha"]),
+        constraint=_field(obj, "constraint", str),
+        alpha=alpha,
         values=values,
         witnesses={},
         s=obj.get("s"),

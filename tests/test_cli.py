@@ -209,6 +209,8 @@ def test_analyze_alpha_zero_denominator(capsys):
     (["construct", "k33", "--n", "0"], "--n"),
     (["verify", "balanced-biclique", "--n", "1"], "--n 1"),
     (["verify", "structure", "--n-max", "1"], "--n-max 1"),
+    (["analyze", "--s", "2", "--t", "3", "--periods", "0"], "--periods"),
+    (["analyze", "--s", "2", "--t", "3", "--periods", "2,-1"], "--periods"),
 ])
 def test_bounds_below_range_are_usage_errors(argv, named, capsys):
     code, out, err = run(argv, capsys)
@@ -224,6 +226,26 @@ def test_analyze_snapshot_input(tmp_path, capsys):
     code, out, _ = run(["analyze", "--input", str(snap)], capsys)
     assert code == 0
     assert json.loads(out)["detected_period"] == 2
+
+
+@pytest.mark.parametrize("snapshot, named", [
+    ({"format": "cogex.series/1"}, "'rows'"),
+    ({"format": "cogex.series/1", "rows": "abc"}, "'rows' must be of type list"),
+    ({"format": "cogex.series/1", "rows": [{"n": 4}]}, "row 0 has no 'ex'"),
+    ({"format": "cogex.series/1", "rows": [{"n": 4, "ex": 4}, 7]}, "row 1 must be an object"),
+    ({"format": "cogex.series/1", "rows": [{"n": "4", "ex": 4}]}, "'n' must be of type int"),
+    ({"format": "cogex.series/1", "rows": [{"n": 4, "ex": 4}], "alpha": "1"}, "'constraint'"),
+    ({"format": "cogex.series/1", "rows": [{"n": 4, "ex": 4}], "constraint": "K{2,2}",
+      "alpha": "3/0"}, "'alpha' has a zero denominator"),
+    ([1, 2], "not a cogex.series/1 snapshot"),
+])
+def test_analyze_malformed_snapshot_is_usage_error(snapshot, named, tmp_path, capsys):
+    snap = tmp_path / "series.json"
+    snap.write_text(json.dumps(snapshot))
+    code, out, err = run(["analyze", "--input", str(snap)], capsys)
+    assert code == 2
+    assert out == ""
+    assert named in err
 
 
 def test_export_round_trip(tmp_path, capsys):

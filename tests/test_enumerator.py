@@ -21,6 +21,7 @@ from cogex.enumerator import (
     ExtremalSeries,
     _decode,
     _encode,
+    _join_slack,
     analyze_periodicity,
     build_registries,
     extremal_function,
@@ -130,6 +131,28 @@ def test_pareto_filter_on_codes_matches_tuple_filter(st, monkeypatch):
         decoded = [(_decode(c, n, cap, width), e) for c, e in candidates]
         assert {(_decode(c, n, cap, width), e) for c, e in original(candidates)} == \
             _tuple_frontier(decoded)
+
+
+def old_joinable(key, other_n, window, bounded):
+    """The per-split join test the stored slack replaced."""
+    return all(key[j] + other_n <= window[j] for j in bounded)
+
+
+@pytest.mark.parametrize("st", [(3, 3), (4, 4), (4, 5)])
+def test_join_slack_matches_the_per_split_test(st):
+    """On every record of every level, at every split size, a stored slack
+    covering the other part's size is the old join test."""
+    n_max, opts = 20, _kst(*st)
+    window = opts["prune"].window(opts["cap"] + 1)
+    bounded = [j for j, w in enumerate(window) if w < INF]
+    unbounded_entries = 0  # -inf key entries on bounded window entries
+    for reg in build_registries(n_max, **opts):
+        for key in reg.records:
+            slack = _join_slack(key, window, bounded)
+            for other_n in range(1, n_max - reg.n + 1):
+                assert (slack >= other_n) == old_joinable(key, other_n, window, bounded)
+            unbounded_entries += sum(key[j] == NEG_INF for j in bounded)
+    assert unbounded_entries
 
 
 def test_query_examples():

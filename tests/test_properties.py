@@ -2,7 +2,7 @@
 
 from operator import le
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cogex.cotree import (
@@ -16,7 +16,7 @@ from cogex.cotree import (
     product_entries,
     sum_entries,
 )
-from cogex.enumerator import _decode, _encode, _passes
+from cogex.enumerator import _decode, _encode, _join_slack, _passes
 
 MAX_N = 12
 
@@ -110,3 +110,17 @@ def test_coded_window_test_is_passes(g, cap, window):
     key, window = _key(g, cap), tuple(window[:cap + 1])
     coded = key[0] <= window[0] and not _encode(key, WIDTH) & ~_encode(window, WIDTH)
     assert coded == _passes(key, window)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cotrees(), caps, windows)
+# the first bounded entry is -inf in both, where a NaN would come first
+@example(edgeless(2), 4, [INF, INF, INF, NEG_INF, NEG_INF, NEG_INF, NEG_INF])
+def test_join_slack_is_the_per_split_join_test(g, cap, window):
+    """Against windows with -inf entries, where -inf - -inf is NaN, and
+    keys that pass the window or not."""
+    key, window = _key(g, cap), tuple(window[:cap + 1])
+    bounded = [j for j, w in enumerate(window) if w < INF]
+    slack = _join_slack(key, window, bounded)
+    for other_n in range(1, 2 * MAX_N + 1):
+        assert (slack >= other_n) == all(key[j] + other_n <= window[j] for j in bounded)

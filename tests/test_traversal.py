@@ -1,5 +1,7 @@
-"""Cotree traversals: the explicit-stack fold and walk against the recursive
-versions they replaced, and on cotrees far deeper than the recursion limit."""
+"""Cotree traversals: the explicit-stack fold, walk and JSON loader against
+the recursive versions they replaced, the one-pass node constructors
+against the multi-pass one, and all of them on cotrees far deeper than the
+recursion limit."""
 
 import ast
 import json
@@ -21,6 +23,7 @@ from cogex.cotree import (
     LEAF,
     PROD,
     SUM,
+    Cotree,
     biclique_sequence,
     check_sequence_invariants,
     clique,
@@ -38,10 +41,20 @@ from cogex.cotree import (
     to_formula,
 )
 from cogex.oracle import enumerate_cotrees, random_cotree
-from cogex.serialize import cotree_to_obj, dumps_cotree, dumps_cotree_document, to_dot
+from cogex.serialize import (
+    COTREE_FORMAT,
+    CotreeFormatError,
+    cotree_from_obj,
+    cotree_to_obj,
+    dumps_cotree,
+    dumps_cotree_document,
+    loads_cotree,
+    to_dot,
+)
 
 # =============================================================================
-# The recursive versions, as they were before the fold and the walk
+# The recursive and multi-pass versions, as they were before the fold, the
+# walk, the loader loop and one-pass nodes
 # =============================================================================
 
 
@@ -180,6 +193,56 @@ def old_regular(n, d):
     return make_sum([clique(d + 1), old_regular(n - d - 1, d)])
 
 
+def old_leaf():
+    return Cotree(LEAF, (), 1, 0, b"*")
+
+
+def old_make_inner(kind, children):
+    """cotree._make_inner before _node: a fresh node per leaf, three sums
+    and a sort by a lambda key."""
+    kids = list(children)
+    if not kids:
+        raise ValueError(f"{kind} node needs at least one child")
+    if len(kids) == 1:
+        return kids[0]
+    flat = []
+    for c in kids:
+        if c.kind == kind:
+            flat.extend(c.children)
+        else:
+            flat.append(c)
+    flat.sort(key=lambda c: c._canon)
+    n = sum(c.n for c in flat)
+    edges = sum(c.edges for c in flat)
+    if kind == PROD:
+        edges += (n * n - sum(c.n * c.n for c in flat)) // 2
+    canon = {SUM: b"+", PROD: b"x"}[kind] + b"(" + b",".join(c._canon for c in flat) + b")"
+    return Cotree(kind, tuple(flat), n, edges, canon)
+
+
+def old_cotree_from_obj(obj, path=""):
+    if not isinstance(obj, dict) or "op" not in obj:
+        raise CotreeFormatError("expected an object with an 'op' field", path)
+    op = obj["op"]
+    if op == "leaf":
+        if "children" in obj:
+            raise CotreeFormatError("leaf must not have children", path)
+        return old_leaf()
+    if op not in ("sum", "prod"):
+        raise CotreeFormatError(f"unknown op {op!r}", path)
+    children = obj.get("children")
+    if not isinstance(children, list) or len(children) < 2:
+        raise CotreeFormatError("inner node needs a list of >= 2 children", path)
+    kids = []
+    for i, child in enumerate(children):
+        child_path = f"{path}/children/{i}"
+        if isinstance(child, dict) and child.get("op") == op:
+            raise CotreeFormatError(f"{op} child under {op} node violates reduction",
+                                    child_path)
+        kids.append(old_cotree_from_obj(child, child_path))
+    return old_make_inner(op, kids)
+
+
 # =============================================================================
 # Equality with the recursive versions
 # =============================================================================
@@ -212,6 +275,122 @@ def test_traversals_match_recursion_on_the_catalog():
 @given(st.integers(0, 2**32), st.integers(1, 150))
 def test_traversals_match_recursion_on_random_cotrees(seed, n):
     _assert_traversals_match(random_cotree(random.Random(seed), n))
+
+
+def _assert_same_tree(a, b):
+    """Equal field by field at every node, not only by canonical form."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        assert (x.kind, x.n, x.edges, x._canon, x.children) == \
+            (y.kind, y.n, y.edges, y._canon, y.children)
+        stack += zip(x.children, y.children)
+
+
+def _loaded(load, *args):
+    """The cotree ``load`` returns, or the message and path it raises."""
+    try:
+        return load(*args)
+    except CotreeFormatError as exc:
+        return str(exc), exc.path
+
+
+def _assert_same_load(obj):
+    """The loader agrees with the recursive one, bare and in a document."""
+    for new, old in ((_loaded(cotree_from_obj, obj), _loaded(old_cotree_from_obj, obj)),
+                     (_loaded(loads_cotree, json.dumps({"cotree": obj, "format": COTREE_FORMAT})),
+                      _loaded(old_cotree_from_obj, obj, "/cotree"))):
+        if isinstance(old, Cotree):
+            _assert_same_tree(new, old)
+        else:
+            assert new == old
+    return old
+
+
+def _fresh_obj(g, rng):
+    """g's cotree object with new dicts throughout, every child list
+    shuffled and some leaves given an extra field."""
+    obj = json.loads(dumps_cotree(g))
+    stack = [obj]
+    while stack:
+        node = stack.pop()
+        kids = node.get("children", [])
+        rng.shuffle(kids)
+        for i, c in enumerate(kids):
+            if c["op"] == "leaf" and rng.random() < 0.2:
+                kids[i] = {"note": i, "op": "leaf"}
+        stack += kids
+    return obj
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 150))
+def test_loader_matches_recursion_on_shuffled_objects(seed, n):
+    rng = random.Random(seed)
+    g = random_cotree(rng, n)
+    obj = _fresh_obj(g, rng)
+    _assert_same_tree(cotree_from_obj(obj), g)
+    _assert_same_load(obj)
+
+
+def _mutate(obj, rng):
+    """Make one node of obj malformed: a bad op, too few children, a leaf
+    with children, a child of its parent's kind or a child that is no
+    node object."""
+    nodes, stack = [], [obj]  # node objects, some malformed by earlier mutations
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        kids = node.get("children")
+        if isinstance(kids, list):
+            stack += [c for c in kids if isinstance(c, dict)]
+    node = rng.choice(nodes)
+    kids = node.get("children")
+    how = rng.choice(["op", "one-child", "no-list", "same-kind", "non-node"]
+                     if isinstance(kids, list) and len(kids) >= 2 else ["op", "leaf-children"])
+    if how == "op":
+        node["op"] = rng.choice(["join", "Sum", 1, None, ["sum"]])
+    elif how == "leaf-children":
+        node["children"] = rng.choice([[], [{"op": "leaf"}, {"op": "leaf"}]])
+    elif how == "one-child":
+        del kids[1:]
+    elif how == "no-list":
+        node["children"] = rng.choice([None, "ab", {"0": {"op": "leaf"}}])
+    elif how == "same-kind":
+        kids[rng.randrange(len(kids))] = {
+            "children": [{"op": "leaf"}, {"op": "leaf"}], "op": node.get("op")}
+    else:
+        kids[rng.randrange(len(kids))] = rng.choice([5, "leaf", None, [], {"children": []}])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 40), st.integers(1, 3))
+def test_loader_errors_match_recursion(seed, n, mutations):
+    """The first malformed node in depth-first order is reported, with the
+    recursive loader's message and path.  One mutation always makes an
+    error; later ones may undo it."""
+    rng = random.Random(seed)
+    obj = _fresh_obj(random_cotree(rng, n), rng)
+    for _ in range(mutations):
+        _mutate(obj, rng)
+    outcome = _assert_same_load(obj)
+    assert mutations > 1 or not isinstance(outcome, Cotree)
+
+
+def test_cliques_and_edgeless_match_reference():
+    for k in range(1, 41):
+        _assert_same_tree(clique(k), old_make_inner(PROD, [old_leaf() for _ in range(k)]))
+        _assert_same_tree(edgeless(k), old_make_inner(SUM, [old_leaf() for _ in range(k)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 6))
+def test_sum_and_product_match_reference(seed, count):
+    """Children of either kind, leaves among them, spliced and sorted."""
+    rng = random.Random(seed)
+    kids = [random_cotree(rng, rng.randint(1, 12)) for _ in range(count)]
+    _assert_same_tree(make_sum(iter(kids)), old_make_inner(SUM, kids))
+    _assert_same_tree(make_product(iter(kids)), old_make_inner(PROD, kids))
 
 
 def test_pump_subset_finds_every_summand():
@@ -300,6 +479,21 @@ def test_deep_writers(deep):
     assert dot.count('label="•"') == g.n
     assert dot.count('label="+"') == dot.count('label="×"') == HEIGHT // 2
     assert dot.count(" -> ") == 2 * HEIGHT
+
+
+def test_deep_loader(deep):
+    obj = {"op": "leaf"}
+    for i in range(HEIGHT):
+        obj = {"children": [{"op": "leaf"}, obj], "op": "sum" if i % 2 else "prod"}
+    _assert_same_tree(cotree_from_obj(obj), deep)
+    bottom = obj
+    while bottom["op"] != "leaf":
+        bottom = bottom["children"][1]
+    bottom["children"] = []
+    with pytest.raises(CotreeFormatError) as exc:
+        cotree_from_obj(obj)
+    assert exc.value.path == "/children/1" * HEIGHT
+    assert str(exc.value).startswith("leaf must not have children at /children/1/")
 
 
 def test_deep_walk_and_pump(deep):
