@@ -19,16 +19,20 @@ Entry 0 is dropped, since every key of a level has the same n; entry
 j = 1..cap is stored as v + 1 low set bits of its own field, entry 1 in
 the most significant one.  Integer order is then tuple order, ``a | b`` is
 the pointwise maximum and ``not a & ~b`` is pointwise a <= b, against a
-key or a window.  A sum's key is ``c1 | c2 | floor``, the floor being the
-code of the edgeless graph on n vertices (the 0 floor of ``sum_entries``);
-as both parts passed the window, the sums of a level pass or fail it
-together, at entry 0 or at the floor.  A join's entry j is at least
+key or a window: ``over`` is ``~`` the window's code (+inf entries when
+there is no ``prune``) and a code passes iff ``not code & over``, entry 0
+being tested once per level.  A sum's key is ``c1 | c2 | floor``, the
+floor being the code of the edgeless graph on n vertices (the 0 floor of
+``sum_entries``); as both parts passed the window, the sums of a level
+pass or fail it together, at the floor.  A join's entry j is at least
 k1[j] + n2 and at least k2[j] + n1, so each record stores once its join
 slack, the least window[j] - key[j] over the window's bounded entries, and
 only pairs of parts whose slack covers the other part's size reach
-``product_entries`` on tuple keys; when n1 and n2 are both at
-least s, no K_{s,t} join survives and none is computed.  Survivors are
-decoded once, so registries and everything after the DP see tuple keys.
+``product_entries`` on tuple keys, whose result is coded and tested like a
+sum's; when n1 and n2 are both at least s, no K_{s,t} join survives and
+none is computed.  A level's rows hold its records, from which witnesses
+are built.  Survivors are decoded once, so registries and everything
+after the DP see tuple keys.
 The loop stays pure Python: importing numpy would raise the CLI's peak
 resident set from about 18 MB to 30 MB.
 """
@@ -133,11 +137,11 @@ def _decode(code: int, n: int, cap: int, width: int) -> Key:
     return (n, *(f.bit_length() - 1 if f else NEG_INF for f in fields))
 
 
-def _passes(key: Key, window: tuple[float, ...] | None) -> bool:
-    return window is None or all(map(le, key, window))
+def _passes(key: Key, window: tuple[float, ...]) -> bool:
+    return all(map(le, key, window))
 
 
-def _join_slack(key: Key, window: tuple[float, ...] | None, bounded: list[int]) -> float:
+def _join_slack(key: Key, window: tuple[float, ...], bounded: list[int]) -> float:
     """The most vertices a part with this key can be joined with and still
     pass the window: the join's entry j is at least key[j] + other_n, so
     the least window[j] - key[j] over the bounded entries.  A -inf key
@@ -164,65 +168,73 @@ def build_registries(
         raise ValueError("n_max must be >= 1")
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    window = prune.window(cap + 1) if prune is not None else None
+    window = prune.window(cap + 1) if prune is not None else (INF,) * (cap + 1)
     if exhaustive:
         witness_limit = None
     # window indices a join can exceed; a -inf entry forbids any finite one
-    bounded = [j for j, w in enumerate(window) if w < INF] if window else []
+    bounded = [j for j, w in enumerate(window) if w < INF]
     # entries are at most n_max - 1, so a field has room for every one and +inf
     width = n_max + 2
+    # a code passes the window iff it sets none of these bits
+    over = ~_encode(window, width)
 
-    registries: list[Registry] = []
-    # per level: (code, key, edges, join slack) for each record, in key order
-    rows: list[list[tuple[int, Key, int, float]]] = []
-    base = Registry(1, cap)
-    base_key: Key = _leaf_entries(cap)
-    if _passes(base_key, window):
-        base.records[base_key] = ExtremalRecord(base_key, 0, (make_leaf(),))
-    registries.append(base)
-    rows.append([(_encode(base_key, width), base_key, 0, _join_slack(base_key, window, bounded))]
-                if base.records else [])
+    registries = [Registry(n, cap) for n in range(1, n_max + 1)]
+    # per level: (code, record, edges, join slack) for each record, in key order
+    rows: list[list[tuple[int, ExtremalRecord, int, float]]] = [[] for _ in registries]
+
+    def keep(n: int, code: int, edges: int, wits: set[Cotree]) -> None:
+        """Store the record of a surviving code of level n and append its row."""
+        key = _decode(code, n, cap, width)
+        rec = ExtremalRecord(key, edges, tuple(sorted(wits))[:witness_limit])
+        registries[n - 1].records[key] = rec
+        rows[n - 1].append((code, rec, edges, _join_slack(key, window, bounded)))
+
+    leaf = _encode(_leaf_entries(cap), width)
+    if 1 <= window[0] and not leaf & over:
+        keep(1, leaf, 0, {make_leaf()})
 
     for n in range(2, n_max + 1):
-        # pass 1: combine keys, remembering where each best candidate came from
-        candidates: dict[int, tuple[int, list[tuple[int, int, Key, Key]]]] = {}
+        # pass 1: combine keys, remembering where each best candidate came
+        # from, as (make_sum or make_product, part record, part record)
+        candidates: dict[int, tuple[int, list[tuple]]] = {}
         # a sum's key is the pointwise maximum of its parts' keys and the
         # edgeless graph's: the 0 floor of sum_entries up to entry n
         floor = _encode((n,) + (0,) * min(n, cap) + (NEG_INF,) * (cap - n), width)
-        # parts passed the window, so only entry 0 and the floor can fail it,
-        # and then they fail it for every sum of the level
-        sums = window is None or (n <= window[0] and not floor & ~_encode(window, width))
-        for n1 in range(1, n // 2 + 1):
+        # parts passed the window, so only the floor can fail it, and then
+        # it fails it for every sum of the level
+        sums = not floor & over
+        # entry 0 is n for every key of the level
+        for n1 in range(1, n // 2 + 1) if n <= window[0] else ():
             n2 = n - n1
             same = n1 == n2
             left = rows[n1 - 1]
             right = rows[n2 - 1]
             if sums:
-                for i, (c1, k1, e1, _) in enumerate(left):
+                for i, (c1, r1, e1, _) in enumerate(left):
                     c1 |= floor
-                    for c2, k2, e2, _ in right[i:] if same else right:
+                    for c2, r2, e2, _ in right[i:] if same else right:
                         code = c1 | c2
                         edges = e1 + e2
                         cur = candidates.get(code)
                         if cur is None or edges > cur[0]:
-                            candidates[code] = (edges, [(0, n1, k1, k2)])
+                            candidates[code] = (edges, [(make_sum, r1, r2)])
                         elif edges == cur[0]:
-                            cur[1].append((0, n1, k1, k2))
+                            cur[1].append((make_sum, r1, r2))
             join_left = [r for r in left if r[3] >= n2]
             join_right = join_left if same else [r for r in right if r[3] >= n1]
             cross = n1 * n2
-            for i, (_, k1, e1, _) in enumerate(join_left):
-                for _, k2, e2, _ in join_right[i:] if same else join_right:
-                    key = product_entries(k1, k2, cap)
-                    if not _passes(key, window):
+            for i, (_, r1, e1, _) in enumerate(join_left):
+                k1 = r1.key
+                for _, r2, e2, _ in join_right[i:] if same else join_right:
+                    code = _encode(product_entries(k1, r2.key, cap), width)
+                    if code & over:
                         continue
-                    code = _encode(key, width)
                     edges = e1 + e2 + cross
                     cur = candidates.get(code)
                     if cur is None or edges > cur[0]:
-                        candidates[code] = (edges, [(1, n1, k1, k2)])
+                        candidates[code] = (edges, [(make_product, r1, r2)])
                     elif edges == cur[0]:
-                        cur[1].append((1, n1, k1, k2))
+                        cur[1].append((make_product, r1, r2))
         if max_records is not None and len(candidates) > max_records:
             raise CapacityError(
                 f"level {n} produced {len(candidates)} profile keys "
@@ -236,26 +248,10 @@ def build_registries(
             surviving = {c for c, _ in frontier}
 
         # pass 3: materialize witnesses for survivors only, in key order
-        reg = Registry(n, cap)
-        level: list[tuple[int, Key, int, float]] = []
         for code in sorted(surviving):
             edges, sources = candidates[code]
-            wits: set[Cotree] = set()
-            for op, n1, k1, k2 in sources:
-                w1 = registries[n1 - 1].records[k1].witnesses
-                w2 = registries[n - n1 - 1].records[k2].witnesses
-                maker = make_sum if op == 0 else make_product
-                for a in w1:
-                    for b in w2:
-                        wits.add(maker([a, b]))
-            ordered = tuple(sorted(wits))
-            if witness_limit is not None:
-                ordered = ordered[:witness_limit]
-            key = _decode(code, n, cap, width)
-            reg.records[key] = ExtremalRecord(key, edges, ordered)
-            level.append((code, key, edges, _join_slack(key, window, bounded)))
-        registries.append(reg)
-        rows.append(level)
+            keep(n, code, edges, {maker([a, b]) for maker, r1, r2 in sources
+                                  for a in r1.witnesses for b in r2.witnesses})
 
     return registries
 
@@ -329,9 +325,7 @@ def extremal_series_for_profile(
         if edges < 0:
             continue  # no cograph on n vertices fulfills the profile
         values[n] = edges
-        if witness_limit is not None:
-            wits = wits[:witness_limit]
-        witnesses[n] = wits
+        witnesses[n] = wits[:witness_limit]
     s = start_index(p)
     start_value = p[s]
     return ExtremalSeries(

@@ -282,14 +282,20 @@ def registry_to_obj(r: Registry, prune: BicliqueProfile | None = None) -> dict:
 
 
 def registry_from_obj(obj: dict) -> tuple[Registry, BicliqueProfile | None]:
-    if obj.get("format") != REGISTRY_FORMAT:
+    """The registry and prune profile of a ``cogex.registry/1`` snapshot;
+    ValueError names the first missing or mistyped field."""
+    if not isinstance(obj, dict) or obj.get("format") != REGISTRY_FORMAT:
         raise ValueError(f"not a {REGISTRY_FORMAT} snapshot")
-    r = Registry(obj["n"], obj["cap"])
-    for rec in obj["records"]:
-        key = tuple(_value_from_json(v) for v in rec["key"])
-        witnesses = tuple(cotree_from_obj(w) for w in rec["witnesses"])
-        r.records[key] = ExtremalRecord(key, rec["edges"], witnesses)
-    prune = None if obj.get("prune") is None else parse_profile(obj["prune"])
+    where = "registry snapshot"
+    r = Registry(_field(obj, "n", int, where), _field(obj, "cap", int, where))
+    for i, rec in enumerate(_field(obj, "records", list, where)):
+        at = f"registry record {i}"
+        rec = _object(rec, at)
+        key = tuple(map(_value_from_json, _field(rec, "key", list, at)))
+        edges = _field(rec, "edges", int, at)
+        witnesses = tuple(map(cotree_from_obj, _field(rec, "witnesses", list, at)))
+        r.records[key] = ExtremalRecord(key, edges, witnesses)
+    prune = None if obj.get("prune") is None else parse_profile(_field(obj, "prune", str, where))
     return r, prune
 
 
@@ -331,6 +337,13 @@ def _field(obj: dict, name: str, kind: type, where: str = "series snapshot"):
     return value
 
 
+def _object(value, where: str) -> dict:
+    """value, which must be a JSON object; ValueError naming ``where`` otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be an object, got {type(value).__name__}")
+    return value
+
+
 def series_from_obj(obj: dict) -> ExtremalSeries:
     """The series of a ``cogex.series/1`` snapshot; ValueError names the
     first missing or mistyped field."""
@@ -338,10 +351,17 @@ def series_from_obj(obj: dict) -> ExtremalSeries:
         raise ValueError(f"not a {SERIES_FORMAT} snapshot")
     values = {}
     for i, row in enumerate(_field(obj, "rows", list)):
-        if not isinstance(row, dict):
-            raise ValueError(f"series row {i} must be an object, got {type(row).__name__}")
-        where = f"series row {i}"
-        values[_field(row, "n", int, where)] = _field(row, "ex", int, where)
+        at = f"series row {i}"
+        row = _object(row, at)
+        n = _field(row, "n", int, at)
+        if n in values:
+            raise ValueError(f"{at} repeats n = {n}")
+        values[n] = _field(row, "ex", int, at)
+    # a DP series has no gaps: the induced subgraphs of a cograph that
+    # fulfills a profile fulfill it too
+    for n in range(min(values, default=0), max(values, default=0)):
+        if n not in values:
+            raise ValueError(f"series snapshot has no row for n = {n}")
     try:
         alpha = Fraction(_field(obj, "alpha", str))
     except ZeroDivisionError:

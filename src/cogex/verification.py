@@ -323,48 +323,44 @@ def verify_complement_involution(n_max: int = 7) -> CheckResult:
     return CheckResult("complement-involution", {"n_max": n_max}, not bad, "", bad)
 
 
-def _given(value: int | None, default: int) -> int:
-    """An explicit bound, 0 included, else the default."""
-    return default if value is None else value
-
-
 # The verify selectors in the order ``all`` runs them (``all`` leaves out
 # bound-2t): selector -> (runner, its default catalog size as (with
-# --small, without), or None when it scans no oracle catalog).  A runner
-# takes run_suite's keyword arguments, with ``size`` its default catalog
-# size, and returns its checks.  run_suite holds the selected runners to
-# --catalog-max before they start, so a runner's own catalog limit is
-# max(10, the largest n it asks for).
-SELECTORS: dict[str, tuple[Callable[..., list[CheckResult]], tuple[int, int] | None]] = {
-    "balanced-biclique": (lambda n, n_max, size, **_: [
-        check_balanced_biclique(k, limit=max(10, k))
-        for k in range(2, _given(n, _given(n_max, size)) + 1)], (8, 9)),
-    "sequences": (lambda n_max, size, **_: [
-        verify_sequences(_given(n_max, size))], (6, 7)),
-    "profiles": (lambda n_max, size, **_: [
-        verify_fulfillment_agreement(_given(n_max, size))], (6, 7)),
-    "dp-vs-oracle": (lambda n_max, s, t, size, **_: [
-        verify_dp_vs_oracle(ss, tt, _given(n_max, size))
+# --small, without), or None when it scans no oracle catalog, and the
+# options that replace the default, the first given first).  A runner
+# takes run_suite's keyword arguments, with ``size`` its catalog size, and
+# returns its checks.  run_suite holds the selected catalog sizes to
+# --catalog-max before any runner starts, so a runner's own catalog limit
+# is max(10, size).
+SELECTORS: dict[str, tuple[Callable[..., list[CheckResult]], tuple[int, int] | None,
+                           tuple[str, ...]]] = {
+    "balanced-biclique": (lambda size, **_: [
+        check_balanced_biclique(k, limit=max(10, k)) for k in range(2, size + 1)],
+        (8, 9), ("n", "n_max")),
+    "sequences": (lambda size, **_: [verify_sequences(size)], (6, 7), ("n_max",)),
+    "profiles": (lambda size, **_: [verify_fulfillment_agreement(size)], (6, 7), ("n_max",)),
+    "dp-vs-oracle": (lambda s, t, size, **_: [
+        verify_dp_vs_oracle(ss, tt, size)
         for ss, tt in ([(s, t)] if s is not None and t is not None else SMALL_PAIRS)],
-        (7, 8)),
-    "bound-2t": (lambda n_max, t, **_: [
-        verify_bound_2t(_given(t, 3), _given(n_max, 20))], None),
+        (7, 8), ("n_max",)),
+    "bound-2t": (lambda n_max, t, **_: [verify_bound_2t(
+        3 if t is None else t, 20 if n_max is None else n_max)], None, ()),
     "bounds": (lambda small, n_max, **_: [
-        verify_strict_bound(s, t, _given(n_max, 20 if small else 30))
-        for s, t in ((2, 2), (2, 3), (3, 3))], None),
-    "structure": (lambda n_max, size, **_: check_structure_theorems(
-        range(2, _given(n_max, size) + 1), limit=max(10, n_max or 0)), (7, 8)),
-    "restriction": (lambda size, **_: [verify_restriction_transport(3, size)], (4, 5)),
+        verify_strict_bound(s, t, (20 if small else 30) if n_max is None else n_max)
+        for s, t in ((2, 2), (2, 3), (3, 3))], None, ()),
+    "structure": (lambda size, **_: check_structure_theorems(
+        range(2, size + 1), limit=max(10, size)), (7, 8), ("n_max",)),
+    "restriction": (lambda size, **_: [verify_restriction_transport(3, size)], (4, 5), ()),
     "regular": (lambda small, size, **_: [
-        verify_regular_constructor(20 if small else 40, size)], (8, 9)),
-    "pareto": (lambda small, **_: [verify_pareto_safety(6 if small else 8)], None),
+        verify_regular_constructor(20 if small else 40, size)], (8, 9), ()),
+    "pareto": (lambda small, **_: [verify_pareto_safety(6 if small else 8)], None, ()),
     "constructions": (lambda size, **_: [
-        verify_constructions_meet_optimum(size), verify_clique_product_formula()], (8, 9)),
+        verify_constructions_meet_optimum(size), verify_clique_product_formula()],
+        (8, 9), ()),
     "pump": (lambda small, seed, **_: [
-        verify_pump_invariants(seed=seed, trials=60 if small else 120)], None),
+        verify_pump_invariants(seed=seed, trials=60 if small else 120)], None, ()),
     "invariants": (lambda small, **_: [
         verify_height_bound(6 if small else 7),
-        verify_complement_involution(6 if small else 7)], None),
+        verify_complement_involution(6 if small else 7)], None, ()),
 }
 
 
@@ -380,14 +376,16 @@ def run_suite(
 ) -> dict:
     """Dispatch for the CLI verify subcommand; returns a JSON-ready report."""
     selected = [k for k in SELECTORS if k != "bound-2t"] if which == "all" else [which]
-    sizes = {k: SELECTORS[k][1] and SELECTORS[k][1][0 if small else 1] for k in selected}
-    catalogs = [size for size in sizes.values() if size]
-    if catalog_max is not None and catalogs:
-        # the largest catalog the selected selectors build at their defaults
-        requested = max(x for x in (n, n_max, *catalogs) if x is not None)
-        if requested > catalog_max:
-            raise CapacityError(
-                f"requested n up to {requested} exceeds --catalog-max {catalog_max}")
+    given = {"n": n, "n_max": n_max}
+    sizes: dict[str, int | None] = {}
+    for k in selected:
+        _, defaults, options = SELECTORS[k]
+        sizes[k] = defaults and next((given[o] for o in options if given[o] is not None),
+                                     defaults[0 if small else 1])
+    catalogs = [size for size in sizes.values() if size is not None]
+    if catalog_max is not None and catalogs and max(catalogs) > catalog_max:
+        raise CapacityError(
+            f"requested n up to {max(catalogs)} exceeds --catalog-max {catalog_max}")
 
     results = [r for k in selected for r in SELECTORS[k][0](
         small=small, seed=seed, n=n, n_max=n_max, s=s, t=t, size=sizes[k])]

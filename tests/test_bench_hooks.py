@@ -40,9 +40,9 @@ def test_check_modules_define_checks(module, prefix):
 def test_pareto_filter_runs_once_per_level(monkeypatch):
     """The benchmark reads the size of each pareto_filter argument and
     result as a level's candidates and survivors: one call per level
-    n >= 2, whose result is that level's registry."""
+    n >= 2, empty levels included, whose result is that level's registry."""
     from cogex import enumerator
-    from cogex.profile import forbidden_biclique_profile
+    from cogex.profile import forbidden_biclique_profile, parse_profile
 
     results = []
     original = enumerator.pareto_filter
@@ -53,5 +53,11 @@ def test_pareto_filter_runs_once_per_level(monkeypatch):
         return result
 
     monkeypatch.setattr(enumerator, "pareto_filter", record)
-    regs = enumerator.build_registries(16, 4, prune=forbidden_biclique_profile(3, 3))
-    assert results == [len(r) for r in regs[1:]]
+    for n_max, cap, prune in (
+            (16, 4, forbidden_biclique_profile(3, 3)),
+            (16, 4, parse_profile("3,1,0;-inf")),  # levels 4..16 lie past entry 0
+            (10, 3, None)):                         # no window
+        results.clear()
+        regs = enumerator.build_registries(n_max, cap, prune=prune)
+        assert len(results) == n_max - 1
+        assert results == [len(r) for r in regs[1:]]

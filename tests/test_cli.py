@@ -238,6 +238,12 @@ def test_analyze_snapshot_input(tmp_path, capsys):
     ({"format": "cogex.series/1", "rows": [{"n": 4, "ex": 4}], "constraint": "K{2,2}",
       "alpha": "3/0"}, "'alpha' has a zero denominator"),
     ([1, 2], "not a cogex.series/1 snapshot"),
+    ({"format": "cogex.series/1", "rows": [{"n": n, "ex": n} for n in (1, 5, 9, 10, 10)],
+      "constraint": "K{2,2}", "alpha": "1"}, "row 4 repeats n = 10"),
+    ({"format": "cogex.series/1", "rows": [{"n": n, "ex": n} for n in (1, 5, 9, 10)],
+      "constraint": "K{2,2}", "alpha": "1"}, "no row for n = 2"),
+    ({"format": "cogex.series/1", "rows": [{"n": n, "ex": n} for n in (5, 3, 2)],
+      "constraint": "K{2,2}", "alpha": "1"}, "no row for n = 4"),
 ])
 def test_analyze_malformed_snapshot_is_usage_error(snapshot, named, tmp_path, capsys):
     snap = tmp_path / "series.json"
@@ -246,6 +252,17 @@ def test_analyze_malformed_snapshot_is_usage_error(snapshot, named, tmp_path, ca
     assert code == 2
     assert out == ""
     assert named in err
+
+
+def test_analyze_bounded_profile_snapshot(tmp_path, capsys):
+    # the profile bounds n by 3: the snapshot's rows stop there, with no gap
+    snap = tmp_path / "s.json"
+    code, _, _ = run(["enumerate", "--profile", "3,1,0;-inf", "--n-max", "12",
+                      "-o", str(snap)], capsys)
+    assert code == 0
+    assert [row["n"] for row in json.loads(snap.read_text())["rows"]] == [1, 2, 3]
+    code, out, _ = run(["analyze", "--input", str(snap)], capsys)
+    assert code == 0 and json.loads(out)["constraint"] == "3,1,0;-inf"
 
 
 def test_export_round_trip(tmp_path, capsys):
@@ -333,6 +350,23 @@ def test_catalog_max_is_held_to_the_selected_catalogs(selector, catalog_max, cod
         assert json.loads(out)["passed"] is True
     else:
         assert "requested n up to 8 exceeds --catalog-max 7" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "structure", "--n-max", "5", "--catalog-max", "6"],
+    ["verify", "balanced-biclique", "--n", "4", "--catalog-max", "5"],
+    ["verify", "balanced-biclique", "--n", "4", "--n-max", "9", "--catalog-max", "5"],
+    ["verify", "sequences", "--n-max", "4", "--catalog-max", "4"],
+    ["verify", "dp-vs-oracle", "--n-max", "5", "--catalog-max", "5"],
+    # restriction's catalogs do not follow --n-max
+    ["verify", "restriction", "--n-max", "20", "--catalog-max", "5"],
+])
+def test_catalog_max_is_held_to_the_requested_catalogs(argv, capsys):
+    # --n and --n-max replace a selector's default catalog size, so a
+    # smaller catalog than the default fits a smaller --catalog-max
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["passed"] is True
 
 
 def test_small_suite_fits_a_catalog_of_8(monkeypatch, capsys):

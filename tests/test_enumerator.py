@@ -273,6 +273,14 @@ def test_fast_dp_matches_reference(case):
         _reference_registries(n_max, **opts)
 
 
+def test_fast_dp_keeps_every_witness_without_a_limit():
+    # exhaustive mode keeps all witnesses; at n <= 9 no key has more than two
+    opts = dict(cap=2, exhaustive=True)
+    ref = _reference_registries(11, **opts)
+    assert max(len(wits) for level in ref for _, _, wits in level) > 2
+    assert _as_levels(build_registries(11, **opts)) == ref
+
+
 def test_fast_dp_capacity_error_matches_reference():
     opts = dict(_kst(3, 3), max_records=20)
     with pytest.raises(CapacityError) as fast:

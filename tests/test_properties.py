@@ -16,7 +16,9 @@ from cogex.cotree import (
     product_entries,
     sum_entries,
 )
-from cogex.enumerator import _decode, _encode, _join_slack, _passes
+from cogex.enumerator import _decode, _encode, _join_slack, _passes, build_registries
+from cogex.profile import BicliqueProfile, binding_cap
+from test_enumerator import _as_levels, _reference_registries
 
 MAX_N = 12
 
@@ -124,3 +126,14 @@ def test_join_slack_is_the_per_split_join_test(g, cap, window):
     slack = _join_slack(key, window, bounded)
     for other_n in range(1, 2 * MAX_N + 1):
         assert (slack >= other_n) == all(key[j] + other_n <= window[j] for j in bounded)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9).flatmap(cotrees), st.integers(1, 9), st.booleans())
+def test_fast_dp_matches_reference_under_graph_profiles(g, n_max, exhaustive):
+    """A graph's own sequence is a valid profile, so the fast DP meets
+    windows with finite, -inf and small entry-0 bounds on joins and sums."""
+    p = BicliqueProfile(biclique_sequence(g, g.n).entries, NEG_INF)
+    opts = dict(cap=binding_cap(p) + 1, prune=p, exhaustive=exhaustive)
+    assert _as_levels(build_registries(n_max, **opts)) == \
+        _reference_registries(n_max, **opts)

@@ -1,6 +1,7 @@
 """File formats: cotree JSON, graph6 against networkx, DOT, snapshots."""
 
 import json
+import re
 
 import networkx as nx
 import pytest
@@ -105,6 +106,42 @@ def test_registry_snapshot_keys_are_ints_and_inf_text():
     assert obj["records"][0]["key"] == [1, 0, "-inf"]
     obj["records"][0]["key"] = [1, 0.7, True]
     with pytest.raises(ValueError):
+        registry_from_obj(obj)
+
+
+def _registry_snapshot(**fields):
+    p = forbidden_biclique_profile(2, 2)
+    obj = json.loads(json.dumps(registry_to_obj(build_registries(3, 2, prune=p)[2], p)))
+    obj.update(fields)
+    return obj
+
+
+def _without(obj, name):
+    return {k: v for k, v in obj.items() if k != name}
+
+
+_RECORD = _registry_snapshot()["records"][0]
+
+
+@pytest.mark.parametrize("obj, named", [
+    ({"format": "cogex.registry/1"}, "registry snapshot has no 'n' field"),
+    (_without(_registry_snapshot(), "cap"), "registry snapshot has no 'cap' field"),
+    (_without(_registry_snapshot(), "records"), "registry snapshot has no 'records' field"),
+    (_registry_snapshot(n="3"), "field 'n' must be of type int, got str"),
+    (_registry_snapshot(cap=True), "field 'cap' must be of type int, got bool"),
+    (_registry_snapshot(records="x"), "field 'records' must be of type list, got str"),
+    (_registry_snapshot(records=[_RECORD, 7]), "registry record 1 must be an object, got int"),
+    (_registry_snapshot(records=[_without(_RECORD, "key")]), "record 0 has no 'key' field"),
+    (_registry_snapshot(records=[_without(_RECORD, "edges")]), "record 0 has no 'edges' field"),
+    (_registry_snapshot(records=[_without(_RECORD, "witnesses")]),
+     "record 0 has no 'witnesses' field"),
+    (_registry_snapshot(records=[dict(_RECORD, witnesses={})]),
+     "field 'witnesses' must be of type list, got dict"),
+    (_registry_snapshot(prune=3), "field 'prune' must be of type str, got int"),
+    ([1, 2], "not a cogex.registry/1 snapshot"),
+])
+def test_registry_snapshot_malformed_fields_are_named(obj, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
         registry_from_obj(obj)
 
 
