@@ -7,9 +7,12 @@ summary always goes to stderr.  Exit codes: 0 ok, 1 check failed,
 
 The argument parser is built once per process, on the first ``main``
 call, and reused: each call still parses into a fresh namespace.
-``construct`` writes its cotree document with
-``serialize.dumps_cotree_document``, without the ``json`` encoder but
-byte-identical to ``json.dumps(..., indent=2, sort_keys=True)``.
+``FAMILIES`` is the one table of ``construct`` families: the options each
+needs, its builder and the K_{s,t} it avoids.  ``construct`` writes its
+cotree document with ``serialize.dumps_cotree_document``, without the
+``json`` encoder but byte-identical to ``json.dumps(..., indent=2,
+sort_keys=True)``; it and ``export`` write graph6, DOT and JSON through
+``_emit_cotree``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
+from typing import Callable
 
 from .constructions import (
     clique_product_family,
@@ -141,71 +145,67 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 # construct
 # =============================================================================
 
-def _construct_graph(args: argparse.Namespace) -> tuple[Cotree, dict]:
-    fam = args.family
-    if fam == "regular":
-        if args.n is None or args.d is None:
-            raise ValueError("regular needs --n and --d")
-        g = regular_cograph(args.n, args.d)
-        if g is None:
-            raise _Infeasible(regular_infeasibility_reason(args.n, args.d))
-        return g, {"regular_degree": args.d}
-    if fam == "star":
-        if args.n is None or args.t is None:
-            raise ValueError("star needs --n and --t")
-        return star_extremal(args.t, args.n), {"constraint": f"K{{1,{args.t}}}"}
-    if fam == "k2t":
-        if args.n is None or args.t is None:
-            raise ValueError("k2t needs --n and --t")
-        return k2t_extremal(args.t, args.n), {"constraint": f"K{{2,{args.t}}}"}
-    if fam == "k33":
-        if args.n is None:
-            raise ValueError("k33 needs --n")
-        return k33_extremal(args.n), {"constraint": "K{3,3}"}
-    if fam == "clique-product":
-        if None in (args.s, args.t, args.r):
-            raise ValueError("clique-product needs --s, --t and --r")
-        return clique_product_family(args.s, args.t, args.r), {
-            "constraint": f"K{{{args.s},{args.t}}}"}
-    if args.input is None or args.k is None or not args.path:
-        raise ValueError("pump needs --input, --path and --k")
-    g = loads_cotree(Path(args.input).read_text())
-    return pump(g, args.path, args.k), {"pumped_path": list(args.path), "k": args.k}
-
-
-class _Infeasible(Exception):
-    pass
+# family: (options it needs, builder, the (s, t) whose K_{s,t} it avoids or
+# None).  Builders look constructors up by name when called, so a rebound
+# module name is the one that runs.
+FAMILIES = {
+    "regular": (("n", "d"), lambda a: regular_cograph(a.n, a.d), None),
+    "star": (("n", "t"), lambda a: star_extremal(a.t, a.n), lambda a: (1, a.t)),
+    "k2t": (("n", "t"), lambda a: k2t_extremal(a.t, a.n), lambda a: (2, a.t)),
+    "k33": (("n",), lambda a: k33_extremal(a.n), lambda a: (3, 3)),
+    "clique-product": (("s", "t", "r"), lambda a: clique_product_family(a.s, a.t, a.r),
+                       lambda a: (a.s, a.t)),
+    "pump": (("input", "path", "k"),
+             lambda a: pump(loads_cotree(Path(a.input).read_text()), a.path, a.k), None),
+}
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
     out = _resolve_output(args.output)
-    try:
-        g, extra = _construct_graph(args)
-    except _Infeasible as exc:
-        _human(f"infeasible: {exc.args[0]}")
-        _emit_json({"infeasible": True, "reason": exc.args[0]}, out)
+    options, build, avoids = FAMILIES[args.family]
+    if any(vars(args)[o] in (None, ()) for o in options):  # no --path parses to ()
+        flags = [f"--{o}" for o in options]
+        needs = flags[0] if len(flags) == 1 else ", ".join(flags[:-1]) + " and " + flags[-1]
+        raise ValueError(f"{args.family} needs {needs}")
+    g = build(args)
+    if g is None:
+        reason = regular_infeasibility_reason(args.n, args.d)
+        _human(f"infeasible: {reason}")
+        _emit_json({"infeasible": True, "reason": reason}, out)
         return EXIT_CHECK_FAILED
 
+    st = avoids(args) if avoids else None
     formula = to_formula(g)
-    verification = {"vertices": g.n, "edges": g.edges, "formula": formula, **extra}
+    verification = {"vertices": g.n, "edges": g.edges, "formula": formula}
+    if st:
+        verification["constraint"] = f"K{{{st[0]},{st[1]}}}"
+    elif args.family == "regular":
+        verification["regular_degree"] = args.d
+    else:
+        verification.update(pumped_path=list(args.path), k=args.k)
     if g.n <= 16:
         adj = to_adjacency(g)
         degs = sorted(set(adj.degree_sequence()))
         verification["degrees"] = degs
-        if args.family in ("star", "k2t", "k33", "clique-product"):
-            s, t = {"star": (1, args.t), "k2t": (2, args.t), "k33": (3, 3),
-                    "clique-product": (args.s, args.t)}[args.family]
+        if st:
             verification["fulfills_constraint"] = fulfills(
-                biclique_sequence(g, g.n), forbidden_biclique_profile(s, t))
+                biclique_sequence(g, g.n), forbidden_biclique_profile(*st))
 
-    if args.format == "graph6":
-        _emit(graph6_bytes(to_adjacency(g, limit=62)).decode("ascii"), out)
-    elif args.format == "dot":
-        _emit(to_dot(g), out)
-    else:
-        _emit(dumps_cotree_document(g, verification), out)
+    _emit_cotree(g, args.format, lambda: dumps_cotree_document(g, verification), out)
     _human(f"constructed {formula}: {g.n} vertices, {g.edges} edges")
     return EXIT_OK
+
+
+def _emit_cotree(g: Cotree, fmt: str, json_text: Callable[[], str],
+                 out: Path | None) -> None:
+    """Write g as graph6 or DOT, or as ``json_text()``, which only the JSON
+    format builds."""
+    if fmt == "graph6":
+        _emit(graph6_bytes(to_adjacency(g, limit=62)).decode("ascii"), out)
+    elif fmt == "dot":
+        _emit(to_dot(g), out)
+    else:
+        _emit(json_text(), out)
 
 
 # =============================================================================
@@ -248,13 +248,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     g = loads_cotree(Path(args.input).read_text())
-    out = _resolve_output(args.output)
-    if args.format == "graph6":
-        _emit(graph6_bytes(to_adjacency(g, limit=62)).decode("ascii"), out)
-    elif args.format == "dot":
-        _emit(to_dot(g), out)
-    else:
-        _emit(dumps_cotree(g), out)
+    _emit_cotree(g, args.format, lambda: dumps_cotree(g), _resolve_output(args.output))
     _human(f"exported {to_formula(g)} as {args.format}")
     return EXIT_OK
 
@@ -291,8 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("construct", help="explicit families and transformations")
-    p.add_argument("family", choices=("regular", "star", "k2t", "k33",
-                                      "clique-product", "pump"))
+    p.add_argument("family", choices=FAMILIES)
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--s", type=int)

@@ -4,9 +4,12 @@ Pumping replicates a summand (every copy automatically inherits the
 original's outside neighborhood, since all vertices under a sum node share
 it).  The regular constructor realizes every feasible (n, d) pair by a loop
 that peels off cliques, complements and the complete multipartite block
-H_d; the star / K_{2,t} / K_{3,3} families realize the known extremal
-shapes; the subsequence utility extracts a zero-sum-mod-n subsequence by
-prefix-sum pigeonhole.
+H_d.  The K_{2,t}, K_{3,3} and clique-product families have one shape,
+built by ``_clique_join``: the paper's core K_{s-1} joined to copies of its
+(t-1)-regular pumping component K_t, plus a smaller clique for the
+remainder.  The star family searches the oracle's catalog where no
+regular cograph exists.  The subsequence utility extracts a
+zero-sum-mod-n subsequence by prefix-sum pigeonhole.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .cotree import (
     clique,
     complement,
     edgeless,
-    make_leaf,
     make_product,
     make_sum,
     max_degree,
@@ -160,12 +162,18 @@ def clique_product_family(s: int, t: int, r: int) -> Cotree:
         raise ValueError(f"need 1 <= s <= t and r >= 0, got ({s}, {t}, {r})")
     if s == 1 and r == 0:
         raise ValueError("empty graph: s = 1 with r = 0")
-    if r == 0:
-        return clique(s - 1)
-    pumped = make_sum([clique(t) for _ in range(r)])
-    if s == 1:
-        return pumped
-    return make_product([clique(s - 1), pumped])
+    return _clique_join(s - 1, t, r * t)
+
+
+def _clique_join(c: int, t: int, m: int) -> Cotree:
+    """K_c joined to m // t disjoint copies of K_t plus a clique on m % t
+    vertices; the sum alone when c = 0, and K_c alone when m = 0."""
+    parts = [clique(t)] * (m // t)
+    if m % t:
+        parts.append(clique(m % t))
+    if not parts:
+        return clique(c)
+    return make_product([clique(c), make_sum(parts)]) if c else make_sum(parts)
 
 
 def star_extremal(t: int, n: int, catalog_limit: int = 12) -> Cotree:
@@ -211,27 +219,19 @@ def star_extremal(t: int, n: int, catalog_limit: int = 12) -> Cotree:
 
 def k2t_extremal(t: int, n: int) -> Cotree:
     """An edge-maximal K_{2,t}-free cograph for t in {2, 3}: a universal
-    vertex joined to the best graph the join admits.
+    vertex joined to disjoint copies of K_t plus a remainder clique.
 
     The inner graph must keep max degree below t and pairwise common
     neighborhoods below t - 1 (the join contributes one shared neighbor to
-    every pair), so for t = 3 it is a packing of triangles with a remainder
-    clique rather than anything containing a four-cycle.
+    every pair): a matching for t = 2, and for t = 3 a packing of triangles
+    rather than anything containing a four-cycle.
     """
     if t not in (2, 3):
         raise ValueError(
             f"unsupported t={t}: only t in {{2, 3}} have the universal-vertex form")
     if n < 2:
         raise ValueError("need n >= 2")
-    m = n - 1
-    if t == 2:
-        inner = star_extremal(2, m)
-    else:
-        triangles = [clique(3) for _ in range(m // 3)]
-        rem = m % 3
-        parts = triangles + ([clique(rem)] if rem else [])
-        inner = make_sum(parts) if len(parts) > 1 else parts[0]
-    return make_product([make_leaf(), inner])
+    return _clique_join(1, t, n - 1)
 
 
 def k33_extremal(n: int) -> Cotree:
@@ -239,14 +239,7 @@ def k33_extremal(n: int) -> Cotree:
     triangles plus one clique on (n-2) mod 3 vertices."""
     if n < 2:
         raise ValueError("need n >= 2")
-    m = n - 2
-    parts = [clique(3) for _ in range(m // 3)]
-    if m % 3:
-        parts.append(clique(m % 3))
-    if not parts:
-        return clique(2)
-    inner = make_sum(parts) if len(parts) > 1 else parts[0]
-    return make_product([clique(2), inner])
+    return _clique_join(2, 3, n - 2)
 
 
 # =============================================================================

@@ -283,17 +283,27 @@ def registry_to_obj(r: Registry, prune: BicliqueProfile | None = None) -> dict:
 
 def registry_from_obj(obj: dict) -> tuple[Registry, BicliqueProfile | None]:
     """The registry and prune profile of a ``cogex.registry/1`` snapshot;
-    ValueError names the first missing or mistyped field."""
+    ValueError names the first missing or mistyped field, or the first
+    record whose key, edges or witnesses do not match the level's n and cap."""
     if not isinstance(obj, dict) or obj.get("format") != REGISTRY_FORMAT:
         raise ValueError(f"not a {REGISTRY_FORMAT} snapshot")
     where = "registry snapshot"
-    r = Registry(_field(obj, "n", int, where), _field(obj, "cap", int, where))
+    r = Registry(_field(obj, "n", int, where, least=1),
+                 _field(obj, "cap", int, where, least=1))
     for i, rec in enumerate(_field(obj, "records", list, where)):
         at = f"registry record {i}"
         rec = _object(rec, at)
         key = tuple(map(_value_from_json, _field(rec, "key", list, at)))
-        edges = _field(rec, "edges", int, at)
+        if len(key) != r.cap + 1:
+            raise ValueError(f"{at} key has {len(key)} entries, not cap + 1 = {r.cap + 1}")
+        if key[0] != r.n:
+            raise ValueError(f"{at} key entry 0 is {_value_to_json(key[0])}, not n = {r.n}")
+        edges = _field(rec, "edges", int, at, least=0)
         witnesses = tuple(map(cotree_from_obj, _field(rec, "witnesses", list, at)))
+        for j, w in enumerate(witnesses):
+            if (w.n, w.edges) != (r.n, edges):
+                raise ValueError(f"{at} witness {j} has {w.n} vertices and {w.edges} "
+                                 f"edges, not {r.n} and {edges}")
         r.records[key] = ExtremalRecord(key, edges, witnesses)
     prune = None if obj.get("prune") is None else parse_profile(_field(obj, "prune", str, where))
     return r, prune
@@ -325,15 +335,18 @@ def series_to_obj(series: ExtremalSeries, detected_period: int | None = None) ->
     }
 
 
-def _field(obj: dict, name: str, kind: type, where: str = "series snapshot"):
-    """obj[name], which must be a ``kind`` (not a bool); ValueError naming
-    the field otherwise."""
+def _field(obj: dict, name: str, kind: type, where: str = "series snapshot",
+           least: int | None = None):
+    """obj[name], which must be a ``kind`` (not a bool) and, given
+    ``least``, at least ``least``; ValueError naming the field otherwise."""
     if name not in obj:
         raise ValueError(f"{where} has no {name!r} field")
     value = obj[name]
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(f"{where} field {name!r} must be of type {kind.__name__}, "
                          f"got {type(value).__name__}")
+    if least is not None and value < least:
+        raise ValueError(f"{where} field {name!r} must be >= {least}, got {value}")
     return value
 
 
@@ -346,17 +359,17 @@ def _object(value, where: str) -> dict:
 
 def series_from_obj(obj: dict) -> ExtremalSeries:
     """The series of a ``cogex.series/1`` snapshot; ValueError names the
-    first missing or mistyped field."""
+    first missing or mistyped field, or a row with n < 1 or ex < 0."""
     if not isinstance(obj, dict) or obj.get("format") != SERIES_FORMAT:
         raise ValueError(f"not a {SERIES_FORMAT} snapshot")
     values = {}
     for i, row in enumerate(_field(obj, "rows", list)):
         at = f"series row {i}"
         row = _object(row, at)
-        n = _field(row, "n", int, at)
+        n = _field(row, "n", int, at, least=1)
         if n in values:
             raise ValueError(f"{at} repeats n = {n}")
-        values[n] = _field(row, "ex", int, at)
+        values[n] = _field(row, "ex", int, at, least=0)
     # a DP series has no gaps: the induced subgraphs of a cograph that
     # fulfills a profile fulfill it too
     for n in range(min(values, default=0), max(values, default=0)):

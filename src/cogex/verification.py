@@ -213,29 +213,22 @@ def verify_pareto_safety(
 
 
 def verify_constructions_meet_optimum(n_max: int = 9) -> CheckResult:
-    """star/k2t/k33 families reach the brute-force optimum at every n."""
+    """star/k2t/k33 families have n vertices, reach the brute-force optimum
+    and avoid their K_{s,t} at every n."""
     bad = []
     for n in range(1, n_max + 1):
-        for t in (2, 3):
-            want, _ = extremal_bruteforce(n, forbidden_biclique_profile(1, t),
-                                          limit=max(10, n_max))
-            g = star_extremal(t, n)
-            if g.edges != want or g.n != n:
-                bad.append(f"star({t},{n}): {g.edges} != {want}")
+        # (s, t, name, builder, its arguments); k2t and k33 start at n = 2
+        cases = [(1, t, f"star({t},{n})", star_extremal, (t, n)) for t in (2, 3)]
         if n >= 2:
-            for t in (2, 3):
-                want, _ = extremal_bruteforce(n, forbidden_biclique_profile(2, t),
-                                              limit=max(10, n_max))
-                g = k2t_extremal(t, n)
-                seq = biclique_sequence(g, g.n)
-                if (g.edges != want or g.n != n
-                        or not fulfills(seq, forbidden_biclique_profile(2, t))):
-                    bad.append(f"k2t({t},{n}): {g.edges} != {want}")
-            want, _ = extremal_bruteforce(n, forbidden_biclique_profile(3, 3),
-                                          limit=max(10, n_max))
-            g = k33_extremal(n)
-            if g.edges != want or g.n != n:
-                bad.append(f"k33({n}): {g.edges} != {want}")
+            cases += [(2, t, f"k2t({t},{n})", k2t_extremal, (t, n)) for t in (2, 3)]
+            cases.append((3, 3, f"k33({n})", k33_extremal, (n,)))
+        for s, t, name, build, args in cases:
+            profile = forbidden_biclique_profile(s, t)
+            want, _ = extremal_bruteforce(n, profile, limit=max(10, n_max))
+            g = build(*args)
+            if (g.edges != want or g.n != n
+                    or not fulfills(biclique_sequence(g, g.n), profile)):
+                bad.append(f"{name}: {g.edges} != {want}")
     return CheckResult("constructions-optimum", {"n_max": n_max}, not bad, "", bad)
 
 

@@ -219,6 +219,23 @@ def test_bounds_below_range_are_usage_errors(argv, named, capsys):
     assert named in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["construct", "regular", "--n", "7"], "regular needs --n and --d"),
+    (["construct", "star", "--t", "3"], "star needs --n and --t"),
+    (["construct", "k2t", "--n", "5"], "k2t needs --n and --t"),
+    (["construct", "k33"], "k33 needs --n"),
+    (["construct", "clique-product", "--s", "2", "--t", "3"],
+     "clique-product needs --s, --t and --r"),
+    (["construct", "pump", "--input", "g.json", "--k", "1"],
+     "pump needs --input, --path and --k"),
+], ids=["regular", "star", "k2t", "k33", "clique-product", "pump"])
+def test_construct_missing_option_is_usage_error(argv, named, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {named}\n"
+
+
 def test_analyze_snapshot_input(tmp_path, capsys):
     code, out, _ = run(["enumerate", "--s", "2", "--t", "2", "--n-max", "20"], capsys)
     snap = tmp_path / "series.json"
@@ -244,6 +261,13 @@ def test_analyze_snapshot_input(tmp_path, capsys):
       "constraint": "K{2,2}", "alpha": "1"}, "no row for n = 2"),
     ({"format": "cogex.series/1", "rows": [{"n": n, "ex": n} for n in (5, 3, 2)],
       "constraint": "K{2,2}", "alpha": "1"}, "no row for n = 4"),
+    ({"format": "cogex.series/1", "rows": [{"n": n, "ex": ex} for n, ex in
+                                           ((-1, -5), (0, 7), (1, 0))],
+      "constraint": "K{2,2}", "alpha": "1"}, "row 0 field 'n' must be >= 1, got -1"),
+    ({"format": "cogex.series/1", "rows": [{"n": 0, "ex": 7}, {"n": 1, "ex": 0}],
+      "constraint": "K{2,2}", "alpha": "1"}, "row 0 field 'n' must be >= 1, got 0"),
+    ({"format": "cogex.series/1", "rows": [{"n": 1, "ex": 0}, {"n": 2, "ex": -5}],
+      "constraint": "K{2,2}", "alpha": "1"}, "row 1 field 'ex' must be >= 0, got -5"),
 ])
 def test_analyze_malformed_snapshot_is_usage_error(snapshot, named, tmp_path, capsys):
     snap = tmp_path / "series.json"

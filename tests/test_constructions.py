@@ -21,11 +21,15 @@ from cogex.cotree import (
     biclique_sequence,
     clique,
     is_induced_p4_free,
+    make_leaf,
+    make_product,
+    make_sum,
     to_adjacency,
 )
 from cogex.enumerator import extremal_function
 from cogex.oracle import enumerate_cotrees, extremal_bruteforce
 from cogex.profile import alpha_for, forbidden_biclique_profile, fulfills
+from cogex.serialize import dumps_cotree
 
 
 def _sum_child_path(g):
@@ -244,6 +248,57 @@ def test_families_match_dp_past_oracle_scale(s, t, n_min, n_max, family):
             assert w.n == n and w.edges == series.values[n]
             assert to_adjacency(w, limit=n).edge_count() == w.edges
             assert fulfills(biclique_sequence(w, w.n), p)
+
+
+# The builders as they were before they shared one clique-join shape.
+
+def _old_clique_product_family(s, t, r):
+    if r == 0:
+        return clique(s - 1)
+    pumped = make_sum([clique(t) for _ in range(r)])
+    if s == 1:
+        return pumped
+    return make_product([clique(s - 1), pumped])
+
+
+def _old_k2t_extremal(t, n):
+    m = n - 1
+    if t == 2:
+        inner = star_extremal(2, m)
+    else:
+        triangles = [clique(3) for _ in range(m // 3)]
+        rem = m % 3
+        parts = triangles + ([clique(rem)] if rem else [])
+        inner = make_sum(parts) if len(parts) > 1 else parts[0]
+    return make_product([make_leaf(), inner])
+
+
+def _old_k33_extremal(n):
+    m = n - 2
+    parts = [clique(3) for _ in range(m // 3)]
+    if m % 3:
+        parts.append(clique(m % 3))
+    if not parts:
+        return clique(2)
+    inner = make_sum(parts) if len(parts) > 1 else parts[0]
+    return make_product([clique(2), inner])
+
+
+def _same_tree(a, b):
+    return (a == b and (a.n, a.edges) == (b.n, b.edges)
+            and dumps_cotree(a) == dumps_cotree(b))
+
+
+def test_clique_join_families_equal_their_old_builders():
+    for n in range(2, 61):
+        assert _same_tree(k33_extremal(n), _old_k33_extremal(n)), n
+        for t in (2, 3):
+            assert _same_tree(k2t_extremal(t, n), _old_k2t_extremal(t, n)), (t, n)
+    for s in range(1, 6):
+        for t in range(s, 9):
+            for r in range(int(s == 1), 11):
+                assert _same_tree(clique_product_family(s, t, r),
+                                  _old_clique_product_family(s, t, r)), (s, t, r)
 
 
 def test_constructions_are_cographs():

@@ -100,6 +100,18 @@ def test_registry_snapshot_round_trip():
     assert restored.records == regs[4].records
 
 
+@pytest.mark.parametrize("prune, cap, exhaustive", [
+    (forbidden_biclique_profile(3, 3), 2, True),
+    (None, 2, True),
+], ids=["k33-exhaustive", "no-prune"])
+def test_registry_snapshots_of_every_level_round_trip(prune, cap, exhaustive):
+    # the record checks hold on every real DP level, -inf key entries included
+    for reg in build_registries(8, cap, prune=prune, exhaustive=exhaustive):
+        restored, p = registry_from_obj(json.loads(json.dumps(registry_to_obj(reg, prune))))
+        assert (restored.n, restored.cap, p) == (reg.n, reg.cap, prune)
+        assert restored.records == reg.records
+
+
 def test_registry_snapshot_keys_are_ints_and_inf_text():
     p = forbidden_biclique_profile(2, 2)
     obj = registry_to_obj(build_registries(1, 2, prune=p)[0], p)
@@ -139,6 +151,26 @@ _RECORD = _registry_snapshot()["records"][0]
      "field 'witnesses' must be of type list, got dict"),
     (_registry_snapshot(prune=3), "field 'prune' must be of type str, got int"),
     ([1, 2], "not a cogex.registry/1 snapshot"),
+    (_registry_snapshot(n=0), "field 'n' must be >= 1, got 0"),
+    (_registry_snapshot(cap=0, records=[dict(_RECORD, key=[])]),
+     "field 'cap' must be >= 1, got 0"),
+    (_registry_snapshot(records=[dict(_RECORD, key=[7])]),
+     "record 0 key has 1 entries, not cap + 1 = 3"),
+    (_registry_snapshot(records=[_RECORD, dict(_RECORD, key=[3, 0, 0, 0])]),
+     "record 1 key has 4 entries, not cap + 1 = 3"),
+    (_registry_snapshot(records=[dict(_RECORD, key=[7, 0, 0])]),
+     "record 0 key entry 0 is 7, not n = 3"),
+    (_registry_snapshot(records=[dict(_RECORD, key=["-inf", 0, 0])]),
+     "record 0 key entry 0 is -inf, not n = 3"),
+    (_registry_snapshot(records=[dict(_RECORD, edges=-4)]),
+     "record 0 field 'edges' must be >= 0, got -4"),
+    (_registry_snapshot(records=[dict(_RECORD, witnesses=[{"op": "leaf"}])]),
+     "record 0 witness 0 has 1 vertices and 0 edges, not 3 and 0"),
+    (_registry_snapshot(records=[dict(_RECORD, edges=2)]),
+     "record 0 witness 0 has 3 vertices and 0 edges, not 3 and 2"),
+    (_registry_snapshot(records=[dict(_RECORD, key=[7], edges=-4,
+                                      witnesses=[{"op": "leaf"}])]),
+     "record 0 key has 1 entries, not cap + 1 = 3"),
 ])
 def test_registry_snapshot_malformed_fields_are_named(obj, named):
     with pytest.raises(ValueError, match=re.escape(named)):

@@ -1,5 +1,7 @@
 """The bundled verification suite stays green and reports structure."""
 
+import cogex.verification as verification
+from cogex.cotree import clique, edgeless, make_product, make_sum
 from cogex.verification import (
     run_suite,
     verify_constructions_meet_optimum,
@@ -15,6 +17,25 @@ def test_individual_checks_pass():
     assert verify_strict_bound(2, 2, 20).passed
     assert verify_restriction_transport(3, 4).passed
     assert verify_constructions_meet_optimum(8).passed
+
+
+def test_constructions_optimum_checks_freeness(monkeypatch):
+    # same vertex and edge counts as the families, but each holds its K_{s,t}:
+    # P_3 + K_1 has a K_{1,2}, K_3 x E_3 a K_{3,3}; and E_2 is one edge short
+    # at the smallest n that k2t covers
+    star, k2t, k33 = (verification.star_extremal, verification.k2t_extremal,
+                      verification.k33_extremal)
+    p3_k1 = make_sum([make_product([clique(1), edgeless(2)]), clique(1)])
+    monkeypatch.setattr(verification, "star_extremal",
+                        lambda t, n: p3_k1 if (t, n) == (2, 4) else star(t, n))
+    monkeypatch.setattr(verification, "k2t_extremal",
+                        lambda t, n: edgeless(2) if (t, n) == (3, 2) else k2t(t, n))
+    monkeypatch.setattr(verification, "k33_extremal",
+                        lambda n: make_product([clique(3), edgeless(3)]) if n == 6 else k33(n))
+    result = verify_constructions_meet_optimum(7)
+    assert not result.passed
+    assert result.counterexamples == ["k2t(3,2): 0 != 1", "star(2,4): 2 != 2",
+                                      "k33(6): 12 != 12"]
 
 
 def test_pump_invariants_deterministic_seed():
