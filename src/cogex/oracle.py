@@ -8,12 +8,13 @@ spot checks used by the verification suite.  The structure checks are
 guarded once: ``check_structure_theorems`` checks its largest n against
 the catalog limit before any work.
 
-Biclique sequences come from one pass over the subset lattice: a set's
-common neighborhood is that of the set without its highest vertex, ANDed
-with that vertex's row.  Extremal values read a per-n table, built on
-first use and kept for the process, that groups the catalog by
-brute-force sequence, so each distinct sequence is tested against a
-profile once rather than each graph.
+Biclique sequences count every vertex set at once.  Each vertex's row
+becomes a 2^n-bit integer whose bit S is set iff the set S lies inside
+that vertex's neighborhood; these add up, bit-sliced, to the size of every
+set's common neighborhood, and entry k is the largest count among the
+k-sets.  Extremal values read a per-n table, built on first use and kept
+for the process, that groups the catalog by brute-force sequence, so each
+distinct sequence is tested against a profile once rather than each graph.
 
 The biclique computations here deliberately avoid the cotree recursion:
 they work on adjacency bitmasks only, so they can serve as an independent
@@ -28,6 +29,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .cotree import (
+    DEFAULT_ADJACENCY_LIMIT,
     NEG_INF,
     AdjacencyGraph,
     BicliqueSequence,
@@ -162,30 +164,57 @@ def contains_biclique(a: AdjacencyGraph, s: int, t: int) -> bool:
     return False
 
 
-def biclique_sequence_bruteforce(a: AdjacencyGraph, cap: int) -> BicliqueSequence:
-    """Entries 0..cap of the biclique sequence by common-neighborhood search.
+@lru_cache(maxsize=None)
+def _k_set_masks(n: int) -> tuple[int, ...]:
+    """For k = 0..n, the 2^n-bit integer whose bit S is set iff the vertex
+    set S has k members.  Built on first use for each n."""
+    if n == 0:
+        return (1,)
+    below = _k_set_masks(n - 1) + (0,)
+    shift = 1 << (n - 1)
+    return (1, *(below[k] | below[k - 1] << shift for k in range(1, n + 1)))
 
-    One pass over the subset lattice, pruned to sets of at most ``cap``
-    vertices: a set's common neighborhood is that of the set without its
-    highest vertex, ANDed with that vertex's row.  Rows are loop-free, so a
-    nonempty set never meets its own common neighborhood.  A set whose
-    common neighborhood is empty is not grown further, since the edgeless
-    biclique K_{s,0} is already the floor of every entry with s <= n.
+
+def biclique_sequence_bruteforce(a: AdjacencyGraph, cap: int) -> BicliqueSequence:
+    """Entries 0..cap of the biclique sequence, counted for every vertex set
+    at once.
+
+    Bit S of a vertex's inside-mask is set iff the set S lies inside the
+    vertex's row.  Adding the masks of all vertices into bit-planes (plane b
+    holds bit b of every set's count, kept by a ripple carry) gives the size
+    of every set's common neighborhood.  Rows are loop-free, so a nonempty
+    set never meets its own common neighborhood.  Entry k is the largest
+    count among the k-sets, read from the top plane down.  Graphs above
+    ``DEFAULT_ADJACENCY_LIMIT`` vertices are a CapacityError.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
+    if a.n > DEFAULT_ADJACENCY_LIMIT:
+        raise CapacityError(f"brute-force sequence of {a.n} vertices exceeds "
+                            f"limit {DEFAULT_ADJACENCY_LIMIT}")
     top = min(cap, a.n)
-    best = [0] * (top + 1)
-    # commons[k]: the nonempty common neighborhoods of the k-sets among the
-    # vertices seen so far; the empty set's is every vertex
-    commons: list[list[int]] = [[(1 << a.n) - 1]] + [[] for _ in range(top)]
-    for v, row in enumerate(a.rows):
-        for k in range(min(top, v + 1), 0, -1):
-            grown = [m for c in commons[k - 1] if (m := c & row)]
-            if grown:
-                commons[k] += grown
-                best[k] = max(best[k], max(map(int.bit_count, grown)))
-    return BicliqueSequence((a.n, *best[1:]) + (NEG_INF,) * (cap - top))
+    planes = [0] * a.n.bit_length()
+    for row in a.rows:
+        inside = 1
+        while row:
+            low = row & -row
+            inside |= inside << (1 << (low.bit_length() - 1))
+            row ^= low
+        for b, plane in enumerate(planes):
+            planes[b] = plane ^ inside
+            inside &= plane
+            if not inside:
+                break
+    masks = _k_set_masks(a.n)
+    best = []
+    for k in range(1, top + 1):
+        sets, count = masks[k], 0
+        for b in range(len(planes) - 1, -1, -1):
+            if hit := sets & planes[b]:
+                sets = hit
+                count |= 1 << b
+        best.append(count)
+    return BicliqueSequence((a.n, *best) + (NEG_INF,) * (cap - top))
 
 
 @lru_cache(maxsize=None)

@@ -24,6 +24,7 @@ from .cotree import (
     AdjacencyGraph,
     Cotree,
     _node,
+    biclique_sequence,
     canonical_form,
     fold,
 )
@@ -259,6 +260,10 @@ def _value_to_json(v: float) -> int | str:
     return _format_value(v) if v in (INF, NEG_INF) else int(v)
 
 
+def _key_to_json(key: tuple) -> list:
+    return [_value_to_json(v) for v in key]
+
+
 def _value_from_json(v) -> float:
     """Inverse of ``_value_to_json``; a non-integer entry raises ValueError."""
     return _parse_value(str(v))
@@ -272,7 +277,7 @@ def registry_to_obj(r: Registry, prune: BicliqueProfile | None = None) -> dict:
         "prune": None if prune is None else format_profile(prune),
         "records": [
             {
-                "key": [_value_to_json(v) for v in key],
+                "key": _key_to_json(key),
                 "edges": rec.edges,
                 "witnesses": [cotree_to_obj(w) for w in rec.witnesses],
             }
@@ -283,8 +288,10 @@ def registry_to_obj(r: Registry, prune: BicliqueProfile | None = None) -> dict:
 
 def registry_from_obj(obj: dict) -> tuple[Registry, BicliqueProfile | None]:
     """The registry and prune profile of a ``cogex.registry/1`` snapshot;
-    ValueError names the first missing or mistyped field, or the first
-    record whose key, edges or witnesses do not match the level's n and cap."""
+    ValueError names the first missing or mistyped field, the first record
+    whose key, edges or witnesses do not match the level's n and cap, the
+    first record that repeats a key, or the first witness whose biclique
+    sequence at the level's cap is not its record's key."""
     if not isinstance(obj, dict) or obj.get("format") != REGISTRY_FORMAT:
         raise ValueError(f"not a {REGISTRY_FORMAT} snapshot")
     where = "registry snapshot"
@@ -298,12 +305,19 @@ def registry_from_obj(obj: dict) -> tuple[Registry, BicliqueProfile | None]:
             raise ValueError(f"{at} key has {len(key)} entries, not cap + 1 = {r.cap + 1}")
         if key[0] != r.n:
             raise ValueError(f"{at} key entry 0 is {_value_to_json(key[0])}, not n = {r.n}")
+        if key in r.records:
+            raise ValueError(f"{at} repeats the key of registry record "
+                             f"{list(r.records).index(key)}")
         edges = _field(rec, "edges", int, at, least=0)
         witnesses = tuple(map(cotree_from_obj, _field(rec, "witnesses", list, at)))
         for j, w in enumerate(witnesses):
             if (w.n, w.edges) != (r.n, edges):
                 raise ValueError(f"{at} witness {j} has {w.n} vertices and {w.edges} "
                                  f"edges, not {r.n} and {edges}")
+            if (seq := biclique_sequence(w, r.cap).entries) != key:
+                raise ValueError(f"{at} witness {j} has biclique sequence "
+                                 f"{json.dumps(_key_to_json(seq))}, not its key "
+                                 f"{json.dumps(_key_to_json(key))}")
         r.records[key] = ExtremalRecord(key, edges, witnesses)
     prune = None if obj.get("prune") is None else parse_profile(_field(obj, "prune", str, where))
     return r, prune

@@ -61,3 +61,28 @@ def test_pareto_filter_runs_once_per_level(monkeypatch):
         regs = enumerator.build_registries(n_max, cap, prune=prune)
         assert len(results) == n_max - 1
         assert results == [len(r) for r in regs[1:]]
+
+
+def test_bruteforce_sequence_runs_once_per_catalog_graph(monkeypatch):
+    """The benchmark reads the calls to biclique_sequence_bruteforce as one
+    per catalog graph: building the sequence tables for n = 1..9 calls it
+    once for each of the 2,341 graphs, at cap n, through its module name."""
+    from cogex import oracle
+
+    calls = []
+    original = oracle.biclique_sequence_bruteforce
+
+    def record(a, cap):
+        calls.append((a.n, cap))
+        return original(a, cap)
+
+    monkeypatch.setattr(oracle, "biclique_sequence_bruteforce", record)
+    oracle._sequence_table.cache_clear()
+    try:
+        for n in range(1, 10):
+            oracle._sequence_table(n)
+    finally:
+        oracle._sequence_table.cache_clear()
+    assert len(calls) == 2341
+    assert calls == [(n, n) for n in range(1, 10)
+                     for _ in oracle.enumerate_cotrees(n).items]

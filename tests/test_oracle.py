@@ -1,5 +1,6 @@
 """Oracle soundness and completeness; independent census cross-checks."""
 
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -159,6 +160,24 @@ def _reference_sequence(a, cap):
     return BicliqueSequence(tuple(entries))
 
 
+def _lattice_sequence(a, cap):
+    """Biclique sequence by one pass over the subset lattice, pruned to sets
+    of at most cap vertices: a set's common neighborhood is that of the set
+    without its highest vertex, ANDed with that vertex's row."""
+    top = min(cap, a.n)
+    best = [0] * (top + 1)
+    # commons[k]: the nonempty common neighborhoods of the k-sets among the
+    # vertices seen so far; the empty set's is every vertex
+    commons = [[(1 << a.n) - 1]] + [[] for _ in range(top)]
+    for v, row in enumerate(a.rows):
+        for k in range(min(top, v + 1), 0, -1):
+            grown = [m for c in commons[k - 1] if (m := c & row)]
+            if grown:
+                commons[k] += grown
+                best[k] = max(best[k], max(map(int.bit_count, grown)))
+    return BicliqueSequence((a.n, *best[1:]) + (NEG_INF,) * (cap - top))
+
+
 def _reference_extremal(n, p):
     """Max edges and witnesses by a scan of every catalog graph, no table."""
     best = -1
@@ -201,6 +220,27 @@ def test_bruteforce_sequence_matches_reference_off_cographs(a, cap):
     assert biclique_sequence_bruteforce(a, cap) == _reference_sequence(a, cap)
 
 
+def test_bruteforce_sequence_matches_lattice_at_n10():
+    for g in enumerate_cotrees(10).items:
+        a = to_adjacency(g)
+        assert biclique_sequence_bruteforce(a, 10) == _lattice_sequence(a, 10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(11, 16), st.sampled_from([0.1, 0.3, 0.7, 0.95]),
+       st.integers(0, 2**32 - 1), st.integers(0, 18))
+def test_bruteforce_sequence_matches_lattice_up_to_16(n, density, seed, cap):
+    rng = random.Random(seed)
+    a = AdjacencyGraph.from_edges(n, [e for e in combinations(range(n), 2)
+                                      if rng.random() < density])
+    assert biclique_sequence_bruteforce(a, cap) == _lattice_sequence(a, cap)
+
+
+def test_bruteforce_sequence_capacity():
+    with pytest.raises(CapacityError, match="17 vertices exceeds limit 16"):
+        biclique_sequence_bruteforce(AdjacencyGraph(17, (0,) * 17), 2)
+
+
 def test_bruteforce_sequence_empty_graph_and_bad_cap():
     assert biclique_sequence_bruteforce(AdjacencyGraph(0, ()), 2).entries == \
         (0, NEG_INF, NEG_INF)
@@ -209,11 +249,13 @@ def test_bruteforce_sequence_empty_graph_and_bad_cap():
 
 
 def test_sequence_table_not_built_at_import():
-    code = ("import cogex.cli, cogex.oracle; "
-            "print(cogex.oracle._sequence_table.cache_info().currsize)")
+    # neither the per-n sequence tables nor the k-set masks
+    code = ("import cogex.cli, cogex.oracle as o; "
+            "print(o._sequence_table.cache_info().currsize, "
+            "o._k_set_masks.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "0"
+    assert out.split() == ["0", "0"]
 
 
 def test_sequence_table_groups_the_catalog():

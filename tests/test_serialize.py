@@ -12,6 +12,7 @@ from cogex.oracle import enumerate_cotrees
 from cogex.profile import forbidden_biclique_profile
 from cogex.serialize import (
     CotreeFormatError,
+    cotree_to_obj,
     dumps_cotree,
     graph6_bytes,
     loads_cotree,
@@ -171,6 +172,20 @@ _RECORD = _registry_snapshot()["records"][0]
     (_registry_snapshot(records=[dict(_RECORD, key=[7], edges=-4,
                                       witnesses=[{"op": "leaf"}])]),
      "record 0 key has 1 entries, not cap + 1 = 3"),
+    # a repeated key: K_{2,2} level 3 has three records, the fourth repeats one
+    (_registry_snapshot(records=_registry_snapshot()["records"] + [_RECORD]),
+     "registry record 3 repeats the key of registry record 0"),
+    (_registry_snapshot(records=[_RECORD, dict(_RECORD, edges=5)]),
+     "registry record 1 repeats the key of registry record 0"),
+    # a witness whose sequence is not its key: K_3 under the edgeless key
+    (_registry_snapshot(records=[dict(_RECORD, edges=3, witnesses=[cotree_to_obj(clique(3))])]),
+     "record 0 witness 0 has biclique sequence [3, 2, 1], not its key [3, 0, 0]"),
+    (_registry_snapshot(records=[dict(_RECORD, witnesses=[_RECORD["witnesses"][0]] * 2),
+                                 dict(_RECORD, key=[3, 1, 1], edges=0)]),
+     "record 1 witness 0 has biclique sequence [3, 0, 0], not its key [3, 1, 1]"),
+    (_registry_snapshot(n=1, records=[{"key": [1, 0, 0], "edges": 0,
+                                       "witnesses": [{"op": "leaf"}]}]),
+     'record 0 witness 0 has biclique sequence [1, 0, "-inf"], not its key [1, 0, 0]'),
 ])
 def test_registry_snapshot_malformed_fields_are_named(obj, named):
     with pytest.raises(ValueError, match=re.escape(named)):
