@@ -5,7 +5,9 @@ Level n holds a registry mapping truncated biclique sequences (the first
 witness cotrees.  Level n is generated from every split n = n1 + n2 by
 combining record keys under sum and product, pruning keys that violate
 the constraint profile, and reducing to the Pareto frontier over
-(smaller key, more edges) unless exhaustive mode keeps every key.
+(smaller key, more edges) unless exhaustive mode keeps every key.  A
+record keeps the part records it came from, and its witnesses are built
+from theirs when first read: a series reads those of a few records only.
 
 Keys determine how a part behaves inside any larger composition, so
 replacing a part by one with a pointwise smaller-or-equal key and at
@@ -30,9 +32,11 @@ slack, the least window[j] - key[j] over the window's bounded entries, and
 only pairs of parts whose slack covers the other part's size reach
 ``product_entries`` on tuple keys, whose result is coded and tested like a
 sum's; when n1 and n2 are both at least s, no K_{s,t} join survives and
-none is computed.  A level's rows hold its records, from which witnesses
-are built.  Survivors are decoded once, so registries and everything
-after the DP see tuple keys.
+none is computed.  The Pareto filter groups kept codes by bit length: a
+code that dominates another is a bitwise subset of it, so not longer, and
+a candidate is tested against the groups no longer than itself only.
+Survivors are decoded once, so registries and everything after the DP see
+tuple keys.
 The loop stays pure Python: importing numpy would raise the CLI's peak
 resident set from about 18 MB to 30 MB.
 """
@@ -69,11 +73,80 @@ Key = tuple[float, ...]
 DEFAULT_WITNESS_LIMIT = 8
 
 
-@dataclass(frozen=True)
 class ExtremalRecord:
-    key: Key
-    edges: int
-    witnesses: tuple[Cotree, ...]
+    """A registry record: a key, its best edge count and its witnesses.
+
+    ``ExtremalRecord(key, edges, witnesses)`` holds its witnesses.  The DP
+    makes records that hold their sources instead, ``(make_sum or
+    make_product, part record, part record)`` for each pair of parts
+    reaching the best edge count, and the witness limit; the first read of
+    ``witnesses`` builds them, ``tuple(sorted({maker([a, b]) ...}))[:limit]``
+    over the parts' witnesses, together with those of every unbuilt record
+    below, parts first, and drops the sources.  Concurrent first reads
+    build the same tuple.  Equality, hash and repr are on (key, edges,
+    witnesses), so they build the witnesses too.
+    """
+
+    __slots__ = ("key", "edges", "_witnesses", "_pending")
+
+    def __init__(self, key: Key, edges: int, witnesses: tuple[Cotree, ...]):
+        self.key = key
+        self.edges = edges
+        self._witnesses = witnesses
+        self._pending: tuple[list[tuple], int | None] | None = None
+
+    @classmethod
+    def _lazy(cls, key: Key, edges: int, sources: list[tuple],
+              limit: int | None) -> ExtremalRecord:
+        rec = cls(key, edges, ())
+        rec._pending = (sources, limit)
+        return rec
+
+    @property
+    def witnesses(self) -> tuple[Cotree, ...]:
+        if self._pending is not None:
+            _build_witnesses(self)
+        return self._witnesses
+
+    def _fields(self) -> tuple:
+        return self.key, self.edges, self.witnesses
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"ExtremalRecord(key={self.key!r}, edges={self.edges!r}, "
+                f"witnesses={self.witnesses!r})")
+
+
+def _build_witnesses(top: ExtremalRecord) -> None:
+    """Build the witnesses of ``top`` and of every unbuilt record below it,
+    parts first, on an explicit stack (chains of parts are as deep as n).
+    A record's witnesses are set before its sources are dropped, so a
+    record without sources has its witnesses."""
+    stack = [top]
+    while stack:
+        rec = stack[-1]
+        pending = rec._pending
+        if pending is None:
+            stack.pop()
+            continue
+        sources, limit = pending
+        unbuilt = [r for _, r1, r2 in sources for r in (r1, r2)
+                   if r._pending is not None]
+        if unbuilt:
+            stack += unbuilt
+            continue
+        rec._witnesses = tuple(sorted({
+            maker([a, b]) for maker, r1, r2 in sources
+            for a in r1._witnesses for b in r2._witnesses}))[:limit]
+        rec._pending = None
+        stack.pop()
 
 
 class Registry:
@@ -96,21 +169,34 @@ class Registry:
 def pareto_filter(candidates: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
     """Non-dominated (code, edges) pairs of one level, codes from ``_encode``:
     no other pair has a pointwise smaller-or-equal key (``not other & ~code``)
-    and at least as many edges with one strict."""
+    and at least as many edges with one strict.
+
+    Kept codes are grouped by bit length.  A code that is a bitwise subset
+    of another is at most the other, so no group longer than a candidate
+    holds a code dominating it (for non-negative codes), and such groups
+    are skipped.
+    """
     best: dict[int, int] = {}
     for code, edges in candidates:
         if best.get(code, -1) < edges:
             best[code] = edges
-    kept: list[int] = []
+    groups: dict[int, list[int]] = {}
     for code, _ in sorted(best.items(), key=lambda kv: (-kv[1], kv[0])):
         # every kept code has at least as many edges, by sort order
+        length = code.bit_length()
         over = ~code
-        for kcode in kept:
-            if not kcode & over:
-                break
-        else:
-            kept.append(code)
-    return {(code, best[code]) for code in kept}
+        dominated = False
+        for size, group in groups.items():
+            if size <= length:
+                for kcode in group:
+                    if not kcode & over:
+                        dominated = True
+                        break
+                if dominated:
+                    break
+        if not dominated:
+            groups.setdefault(length, []).append(code)
+    return {(code, best[code]) for group in groups.values() for code in group}
 
 
 def _encode(entries: Sequence[float], width: int) -> int:
@@ -182,16 +268,14 @@ def build_registries(
     # per level: (code, record, edges, join slack) for each record, in key order
     rows: list[list[tuple[int, ExtremalRecord, int, float]]] = [[] for _ in registries]
 
-    def keep(n: int, code: int, edges: int, wits: set[Cotree]) -> None:
+    def keep(n: int, code: int, rec: ExtremalRecord) -> None:
         """Store the record of a surviving code of level n and append its row."""
-        key = _decode(code, n, cap, width)
-        rec = ExtremalRecord(key, edges, tuple(sorted(wits))[:witness_limit])
-        registries[n - 1].records[key] = rec
-        rows[n - 1].append((code, rec, edges, _join_slack(key, window, bounded)))
+        registries[n - 1].records[rec.key] = rec
+        rows[n - 1].append((code, rec, rec.edges, _join_slack(rec.key, window, bounded)))
 
     leaf = _encode(_leaf_entries(cap), width)
     if 1 <= window[0] and not leaf & over:
-        keep(1, leaf, 0, {make_leaf()})
+        keep(1, leaf, ExtremalRecord(_decode(leaf, 1, cap, width), 0, (make_leaf(),)))
 
     for n in range(2, n_max + 1):
         # pass 1: combine keys, remembering where each best candidate came
@@ -247,11 +331,12 @@ def build_registries(
             frontier = pareto_filter((c, e) for c, (e, _) in candidates.items())
             surviving = {c for c, _ in frontier}
 
-        # pass 3: materialize witnesses for survivors only, in key order
+        # survivors keep their sources, in key order; witnesses are built
+        # when first read
         for code in sorted(surviving):
             edges, sources = candidates[code]
-            keep(n, code, edges, {maker([a, b]) for maker, r1, r2 in sources
-                                  for a in r1.witnesses for b in r2.witnesses})
+            keep(n, code, ExtremalRecord._lazy(
+                _decode(code, n, cap, width), edges, sources, witness_limit))
 
     return registries
 

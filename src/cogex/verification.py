@@ -141,16 +141,22 @@ def verify_restriction_transport(
            for g in enumerate_cotrees(n).items]
     g2s = [g for n in range(1, g2_max + 1)
            for g in enumerate_cotrees(n).items]
+
+    def seq(g):
+        return biclique_sequence(g, g.n)
+
+    # every sequence once: G1's, G2's and, per G1, each product's
+    seqs1 = [seq(g1) for g1 in g1s]
+    seqs2 = [seq(g2) for g2 in g2s]
+    prod_seqs = [[seq(make_product([g1, g2])) for g2 in g2s] for g1 in g1s]
     for s, t in pairs:
         p = forbidden_biclique_profile(s, t)
-        for g1 in g1s:
-            s1 = biclique_sequence(g1, g1.n)
+        for g1, s1, prods in zip(g1s, seqs1, prod_seqs):
             restricted = restrict(p, s1)
-            for g2 in g2s:
+            for g2, s2, sp in zip(g2s, seqs2, prods):
                 count += 1
-                prod = make_product([g1, g2])
-                lhs = fulfills(biclique_sequence(prod, prod.n), p)
-                rhs = fulfills(biclique_sequence(g2, g2.n), restricted)
+                lhs = fulfills(sp, p)
+                rhs = fulfills(s2, restricted)
                 if lhs != rhs:
                     bad.append(f"({s},{t}) {to_formula(g1)} x {to_formula(g2)}: "
                                f"product={lhs} restricted={rhs}")

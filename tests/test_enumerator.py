@@ -1,8 +1,11 @@
 """Registry DP: building, Pareto filtering, queries, series, periodicity."""
 
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies
 
 from cogex.cotree import (
     NEG_INF,
@@ -18,6 +21,7 @@ from cogex.cotree import (
 from cogex import enumerator
 from cogex.enumerator import (
     DEFAULT_WITNESS_LIMIT,
+    ExtremalRecord,
     ExtremalSeries,
     _decode,
     _encode,
@@ -110,10 +114,11 @@ def _tuple_frontier(pairs):
                        for k2, e2 in pairs)}
 
 
-@pytest.mark.parametrize("st", [(3, 3), (4, 4)])
+@pytest.mark.parametrize("st", [(3, 3), (4, 4), (5, 5)])
 def test_pareto_filter_on_codes_matches_tuple_filter(st, monkeypatch):
     """On every level's candidates, the filter on codes keeps the frontier
-    that the all-pairs filter keeps on the decoded keys."""
+    that the all-pairs filter keeps on the decoded keys; the wide K_{5,5}
+    levels keep codes of many bit lengths."""
     levels = []
     original = enumerator.pareto_filter
 
@@ -131,6 +136,25 @@ def test_pareto_filter_on_codes_matches_tuple_filter(st, monkeypatch):
         decoded = [(_decode(c, n, cap, width), e) for c, e in candidates]
         assert {(_decode(c, n, cap, width), e) for c, e in original(candidates)} == \
             _tuple_frontier(decoded)
+
+
+# small codes repeat and nest often, large ones have many bit lengths
+_codes = strategies.one_of(strategies.integers(0, 63),
+                         strategies.integers(min_value=0))
+
+
+@given(strategies.lists(strategies.tuples(_codes, strategies.integers(0, 3)),
+                        max_size=40))
+def test_pareto_filter_matches_all_pairs_subset_filter(pairs):
+    """On any non-negative codes, with repeated codes and tied edges, the
+    filter keeps each code's best edges unless another code that is a
+    bitwise subset has at least as many."""
+    best = {}
+    for code, edges in pairs:
+        best[code] = max(best.get(code, -1), edges)
+    assert pareto_filter(pairs) == {
+        (c, e) for c, e in best.items()
+        if not any(c2 != c and e2 >= e and not c2 & ~c for c2, e2 in best.items())}
 
 
 def old_joinable(key, other_n, window, bounded):
@@ -357,6 +381,61 @@ def test_witnesses_have_claimed_size_and_edges():
         for w in wits:
             assert w.n == n
             assert w.edges == series.values[n]
+
+
+def _count_witness_builds(monkeypatch):
+    """Patch the enumerator's cotree constructors with one call counter."""
+    calls = [0]
+    for name in ("make_sum", "make_product"):
+        def counted(parts, original=getattr(enumerator, name)):
+            calls[0] += 1
+            return original(parts)
+        monkeypatch.setattr(enumerator, name, counted)
+    return calls
+
+
+def test_registries_build_no_witness(monkeypatch):
+    calls = _count_witness_builds(monkeypatch)
+    build_registries(48, **_kst(3, 3))
+    assert calls[0] == 0
+
+
+def test_series_builds_the_witnesses_it_reads(monkeypatch):
+    # building every record's witnesses would take 9,009 calls
+    calls = _count_witness_builds(monkeypatch)
+    extremal_function(3, 3, range(1, 49))
+    assert calls[0] == 681
+
+
+def test_lazy_record_keeps_the_first_witnesses_of_every_pair():
+    part = ExtremalRecord((2, 0), 0, (clique(2), edgeless(2)))
+    every = sorted({maker([a, b]) for maker in (make_sum, make_product)
+                    for a in part.witnesses for b in part.witnesses})
+    assert len(every) > 3
+    lazy = ExtremalRecord._lazy(
+        (4, 0), 0, [(make_sum, part, part), (make_product, part, part)], 3)
+    eager = ExtremalRecord((4, 0), 0, tuple(every[:3]))
+    assert lazy.witnesses == eager.witnesses
+    assert lazy == eager and hash(lazy) == hash(eager) and repr(lazy) == repr(eager)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deep_witnesses_build_without_recursion():
+    # the witness at n = 300 rests on a chain of records down to n = 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        series = extremal_function(1, 2, range(300, 301))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert series.values == {300: 150}
+    assert all(w.n == 300 and w.edges == 150 for w in series.witnesses[300])
 
 
 def test_exhaustive_witnesses_match_oracle():
