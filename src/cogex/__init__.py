@@ -2,7 +2,6 @@
 
 from .cotree import (
     AdjacencyGraph,
-    BicliqueSequence,
     CapacityError,
     Cotree,
     biclique_sequence,

@@ -350,11 +350,12 @@ def _validate(args: argparse.Namespace) -> None:
             raise ValueError(f"need 1 <= s <= t, got ({args.s}, {args.t})")
         if args.n_min > args.n_max:
             raise ValueError("--n-min exceeds --n-max")
-    for name in ("n", "n_min", "n_max"):
+    for name in ("n", "n_min", "n_max", "witness_max", "max_records", "catalog_max"):
         if opts.get(name) is not None and opts[name] < 1:
             raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
-    if opts.get("witness_max", 1) < 1:
-        raise ValueError("--witness-max must be >= 1")
+    # verify all runs dp-vs-oracle too, on the default pairs unless both are given
+    if opts.get("check") in ("all", "dp-vs-oracle") and (args.s is None) != (args.t is None):
+        raise ValueError(f"verify {args.check} needs both --s and --t, or neither")
     if opts.get("periods") and min(args.periods) < 1:
         raise ValueError("--periods entries must be >= 1")
 

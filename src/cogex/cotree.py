@@ -21,6 +21,10 @@ the default recursion limit: traversals use ``fold``, a post-order fold
 over an explicit stack, or ``summands``, a pre-order walk over the
 children of sum nodes; pre-order writers keep their own explicit stacks.
 
+A biclique sequence is a plain tuple of entries 0..cap (``Entries``),
+folded over the cotree by ``biclique_sequence``; the DP's keys, the
+oracle's sequence table and registry snapshots hold the same tuple.
+
 Everything here is immutable after construction and safe to share between
 threads.
 """
@@ -335,60 +339,19 @@ def is_induced_p4_free(a: AdjacencyGraph) -> bool:
 # Biclique sequences
 # =============================================================================
 
-class BicliqueSequence:
-    """Exact biclique sequence of a concrete cograph, entries 0..cap.
-
-    ``entries[s]`` is the largest t such that the complete bipartite graph
-    with part sizes s and t is a subgraph; the empty part convention makes
-    ``entries[0]`` the vertex count and gives a floor of 0 whenever s <= n.
-    Indices beyond the vertex count are minus infinity; if the stored window
-    reaches that far the sequence is *complete* and indexing past the end is
-    allowed.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[float, ...]):
-        if not entries:
-            raise ValueError("sequence needs at least entry 0")
-        self.entries = entries
-
-    @property
-    def n(self) -> int:
-        return int(self.entries[0])
-
-    @property
-    def cap(self) -> int:
-        return len(self.entries) - 1
-
-    @property
-    def complete(self) -> bool:
-        return self.cap >= self.n
-
-    def __getitem__(self, i: int) -> float:
-        if i < 0:
-            raise IndexError(i)
-        if i < len(self.entries):
-            return self.entries[i]
-        if self.complete:
-            return NEG_INF
-        raise IndexError(f"entry {i} not computed (cap={self.cap}, incomplete)")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BicliqueSequence) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        return f"BicliqueSequence{self.entries}"
+# Entries 0..cap of a biclique sequence: entry s is the largest t such that
+# the complete bipartite graph with part sizes s and t is a subgraph.  The
+# empty part convention makes entry 0 the vertex count n and gives a floor
+# of 0 whenever s <= n.  Entries past n are minus infinity, so a sequence
+# with len(seq) > seq[0] is complete: it holds every finite entry.
+Entries = tuple[float, ...]
 
 
-def _leaf_entries(cap: int) -> tuple[float, ...]:
+def _leaf_entries(cap: int) -> Entries:
     return (1, 0) + (NEG_INF,) * (cap - 1) if cap >= 1 else (1,)
 
 
-def sum_entries(e1: tuple[float, ...], e2: tuple[float, ...], cap: int) -> tuple[float, ...]:
+def sum_entries(e1: Entries, e2: Entries, cap: int) -> Entries:
     """Entries 0..cap of the sequence of a disjoint union.
 
     For s >= 1 a biclique with both parts nonempty is connected, so the
@@ -405,7 +368,7 @@ def sum_entries(e1: tuple[float, ...], e2: tuple[float, ...], cap: int) -> tuple
     return tuple(out)
 
 
-def product_entries(e1: tuple[float, ...], e2: tuple[float, ...], cap: int) -> tuple[float, ...]:
+def product_entries(e1: Entries, e2: Entries, cap: int) -> Entries:
     """Entries 0..cap of the sequence of a join: max-plus convolution."""
     out: list[float] = []
     for s in range(cap + 1):
@@ -421,19 +384,18 @@ def product_entries(e1: tuple[float, ...], e2: tuple[float, ...], cap: int) -> t
     return tuple(out)
 
 
-def biclique_sequence(g: Cotree, cap: int) -> BicliqueSequence:
+def biclique_sequence(g: Cotree, cap: int) -> Entries:
     """Entries 0..cap of the biclique sequence, folded over the cotree."""
     if cap < 0:
         raise ValueError("cap must be >= 0")
     combine = {SUM: sum_entries, PROD: product_entries}
-    return BicliqueSequence(fold(g, _leaf_entries(cap), lambda node, parts: reduce(
-        lambda acc, p: combine[node.kind](acc, p, cap), parts)))
+    return fold(g, _leaf_entries(cap), lambda node, parts: reduce(
+        lambda acc, p: combine[node.kind](acc, p, cap), parts))
 
 
-def check_sequence_invariants(seq: BicliqueSequence) -> None:
+def check_sequence_invariants(e: Entries) -> None:
     """Raise AssertionError if a computed sequence violates its invariants."""
-    e = seq.entries
-    n = seq.n
+    n = e[0]
     for i in range(len(e) - 1):
         assert e[i] >= e[i + 1], f"not decreasing at {i}: {e}"
     for i, v in enumerate(e):

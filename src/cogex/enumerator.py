@@ -53,6 +53,7 @@ from .cotree import (
     NEG_INF,
     CapacityError,
     Cotree,
+    Entries,
     _leaf_entries,
     make_leaf,
     make_product,
@@ -67,8 +68,6 @@ from .profile import (
     profile_alpha,
     start_index,
 )
-
-Key = tuple[float, ...]
 
 DEFAULT_WITNESS_LIMIT = 8
 
@@ -89,14 +88,14 @@ class ExtremalRecord:
 
     __slots__ = ("key", "edges", "_witnesses", "_pending")
 
-    def __init__(self, key: Key, edges: int, witnesses: tuple[Cotree, ...]):
+    def __init__(self, key: Entries, edges: int, witnesses: tuple[Cotree, ...]):
         self.key = key
         self.edges = edges
         self._witnesses = witnesses
         self._pending: tuple[list[tuple], int | None] | None = None
 
     @classmethod
-    def _lazy(cls, key: Key, edges: int, sources: list[tuple],
+    def _lazy(cls, key: Entries, edges: int, sources: list[tuple],
               limit: int | None) -> ExtremalRecord:
         rec = cls(key, edges, ())
         rec._pending = (sources, limit)
@@ -157,7 +156,7 @@ class Registry:
     def __init__(self, n: int, cap: int):
         self.n = n
         self.cap = cap
-        self.records: dict[Key, ExtremalRecord] = {}
+        self.records: dict[Entries, ExtremalRecord] = {}
 
     def __len__(self) -> int:
         return len(self.records)
@@ -216,18 +215,18 @@ def _encode(entries: Sequence[float], width: int) -> int:
     return code
 
 
-def _decode(code: int, n: int, cap: int, width: int) -> Key:
+def _decode(code: int, n: int, cap: int, width: int) -> Entries:
     """The key (n, entries 1..cap) whose ``_encode`` is ``code``."""
     mask = (1 << width) - 1
     fields = [code >> (cap - j) * width & mask for j in range(1, cap + 1)]
     return (n, *(f.bit_length() - 1 if f else NEG_INF for f in fields))
 
 
-def _passes(key: Key, window: tuple[float, ...]) -> bool:
+def _passes(key: Entries, window: tuple[float, ...]) -> bool:
     return all(map(le, key, window))
 
 
-def _join_slack(key: Key, window: tuple[float, ...], bounded: list[int]) -> float:
+def _join_slack(key: Entries, window: tuple[float, ...], bounded: list[int]) -> float:
     """The most vertices a part with this key can be joined with and still
     pass the window: the join's entry j is at least key[j] + other_n, so
     the least window[j] - key[j] over the bounded entries.  A -inf key

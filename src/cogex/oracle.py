@@ -12,9 +12,11 @@ Biclique sequences count every vertex set at once.  Each vertex's row
 becomes a 2^n-bit integer whose bit S is set iff the set S lies inside
 that vertex's neighborhood; these add up, bit-sliced, to the size of every
 set's common neighborhood, and entry k is the largest count among the
-k-sets.  Extremal values read a per-n table, built on first use and kept
-for the process, that groups the catalog by brute-force sequence, so each
-distinct sequence is tested against a profile once rather than each graph.
+k-sets.  A sequence is the same entries tuple that ``cotree.biclique_sequence``
+returns, so the two compare directly.  Extremal values read a per-n table,
+built on first use and kept for the process, that groups the catalog by
+brute-force sequence, so each distinct sequence is tested against a profile
+once rather than each graph.
 
 The biclique computations here deliberately avoid the cotree recursion:
 they work on adjacency bitmasks only, so they can serve as an independent
@@ -32,9 +34,9 @@ from .cotree import (
     DEFAULT_ADJACENCY_LIMIT,
     NEG_INF,
     AdjacencyGraph,
-    BicliqueSequence,
     CapacityError,
     Cotree,
+    Entries,
     canonical_form,
     complement,
     make_leaf,
@@ -175,7 +177,7 @@ def _k_set_masks(n: int) -> tuple[int, ...]:
     return (1, *(below[k] | below[k - 1] << shift for k in range(1, n + 1)))
 
 
-def biclique_sequence_bruteforce(a: AdjacencyGraph, cap: int) -> BicliqueSequence:
+def biclique_sequence_bruteforce(a: AdjacencyGraph, cap: int) -> Entries:
     """Entries 0..cap of the biclique sequence, counted for every vertex set
     at once.
 
@@ -214,15 +216,15 @@ def biclique_sequence_bruteforce(a: AdjacencyGraph, cap: int) -> BicliqueSequenc
                 sets = hit
                 count |= 1 << b
         best.append(count)
-    return BicliqueSequence((a.n, *best) + (NEG_INF,) * (cap - top))
+    return (a.n, *best) + (NEG_INF,) * (cap - top)
 
 
 @lru_cache(maxsize=None)
-def _sequence_table(n: int) -> tuple[tuple[BicliqueSequence, tuple[Cotree, ...]], ...]:
+def _sequence_table(n: int) -> tuple[tuple[Entries, tuple[Cotree, ...]], ...]:
     """The n-vertex catalog grouped by brute-force sequence, one (sequence,
     graphs) pair per distinct sequence.  Built on first use; callers check
     their catalog limit before asking."""
-    groups: dict[BicliqueSequence, list[Cotree]] = {}
+    groups: dict[Entries, list[Cotree]] = {}
     for g in enumerate_cotrees(n, limit=n).items:
         seq = biclique_sequence_bruteforce(to_adjacency(g), g.n)
         groups.setdefault(seq, []).append(g)

@@ -8,6 +8,9 @@ representation is an explicit prefix plus a repeated tail value.
 Subdiagonality mirrors the part-swap symmetry of bicliques: whenever two
 finite entries satisfy P_j < l, the entry P_l must be < j.  The check is
 applied to pairs of finite entries; see ``validate``.
+
+``fulfills`` and ``restrict`` take a graph's sequence as the plain tuple
+``cotree.Entries`` and read its vertex count n as entry 0.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .cotree import INF, NEG_INF, BicliqueSequence
+from .cotree import INF, NEG_INF, Entries
 
 Value = float  # int, or float("inf") / float("-inf")
 
@@ -160,16 +163,17 @@ def dominates(p: BicliqueProfile, q: BicliqueProfile) -> bool:
     return strict
 
 
-def fulfills(s: BicliqueSequence, p: BicliqueProfile) -> bool:
+def fulfills(s: Entries, p: BicliqueProfile) -> bool:
     """Pointwise comparison of an exact sequence against a profile.
 
     Entries up to the profile's prefix length decide the comparison: both
-    sides are decreasing and constant beyond that window.
+    sides are decreasing and constant beyond that window, so a sequence
+    truncated at a cap that reaches it (or reaches n) serves.
     """
-    needed = min(p.prefix_len, s.n)
-    if not s.complete and s.cap < needed:
+    needed = min(p.prefix_len, int(s[0]))
+    if len(s) <= needed:
         raise ValueError(
-            f"sequence computed to cap {s.cap} but comparison needs entry {needed}")
+            f"sequence computed to cap {len(s) - 1} but comparison needs entry {needed}")
     for i in range(needed + 1):
         if s[i] > p[i]:
             return False
@@ -241,7 +245,7 @@ def binding_cap(p: BicliqueProfile) -> int:
 # Restriction: what the other factor of a join must fulfill
 # =============================================================================
 
-def restrict(p: BicliqueProfile, p1: BicliqueSequence) -> BicliqueProfile:
+def restrict(p: BicliqueProfile, p1: Entries) -> BicliqueProfile:
     """Profile a graph G2 must fulfill so that G1 x G2 fulfills ``p``.
 
     ``p1`` is the exact sequence of the concrete factor G1; the minimum
@@ -249,9 +253,9 @@ def restrict(p: BicliqueProfile, p1: BicliqueSequence) -> BicliqueProfile:
     clamped to -inf (no graph sequence entry lies strictly between -inf
     and 0, so fulfillment is unchanged).
     """
-    if not p1.complete:
+    if len(p1) <= p1[0]:  # entries 0..n are needed
         raise ValueError("restriction needs the complete sequence of the factor")
-    finite = [(a, int(p1[a])) for a in range(p1.n + 1)]
+    finite = [(a, int(p1[a])) for a in range(int(p1[0]) + 1)]
 
     def entry(c: int) -> Value:
         best = INF

@@ -314,7 +314,7 @@ def registry_from_obj(obj: dict) -> tuple[Registry, BicliqueProfile | None]:
             if (w.n, w.edges) != (r.n, edges):
                 raise ValueError(f"{at} witness {j} has {w.n} vertices and {w.edges} "
                                  f"edges, not {r.n} and {edges}")
-            if (seq := biclique_sequence(w, r.cap).entries) != key:
+            if (seq := biclique_sequence(w, r.cap)) != key:
                 raise ValueError(f"{at} witness {j} has biclique sequence "
                                  f"{json.dumps(_key_to_json(seq))}, not its key "
                                  f"{json.dumps(_key_to_json(key))}")
@@ -404,16 +404,12 @@ def series_from_obj(obj: dict) -> ExtremalSeries:
 
 
 def series_to_csv(series: ExtremalSeries, detected_period: int | None = None) -> str:
-    """Columns: n, ex, alpha_n, bound_ok, residue, witness."""
+    """Columns: n, ex, alpha_n, bound_ok, residue, witness.  The rows of
+    ``series_to_obj`` with their first witness; a null field is empty."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "ex", "alpha_n", "bound_ok", "residue", "witness"])
-    for n in series.ns():
-        ex = series.values[n]
-        alpha_n = series.alpha * n
-        bound_ok = Fraction(ex) < alpha_n if series.asserts_strict_bound else ""
-        residue = (n % detected_period) if detected_period else ""
-        wits = series.witnesses.get(n, ())
-        witness = canonical_form(wits[0]).decode("ascii") if wits else ""
-        writer.writerow([n, ex, str(alpha_n), bound_ok, residue, witness])
+    writer.writerows([row["n"], row["ex"], row["alpha_n"], row["bound_ok"], row["residue"],
+                      (row["witnesses"] or [""])[0]]
+                     for row in series_to_obj(series, detected_period)["rows"])
     return buf.getvalue()

@@ -211,12 +211,32 @@ def test_analyze_alpha_zero_denominator(capsys):
     (["verify", "structure", "--n-max", "1"], "--n-max 1"),
     (["analyze", "--s", "2", "--t", "3", "--periods", "0"], "--periods"),
     (["analyze", "--s", "2", "--t", "3", "--periods", "2,-1"], "--periods"),
+    (["enumerate", "--s", "2", "--t", "2", "--n-max", "6", "--max-records", "-1"],
+     "--max-records must be >= 1"),
+    (["enumerate", "--s", "2", "--t", "2", "--n-max", "6", "--max-records", "0"],
+     "--max-records must be >= 1"),
+    (["analyze", "--s", "2", "--t", "2", "--max-records", "0"], "--max-records must be >= 1"),
+    (["verify", "all", "--catalog-max", "-3"], "--catalog-max must be >= 1"),
+    (["verify", "pump", "--catalog-max", "0"], "--catalog-max must be >= 1"),
 ])
 def test_bounds_below_range_are_usage_errors(argv, named, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
     assert named in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "dp-vs-oracle", "--s", "2"],
+    ["verify", "dp-vs-oracle", "--t", "3"],
+    ["verify", "all", "--small", "--s", "2"],
+])
+def test_verify_pair_needs_both_s_and_t(argv, capsys):
+    # one of the two would otherwise be dropped for the default pairs
+    code, out, err = run(argv + ["--n-max", "4"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: verify {argv[1]} needs both --s and --t, or neither\n"
 
 
 @pytest.mark.parametrize("argv, named", [

@@ -155,9 +155,9 @@ def test_p4_detected():
 
 
 def test_biclique_sequence_examples(c4, p3, k1):
-    assert biclique_sequence(k1, 2).entries == (1, 0, NEG_INF)
-    assert biclique_sequence(c4, 4).entries == (4, 2, 2, 0, 0)
-    assert biclique_sequence(p3, 3).entries == (3, 2, 1, 0)
+    assert biclique_sequence(k1, 2) == (1, 0, NEG_INF)
+    assert biclique_sequence(c4, 4) == (4, 2, 2, 0, 0)
+    assert biclique_sequence(p3, 3) == (3, 2, 1, 0)
 
 
 def test_biclique_sequence_invariants():

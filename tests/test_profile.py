@@ -7,7 +7,6 @@ import pytest
 from cogex.cotree import (
     INF,
     NEG_INF,
-    BicliqueSequence,
     biclique_sequence,
     clique,
     edgeless,
@@ -110,11 +109,11 @@ def test_dominates_strict_partial_order():
 
 
 def test_combine_examples(k1, e2, k3):
-    s_e2 = biclique_sequence(e2, 4).entries
+    s_e2 = biclique_sequence(e2, 4)
     assert product_entries(s_e2, s_e2, 4) == (4, 2, 2, 0, 0)
-    s_k3 = biclique_sequence(k3, 3).entries
+    s_k3 = biclique_sequence(k3, 3)
     assert sum_entries(s_k3, s_k3, 3) == (6, 2, 1, 0)
-    s_k1 = biclique_sequence(k1, 2).entries
+    s_k1 = biclique_sequence(k1, 2)
     assert product_entries(s_k1, s_k1, 2) == (2, 1, 0)
 
 
@@ -129,14 +128,14 @@ def test_combine_matches_oracle_exhaustively():
             if a.n + b.n > 7:
                 continue
             cap = a.n + b.n
-            sa = biclique_sequence(a, cap).entries
-            sb = biclique_sequence(b, cap).entries
+            sa = biclique_sequence(a, cap)
+            sb = biclique_sequence(b, cap)
             s = make_sum([a, b])
             p = make_product([a, b])
             assert sum_entries(sa, sb, cap) == \
-                biclique_sequence_bruteforce(to_adjacency(s), cap).entries
+                biclique_sequence_bruteforce(to_adjacency(s), cap)
             assert product_entries(sa, sb, cap) == \
-                biclique_sequence_bruteforce(to_adjacency(p), cap).entries
+                biclique_sequence_bruteforce(to_adjacency(p), cap)
 
 
 def test_restrict_by_single_vertex(k1):
@@ -147,7 +146,7 @@ def test_restrict_by_single_vertex(k1):
 
 def test_restrict_null_context():
     p = forbidden_biclique_profile(3, 3)
-    null_seq = BicliqueSequence((0,))
+    null_seq = (0,)
     assert restrict(p, null_seq) == p
 
 
@@ -178,9 +177,27 @@ def test_fulfills(c4, k1):
 
 def test_fulfills_requires_enough_entries(k3):
     p = forbidden_biclique_profile(3, 4)  # prefix length 4
-    short = biclique_sequence(clique(6), 2)
-    with pytest.raises(ValueError):
-        fulfills(short, p)
+    for cap in (2, 3):
+        with pytest.raises(ValueError, match=f"computed to cap {cap} but comparison needs entry 4"):
+            fulfills(biclique_sequence(clique(6), cap), p)
+
+
+def test_fulfills_accepts_a_truncated_sequence_that_reaches_the_window():
+    # entries 0..4 decide K_{3,4}: K_7 holds it, K_6 does not
+    p = forbidden_biclique_profile(3, 4)  # prefix length 4
+    assert biclique_sequence(clique(7), 4) == (7, 6, 5, 4, 3)
+    assert not fulfills(biclique_sequence(clique(7), 4), p)
+    assert fulfills(biclique_sequence(clique(6), 4), p)
+    # a complete sequence shorter than the window needs no more entries
+    assert fulfills(biclique_sequence(clique(3), 3), p)
+
+
+def test_restrict_needs_a_complete_factor():
+    p = forbidden_biclique_profile(3, 3)
+    with pytest.raises(ValueError, match="restriction needs the complete sequence"):
+        restrict(p, biclique_sequence(clique(4), 3))
+    assert restrict(p, biclique_sequence(clique(4), 4)) == \
+        restrict(p, biclique_sequence(clique(4), 6))
 
 
 def test_binding_cap():

@@ -42,8 +42,8 @@ caps = st.integers(1, 6)
 @settings(max_examples=200, deadline=None)
 @given(cotrees(), cotrees(), caps)
 def test_join_entry_lower_bound(g1, g2, cap):
-    k1 = biclique_sequence(g1, cap).entries
-    k2 = biclique_sequence(g2, cap).entries
+    k1 = biclique_sequence(g1, cap)
+    k2 = biclique_sequence(g2, cap)
     joined = product_entries(k1, k2, cap)
     for j in range(cap + 1):
         if k1[j] != NEG_INF:
@@ -55,8 +55,8 @@ def test_join_entry_lower_bound(g1, g2, cap):
 @settings(max_examples=200, deadline=None)
 @given(cotrees(), cotrees(), caps)
 def test_sum_key_is_pointwise_max_above_cap(g1, g2, cap):
-    k1 = biclique_sequence(g1, cap).entries
-    k2 = biclique_sequence(g2, cap).entries
+    k1 = biclique_sequence(g1, cap)
+    k2 = biclique_sequence(g2, cap)
     n = g1.n + g2.n
     key = (n, *map(max, k1[1:], k2[1:]))
     if max(g1.n, g2.n) >= cap:
@@ -74,7 +74,7 @@ windows = st.lists(st.sampled_from((NEG_INF, -1, *range(MAX_N + 4), INF)),
 
 
 def _key(g, cap):
-    return biclique_sequence(g, cap).entries
+    return biclique_sequence(g, cap)
 
 
 @settings(max_examples=200, deadline=None)
@@ -133,7 +133,7 @@ def test_join_slack_is_the_per_split_join_test(g, cap, window):
 def test_fast_dp_matches_reference_under_graph_profiles(g, n_max, exhaustive):
     """A graph's own sequence is a valid profile, so the fast DP meets
     windows with finite, -inf and small entry-0 bounds on joins and sums."""
-    p = BicliqueProfile(biclique_sequence(g, g.n).entries, NEG_INF)
+    p = BicliqueProfile(biclique_sequence(g, g.n), NEG_INF)
     opts = dict(cap=binding_cap(p) + 1, prune=p, exhaustive=exhaustive)
     assert _as_levels(build_registries(n_max, **opts)) == \
         _reference_registries(n_max, **opts)

@@ -205,3 +205,19 @@ def test_series_snapshot_and_csv():
     lines = csv_text.strip().splitlines()
     assert lines[0] == "n,ex,alpha_n,bound_ok,residue,witness"
     assert lines[5].startswith("5,6,15/2,True,1,")
+
+
+def test_series_csv_leaves_null_fields_empty():
+    # s = 1 asserts no strict bound and no period is given: both fields are
+    # empty, as the JSON rows hold null there
+    series = extremal_function(1, 3, range(1, 4))
+    assert [(r["bound_ok"], r["residue"]) for r in series_to_obj(series)["rows"]] == \
+        [(None, None)] * 3
+    assert series_to_csv(series) == (
+        "n,ex,alpha_n,bound_ok,residue,witness\n"
+        "1,0,1,,,*\n"
+        '2,1,2,,,"x(*,*)"\n'
+        '3,3,3,,,"x(*,*,*)"\n')
+    # a series read from a snapshot has no witnesses
+    restored = series_from_obj(json.loads(json.dumps(series_to_obj(series, 2))))
+    assert series_to_csv(restored, 2).splitlines()[1:] == ["1,0,1,,1,", "2,1,2,,0,", "3,3,3,,1,"]

@@ -255,7 +255,7 @@ def _assert_traversals_match(g):
     assert complement(g) == old_complement(g)
     assert to_formula(g) == old_to_formula(g)
     for cap in {0, 1, 3, min(g.n, 24)}:
-        assert biclique_sequence(g, cap).entries == old_biclique_entries(g, cap)
+        assert biclique_sequence(g, cap) == old_biclique_entries(g, cap)
     assert cotree_to_obj(g) == old_cotree_to_obj(g)
     assert dumps_cotree(g) == old_dumps_cotree(g)
     assert to_dot(g) == old_to_dot(g)
@@ -459,7 +459,7 @@ def test_deep_fold(deep):
     assert formula.count("v") == n - 2 and formula.count("K2") == 1
     seq = biclique_sequence(g, 4)
     check_sequence_invariants(seq)
-    assert seq.entries[:2] == (n, delta)
+    assert seq[:2] == (n, delta)
     obj, depth = cotree_to_obj(g), 0
     while obj["op"] != "leaf":
         obj, depth = obj["children"][-1], depth + 1
