@@ -9,6 +9,7 @@ from .cotree import (
     clique,
     clique_number,
     complement,
+    degree_counts,
     edgeless,
     height,
     is_induced_p4_free,

@@ -35,7 +35,8 @@ from .constructions import (
     regular_infeasibility_reason,
     star_extremal,
 )
-from .cotree import CapacityError, Cotree, biclique_sequence, to_adjacency, to_formula
+from .cotree import (CapacityError, Cotree, biclique_sequence, degree_counts, to_adjacency,
+                     to_formula)
 from .enumerator import (
     ExtremalSeries,
     analyze_periodicity,
@@ -53,7 +54,7 @@ from .serialize import (
     series_to_obj,
     to_dot,
 )
-from .verification import SELECTORS, run_suite
+from .verification import PAIR_OPTIONS, SELECTORS, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -123,8 +124,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         obj = series_to_obj(series, period)
         obj["periodicity"] = report.to_json() if report else None
         _emit_json(obj, out)
-    at_bound = [n for n in sorted(series.values)
-                if not Fraction(series.values[n]) < series.alpha * n]
+    at_bound = series.at_bound()
     for n in sorted(series.values):
         marker = ">=" if n in at_bound else "<"
         _human(f"  n={n:3d}  ex={series.values[n]:5d}  {marker} {series.alpha * n}")
@@ -183,10 +183,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
         verification["regular_degree"] = args.d
     else:
         verification.update(pumped_path=list(args.path), k=args.k)
+    # degrees up to 16 vertices only, so that construct documents keep their bytes
     if g.n <= 16:
-        adj = to_adjacency(g)
-        degs = sorted(set(adj.degree_sequence()))
-        verification["degrees"] = degs
+        verification["degrees"] = sorted(degree_counts(g))
         if st:
             verification["fulfills_constraint"] = fulfills(
                 biclique_sequence(g, g.n), forbidden_biclique_profile(*st))
@@ -353,9 +352,14 @@ def _validate(args: argparse.Namespace) -> None:
     for name in ("n", "n_min", "n_max", "witness_max", "max_records", "catalog_max"):
         if opts.get(name) is not None and opts[name] < 1:
             raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
-    # verify all runs dp-vs-oracle too, on the default pairs unless both are given
-    if opts.get("check") in ("all", "dp-vs-oracle") and (args.s is None) != (args.t is None):
-        raise ValueError(f"verify {args.check} needs both --s and --t, or neither")
+    if args.subcommand == "verify":
+        reads = PAIR_OPTIONS.get(args.check, ())
+        for o in ("s", "t"):
+            if opts[o] is not None and o not in reads:
+                raise ValueError(f"verify {args.check} does not read --{o}")
+        # dp-vs-oracle runs on the default pairs unless both are given
+        if reads == ("s", "t") and (args.s is None) != (args.t is None):
+            raise ValueError(f"verify {args.check} needs both --s and --t, or neither")
     if opts.get("periods") and min(args.periods) < 1:
         raise ValueError("--periods entries must be >= 1")
 

@@ -26,7 +26,6 @@ from .cotree import (
     make_sum,
     max_degree,
     summands,
-    to_adjacency,
 )
 
 ChildPath = Sequence[int]
@@ -66,14 +65,11 @@ def pump(g: Cotree, at: ChildPath, k: int) -> Cotree:
     return current
 
 
-def pump_subset(g: Cotree, leaf_ids: Sequence[int], k: int,
-                limit: int = 16) -> Cotree:
-    """Pump an explicit vertex subset, validating the neighborhood condition.
-
-    The subset must have a common outside neighborhood on the expansion and
-    must coincide with the leaf set of some summand subtree; everything else
-    is rejected.
-    """
+def pump_subset(g: Cotree, leaf_ids: Sequence[int], k: int) -> Cotree:
+    """Pump an explicit vertex subset, given as leaf ids in DFS order over
+    the canonical tree, that is exactly the leaf set of some summand.  The
+    leaves of a summand share their outside neighborhood, so any other
+    subset is rejected; no dense expansion, so any size works."""
     subset = 0
     for i in leaf_ids:
         if not 0 <= i < g.n:
@@ -81,18 +77,6 @@ def pump_subset(g: Cotree, leaf_ids: Sequence[int], k: int,
         subset |= 1 << i
     if subset == 0:
         raise ValueError("empty subset")
-    adj = to_adjacency(g, limit=limit)
-    outside = None
-    mask = subset
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        nb = adj.rows[v] & ~subset
-        if outside is None:
-            outside = nb
-        elif outside != nb:
-            raise ValueError("subset vertices do not share their outside neighborhood")
-
     for path, c, first, _ in summands(g):
         if ((1 << c.n) - 1) << first == subset:
             return pump(g, path, k)

@@ -224,6 +224,20 @@ def max_degree(g: Cotree) -> int:
         d + node.n - c.n for d, c in zip(degrees, node.children)))
 
 
+def degree_counts(g: Cotree) -> dict[int, int]:
+    """Degree -> number of vertices of that degree, computed on the cotree:
+    a sum merges its children's counts, a product raises each child's
+    degrees by the vertices outside it.  ``max_degree`` is cheaper."""
+    def inner(node, counts):
+        out: dict[int, int] = {}
+        for c, child in zip(node.children, counts):
+            shift = node.n - c.n if node.kind == PROD else 0
+            for d, k in child.items():
+                out[d + shift] = out.get(d + shift, 0) + k
+        return out
+    return fold(g, {0: 1}, inner)
+
+
 def to_formula(g: Cotree) -> str:
     """Human-readable construction formula, e.g. ``(v*v*(K3+K3))``."""
     return fold(g, "v", lambda node, parts: (
@@ -293,7 +307,7 @@ def to_adjacency(g: Cotree, limit: int = DEFAULT_ADJACENCY_LIMIT) -> AdjacencyGr
     """Expand a cotree to its adjacency matrix.
 
     Leaves are numbered in DFS order over the canonical tree.  Guarded by
-    ``limit`` because callers only ever need dense form at oracle scale.
+    ``limit``: dense form serves graph6 and oracle-scale checks only.
     """
     if g.n > limit:
         raise CapacityError(f"adjacency expansion of {g.n} vertices exceeds limit {limit}")

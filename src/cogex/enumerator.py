@@ -385,6 +385,12 @@ class ExtremalSeries:
         at index 0 bounds the vertex count."""
         return self.s is None or self.s >= 2
 
+    def at_bound(self, alpha: Fraction | None = None) -> list[int]:
+        """The n, in order, where the strict bound fails: ex(n) >= alpha * n,
+        with the series' own alpha by default."""
+        a = self.alpha if alpha is None else alpha
+        return [n for n in self.ns() if self.values[n] >= a * n]
+
 
 def extremal_series_for_profile(
     p: BicliqueProfile,
@@ -500,7 +506,7 @@ def analyze_periodicity(
     candidates = [r for r in sorted(set(periods)) if r >= 1 and 3 * r <= span]
 
     residual = {n: Fraction(series.values[n]) - alpha * n for n in ns}
-    strict = all(Fraction(series.values[n]) < alpha * n for n in ns)
+    strict = not series.at_bound(alpha)
 
     n_last = ns[-1]
     for r in candidates:

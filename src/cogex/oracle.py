@@ -20,7 +20,7 @@ once rather than each graph.
 
 The biclique computations here deliberately avoid the cotree recursion:
 they work on adjacency bitmasks only, so they can serve as an independent
-oracle for it.
+oracle for it.  The structural spot checks read degrees from the cotree.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .cotree import (
     Entries,
     canonical_form,
     complement,
+    degree_counts,
     make_leaf,
     make_product,
     make_sum,
@@ -135,11 +136,9 @@ def random_cotree(rng: random.Random, n: int) -> Cotree:
             size = rng.randint(1, left) if len(pieces) >= 1 else rng.randint(1, left - 1)
             pieces.append(size)
             left -= size
-        if len(pieces) == 1:
-            pieces = [1, k - 1] if k >= 2 else pieces
+        # the first piece leaves at least one vertex, so there are two or more
         kids = [build(sz, kind) for sz in pieces]
-        maker = make_sum if kind == "sum" else make_product
-        return maker(kids) if len(kids) >= 2 else kids[0]
+        return (make_sum if kind == "sum" else make_product)(kids)
 
     return build(n, None)
 
@@ -301,10 +300,6 @@ def check_balanced_biclique(n: int, limit: int = DEFAULT_CATALOG_LIMIT) -> Check
     )
 
 
-def _universal_vertex_count(a: AdjacencyGraph) -> int:
-    return sum(1 for v in range(a.n) if a.degree(v) == a.n - 1)
-
-
 def _is_sum_of_cliques(g: Cotree) -> bool:
     for comp in (g.children if g.kind == "sum" else (g,)):
         if comp.kind == "leaf":
@@ -339,14 +334,10 @@ def check_star_extremal_regular(n: int, t: int) -> CheckResult:
     bad = []
     even_all_regular = True
     for g in witnesses:
-        a = to_adjacency(g)
-        degs = set(a.degree_sequence())
-        if degs == {t - 1}:
-            continue
-        even_all_regular = False
+        # g is (t-1)-regular exactly when each of its components is
         comps = g.children if g.kind == "sum" else (g,)
-        irregular = [c for c in comps
-                     if set(to_adjacency(c).degree_sequence()) != {t - 1}]
+        irregular = [c for c in comps if degree_counts(c) != {t - 1: c.n}]
+        even_all_regular = even_all_regular and not irregular
         if len(irregular) > 1 or any(c.n > 2 * t - 3 for c in irregular):
             bad.append(canonical_form(g).decode("ascii"))
     if n % 2 == 0 and n >= t and not even_all_regular:
@@ -364,7 +355,7 @@ def check_universal_vertex(n: int, t: int) -> CheckResult:
     """Every K_{2,t}-extremal cograph (t in {2,3}) has a universal vertex."""
     witnesses = _extremal_witnesses(n, 2, t)
     bad = [canonical_form(g).decode("ascii") for g in witnesses
-           if _universal_vertex_count(to_adjacency(g)) == 0]
+           if g.n - 1 not in degree_counts(g)]
     return CheckResult(
         name="universal-vertex",
         params={"n": n, "t": t},
@@ -379,7 +370,7 @@ def check_k33_shape(n: int) -> CheckResult:
     witnesses = _extremal_witnesses(n, 3, 3)
     shaped = [g for g in witnesses if _has_edge_times_cliques_shape(g)]
     two_universal = [g for g in witnesses
-                     if _universal_vertex_count(to_adjacency(g)) >= 2]
+                     if degree_counts(g).get(g.n - 1, 0) >= 2]
     ok = bool(shaped) and bool(two_universal)
     return CheckResult(
         name="k33-extremal-shape",

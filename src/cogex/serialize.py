@@ -27,6 +27,7 @@ from .cotree import (
     biclique_sequence,
     canonical_form,
     fold,
+    to_adjacency,
 )
 from .enumerator import ExtremalRecord, ExtremalSeries, Registry
 from .profile import BicliqueProfile, _format_value, _parse_value, format_profile, parse_profile
@@ -215,9 +216,8 @@ def graph6_bytes(a: AdjacencyGraph) -> bytes:
 
 def catalog_to_graph6(catalog) -> str:
     """Whole-catalog export, one graph6 line per isomorphism class."""
-    from .cotree import to_adjacency
     return "".join(
-        graph6_bytes(to_adjacency(g, limit=max(16, catalog.n))).decode("ascii") + "\n"
+        graph6_bytes(to_adjacency(g, limit=catalog.n)).decode("ascii") + "\n"
         for g in catalog.items)
 
 
@@ -324,20 +324,15 @@ def registry_from_obj(obj: dict) -> tuple[Registry, BicliqueProfile | None]:
 
 
 def series_to_obj(series: ExtremalSeries, detected_period: int | None = None) -> dict:
-    rows = []
-    for n in series.ns():
-        ex = series.values[n]
-        alpha_n = series.alpha * n
-        row = {
-            "n": n,
-            "ex": ex,
-            "alpha_n": str(alpha_n),
-            "bound_ok": Fraction(ex) < alpha_n if series.asserts_strict_bound else None,
-            "residue": (n % detected_period) if detected_period else None,
-            "witnesses": [canonical_form(w).decode("ascii")
-                          for w in series.witnesses.get(n, ())],
-        }
-        rows.append(row)
+    at_bound = set(series.at_bound())
+    rows = [{
+        "n": n,
+        "ex": series.values[n],
+        "alpha_n": str(series.alpha * n),
+        "bound_ok": n not in at_bound if series.asserts_strict_bound else None,
+        "residue": (n % detected_period) if detected_period else None,
+        "witnesses": [canonical_form(w).decode("ascii") for w in series.witnesses.get(n, ())],
+    } for n in series.ns()]
     return {
         "format": SERIES_FORMAT,
         "constraint": series.constraint,

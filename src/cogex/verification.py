@@ -26,6 +26,7 @@ from .cotree import (
     check_sequence_invariants,
     clique_number,
     complement,
+    degree_counts,
     height,
     is_induced_p4_free,
     make_product,
@@ -114,12 +115,9 @@ def verify_strict_bound(s: int, t: int, n_max: int = 30) -> CheckResult:
     if s < 2:
         raise ValueError("the strict bound is claimed for s >= 2 only")
     series = extremal_function(s, t, range(1, n_max + 1))
-    alpha = alpha_for(s, t)
-    bad = [f"n={n}: ex={ex} >= {alpha * n}"
-           for n, ex in sorted(series.values.items())
-           if not Fraction(ex) < alpha * n]
+    bad = [f"n={n}: ex={series.values[n]} >= {series.alpha * n}" for n in series.at_bound()]
     return CheckResult("strict-bound", {"s": s, "t": t, "n_max": n_max,
-                                        "alpha": str(alpha)}, not bad, "", bad)
+                                        "alpha": str(series.alpha)}, not bad, "", bad)
 
 
 def verify_bound_2t(t: int, n_max: int = 20) -> CheckResult:
@@ -179,10 +177,9 @@ def verify_regular_constructor(n_max: int = 40, exhaustive_max: int = 9) -> Chec
                     bad.append(f"({n},{d}): no reason but returned infeasible")
                 continue
             feasible_ds.append(d)
-            a = to_adjacency(g, limit=max(16, n))
-            if a.n != n or set(a.degree_sequence()) != {d}:
+            if degree_counts(g) != {d: n}:
                 bad.append(f"({n},{d}): output not {d}-regular")
-            if n <= 9 and not is_induced_p4_free(a):
+            if n <= 9 and not is_induced_p4_free(to_adjacency(g)):
                 bad.append(f"({n},{d}): expansion not a cograph")
         feasibility[n] = feasible_ds
     for n in range(1, exhaustive_max + 1):
@@ -361,6 +358,10 @@ SELECTORS: dict[str, tuple[Callable[..., list[CheckResult]], tuple[int, int] | N
         verify_height_bound(6 if small else 7),
         verify_complement_involution(6 if small else 7)], None, ()),
 }
+
+# The pair options each selector reads; given to any other selector, --s or
+# --t is a usage error.  ``all`` hands both to dp-vs-oracle.
+PAIR_OPTIONS = {"all": ("s", "t"), "dp-vs-oracle": ("s", "t"), "bound-2t": ("t",)}
 
 
 def run_suite(

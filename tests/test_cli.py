@@ -239,6 +239,35 @@ def test_verify_pair_needs_both_s_and_t(argv, capsys):
     assert err == f"usage error: verify {argv[1]} needs both --s and --t, or neither\n"
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["verify", "bounds", "--s", "4", "--t", "4"], "--s"),
+    (["verify", "bound-2t", "--s", "3", "--t", "4", "--n-max", "10"], "--s"),
+    (["verify", "sequences", "--s", "2", "--t", "3"], "--s"),
+    (["verify", "pump", "--small", "--s", "2", "--t", "3"], "--s"),
+    (["verify", "regular", "--t", "3"], "--t"),
+], ids=["bounds", "bound-2t", "sequences", "pump", "regular"])
+def test_verify_option_the_selector_does_not_read_is_usage_error(argv, option, capsys):
+    # the selector would otherwise run its fixed pairs and exit 0
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: verify {argv[1]} does not read {option}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "bound-2t", "--t", "4", "--n-max", "10"],
+    ["verify", "dp-vs-oracle", "--s", "2", "--t", "3", "--n-max", "6"],
+    ["verify", "all", "--small", "--s", "2", "--t", "3"],
+], ids=["bound-2t", "dp-vs-oracle", "all"])
+def test_verify_reads_the_pair_options_it_names(argv, capsys):
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    pairs = [(c["params"].get("s"), c["params"].get("t")) for c in checks
+             if c["check"] in ("bound-2t", "dp-vs-oracle")]
+    assert pairs == ([(2, 4)] if argv[1] == "bound-2t" else [(2, 3)])
+
+
 @pytest.mark.parametrize("argv, named", [
     (["construct", "regular", "--n", "7"], "regular needs --n and --d"),
     (["construct", "star", "--t", "3"], "star needs --n and --t"),

@@ -24,6 +24,7 @@ from cogex.cotree import (
     make_leaf,
     make_product,
     make_sum,
+    summands,
     to_adjacency,
 )
 from cogex.enumerator import extremal_function
@@ -95,6 +96,30 @@ def test_pump_subset_validator(k2_join_two_triangles):
     # the two joined vertices are not a summand
     with pytest.raises(ValueError):
         pump_subset(g, [0], 1)
+    # nor is a joined vertex with a triangle vertex, whose outside
+    # neighborhoods differ
+    with pytest.raises(ValueError, match="not a summand"):
+        pump_subset(g, [0, start], 1)
+
+
+def test_pump_subset_rejects_two_summands():
+    # K_2 joined to three triangles (leaves 0-1, then 2-4, 5-7, 8-10): two
+    # triangles share their outside neighborhood but are two summands
+    g = make_product([clique(2), make_sum([clique(3)] * 3)])
+    assert pump_subset(g, range(2, 5), 1).n == 14
+    with pytest.raises(ValueError, match="not a summand"):
+        pump_subset(g, range(2, 8), 1)
+
+
+def test_pump_subset_past_sixteen_vertices():
+    # the K_{3,3} family on 40 vertices: the core K_2 joined to 12 triangles
+    # and a K_2 remainder; each summand pumps as pump does on its path
+    g = k33_extremal(40)
+    found = 0
+    for path, c, first, _ in summands(g):
+        found += 1
+        assert pump_subset(g, range(first, first + c.n), 2) == pump(g, path, 2)
+    assert found == 13
 
 
 def test_regular_examples():

@@ -1,6 +1,7 @@
 """Cotree data model: construction, reduction, expansion, sequences."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,6 +15,7 @@ from cogex.cotree import (
     clique,
     clique_number,
     complement,
+    degree_counts,
     edgeless,
     height,
     is_induced_p4_free,
@@ -128,6 +130,24 @@ def test_to_adjacency_limit():
     with pytest.raises(CapacityError):
         to_adjacency(edgeless(17))
     assert to_adjacency(edgeless(17), limit=17).n == 17
+
+
+def test_degree_counts_match_expansion_exhaustive():
+    assert degree_counts(make_leaf()) == {0: 1}
+    for n in range(1, 10):
+        for g in enumerate_cotrees(n).items:
+            assert degree_counts(g) == Counter(to_adjacency(g).degree_sequence()), g
+
+
+def test_degree_counts_far_past_the_expansion_limit():
+    # the core K_2 sees everything; each K_3 vertex its triangle and the core
+    assert degree_counts(k33_extremal(200)) == {199: 2, 4: 198}
+    # 199 = 66 triangles and one vertex left over, joined to the core only
+    assert degree_counts(k33_extremal(201)) == {200: 2, 4: 198, 2: 1}
+    assert degree_counts(regular_cograph(500, 7)) == {7: 500}
+    assert degree_counts(clique(40)) == {39: 40}
+    assert degree_counts(edgeless(40)) == {0: 40}
+    assert degree_counts(complement(regular_cograph(300, 4))) == {295: 300}
 
 
 def test_adjacency_matches_cached_edges_exhaustive():

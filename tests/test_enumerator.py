@@ -465,6 +465,16 @@ def test_strict_bound_small():
         series = extremal_function(s, t, range(1, 21))
         for n, ex in series.values.items():
             assert Fraction(ex) < series.alpha * n
+        assert series.at_bound() == []
+
+
+def test_at_bound_lists_the_n_where_ex_reaches_alpha_n():
+    series = ExtremalSeries(constraint="x", alpha=Fraction(1),
+                            values={3: 2, 1: 0, 2: 2, 4: 5})
+    # ex = alpha * n counts as reaching the bound
+    assert series.at_bound() == [2, 4]
+    assert series.at_bound(Fraction(1, 2)) == [2, 3, 4]
+    assert series.at_bound(Fraction(2)) == []
 
 
 def test_periodicity_22():

@@ -6,6 +6,7 @@ recursion limit."""
 import ast
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from cogex.cotree import (
     clique,
     clique_number,
     complement,
+    degree_counts,
     edgeless,
     height,
     make_leaf,
@@ -466,6 +468,21 @@ def test_deep_fold(deep):
     assert depth == HEIGHT
 
 
+def test_deep_degree_counts(deep):
+    # level by level: a joined vertex raises every earlier degree by one and
+    # sees all n of them, an added one has degree 0; degrees are kept less
+    # the number of joins so far
+    joins, n, below = 0, 1, Counter({0: 1})
+    for i in range(HEIGHT):
+        if i % 2 == 0:
+            joins += 1
+            below[n - joins] += 1
+        else:
+            below[-joins] += 1
+        n += 1
+    assert degree_counts(deep) == {d + joins: k for d, k in below.items()}
+
+
 def test_deep_writers(deep):
     g = deep
     expected = '{"op":"leaf"}'
@@ -510,4 +527,4 @@ def test_deep_walk_and_pump(deep):
     pumped = pump(g, path, 2)
     assert pumped.n == g.n + 4
     assert pumped.edges == g.edges + 2 * (c.edges + c.n * outside)
-    assert pump_subset(g, range(first, first + c.n), 2, limit=g.n) == pumped
+    assert pump_subset(g, range(first, first + c.n), 2) == pumped

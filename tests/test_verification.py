@@ -19,6 +19,22 @@ def test_individual_checks_pass():
     assert verify_constructions_meet_optimum(8).passed
 
 
+def test_regular_constructor_check_reads_degrees_past_16_vertices(monkeypatch):
+    # a 3-regular graph where 4-regular is asked, an irregular one on the
+    # right vertex count, and one vertex short, all above 16 vertices
+    regular = verification.regular_cograph
+    wrong = {(20, 4): regular(20, 3),
+             (24, 4): make_sum([clique(5)] * 4 + [clique(4)]),
+             (30, 5): regular(28, 5)}
+    monkeypatch.setattr(verification, "regular_cograph",
+                        lambda n, d: wrong.get((n, d)) or regular(n, d))
+    result = verification.verify_regular_constructor(30, 4)
+    assert not result.passed
+    assert result.counterexamples == ["(20,4): output not 4-regular",
+                                      "(24,4): output not 4-regular",
+                                      "(30,5): output not 5-regular"]
+
+
 def test_constructions_optimum_checks_freeness(monkeypatch):
     # same vertex and edge counts as the families, but each holds its K_{s,t}:
     # P_3 + K_1 has a K_{1,2}, K_3 x E_3 a K_{3,3}; and E_2 is one edge short
