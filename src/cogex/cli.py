@@ -8,11 +8,11 @@ summary always goes to stderr.  Exit codes: 0 ok, 1 check failed,
 The argument parser is built once per process, on the first ``main``
 call, and reused: each call still parses into a fresh namespace.
 ``FAMILIES`` is the one table of ``construct`` families: the options each
-needs, its builder and the K_{s,t} it avoids.  ``construct`` writes its
-cotree document with ``serialize.dumps_cotree_document``, without the
-``json`` encoder but byte-identical to ``json.dumps(..., indent=2,
-sort_keys=True)``; it and ``export`` write graph6, DOT and JSON through
-``_emit_cotree``.
+needs and reads, its builder and the K_{s,t} it avoids.  ``construct``
+writes its cotree document with ``serialize.dumps_cotree_document``,
+without the ``json`` encoder but byte-identical to ``json.dumps(...,
+indent=2, sort_keys=True)``; it and ``export`` write graph6, DOT and JSON
+through ``_emit_cotree``.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .serialize import (
     series_to_obj,
     to_dot,
 )
-from .verification import PAIR_OPTIONS, SELECTORS, run_suite
+from .verification import SELECTORS, options_read, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -108,7 +108,7 @@ def _series(args: argparse.Namespace, exhaustive: bool = False) -> ExtremalSerie
     ns = range(args.n_min, args.n_max + 1)
     opts = dict(exhaustive=exhaustive, witness_limit=vars(args).get("witness_max", 1),
                 max_records=args.max_records)
-    if args.profile:
+    if args.profile is not None:
         return extremal_series_for_profile(parse_profile(args.profile), ns, **opts)
     return extremal_function(args.s, args.t, ns, **opts)
 
@@ -145,9 +145,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 # construct
 # =============================================================================
 
-# family: (options it needs, builder, the (s, t) whose K_{s,t} it avoids or
-# None).  Builders look constructors up by name when called, so a rebound
-# module name is the one that runs.
+# family: (the options it needs and reads, builder, the (s, t) whose K_{s,t}
+# it avoids or None).  Builders look constructors up by name when called,
+# so a rebound module name is the one that runs.
 FAMILIES = {
     "regular": (("n", "d"), lambda a: regular_cograph(a.n, a.d), None),
     "star": (("n", "t"), lambda a: star_extremal(a.t, a.n), lambda a: (1, a.t)),
@@ -328,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _convert(args: argparse.Namespace) -> None:
-    """Parse the text-valued options in place, then validate."""
+def _validate(args: argparse.Namespace) -> None:
+    """Parse the text-valued options in place, then check every option."""
     opts = vars(args)
     try:
         args.alpha = Fraction(args.alpha) if opts.get("alpha") else None
@@ -337,11 +337,22 @@ def _convert(args: argparse.Namespace) -> None:
         raise ValueError(f"--alpha {args.alpha} has a zero denominator") from None
     args.periods = [int(x) for x in args.periods.split(",")] if opts.get("periods") else None
     args.path = tuple(int(x) for x in args.path.split("/")) if opts.get("path") else ()
-    _validate(args)
-
-
-def _validate(args: argparse.Namespace) -> None:
-    opts = vars(args)
+    # An option that defaults to None, given to a command or a mode of one
+    # that does not read it, is a usage error
+    if args.subcommand == "verify":
+        command, reads = f"verify {args.check}", options_read(args.check)
+        unset = ("n", "n_max", "s", "t")
+    elif args.subcommand == "construct":
+        command, reads = f"construct {args.family}", FAMILIES[args.family][0]
+        unset = dict.fromkeys(o for options, *_ in FAMILIES.values() for o in options)
+    elif args.subcommand == "analyze" and args.input:
+        command, reads, unset = "analyze --input", (), ("s", "t", "profile", "max_records")
+    else:  # enumerate and analyze read --s and --t without --profile only
+        command, reads = f"{args.subcommand} --profile", ()
+        unset = ("s", "t") if opts.get("profile") is not None else ()
+    for o in unset:
+        if opts[o] not in (None, ()) and o not in reads:  # no --path parses to ()
+            raise ValueError(f"{command} does not read --{o.replace('_', '-')}")
     if args.subcommand in ("enumerate", "analyze") and not opts.get("input"):
         if args.profile is None and (args.s is None or args.t is None):
             raise ValueError("need --s and --t, or --profile")
@@ -352,14 +363,11 @@ def _validate(args: argparse.Namespace) -> None:
     for name in ("n", "n_min", "n_max", "witness_max", "max_records", "catalog_max"):
         if opts.get(name) is not None and opts[name] < 1:
             raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
-    if args.subcommand == "verify":
-        reads = PAIR_OPTIONS.get(args.check, ())
-        for o in ("s", "t"):
-            if opts[o] is not None and o not in reads:
-                raise ValueError(f"verify {args.check} does not read --{o}")
-        # dp-vs-oracle runs on the default pairs unless both are given
-        if reads == ("s", "t") and (args.s is None) != (args.t is None):
-            raise ValueError(f"verify {args.check} needs both --s and --t, or neither")
+    # dp-vs-oracle runs on the default pairs unless both are given
+    if args.subcommand == "verify" and "s" in reads and (args.s is None) != (args.t is None):
+        raise ValueError(f"verify {args.check} needs both --s and --t, or neither")
+    if opts.get("check") == "bound-2t" and args.t is not None and args.t < 2:
+        raise ValueError("verify bound-2t needs --t >= 2")
     if opts.get("periods") and min(args.periods) < 1:
         raise ValueError("--periods entries must be >= 1")
 
@@ -376,7 +384,7 @@ _DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _convert(args)
+        _validate(args)
     except ValueError as exc:
         _human(f"usage error: {exc}")
         return EXIT_USAGE

@@ -320,48 +320,51 @@ def verify_complement_involution(n_max: int = 7) -> CheckResult:
 
 
 # The verify selectors in the order ``all`` runs them (``all`` leaves out
-# bound-2t): selector -> (runner, its default catalog size as (with
-# --small, without), or None when it scans no oracle catalog, and the
-# options that replace the default, the first given first).  A runner
-# takes run_suite's keyword arguments, with ``size`` its catalog size, and
-# returns its checks.  run_suite holds the selected catalog sizes to
-# --catalog-max before any runner starts, so a runner's own catalog limit
-# is max(10, size).
-SELECTORS: dict[str, tuple[Callable[..., list[CheckResult]], tuple[int, int] | None,
-                           tuple[str, ...]]] = {
+# bound-2t): selector -> (runner, the options of n, n_max, s and t that it
+# reads, its default size (pump's: its trials) as (with --small, without),
+# whether that size is an oracle catalog).  Its size is --n, then --n-max,
+# if it reads them, else its default.  A runner takes run_suite's keyword
+# arguments, with ``size`` that size, and returns its checks.  run_suite
+# holds the catalog sizes to --catalog-max before any runner starts, so a
+# runner's own catalog limit is max(10, size).
+SELECTORS: dict[str, tuple[Callable[..., list[CheckResult]], tuple[str, ...],
+                           tuple[int, int], bool]] = {
     "balanced-biclique": (lambda size, **_: [
         check_balanced_biclique(k, limit=max(10, k)) for k in range(2, size + 1)],
-        (8, 9), ("n", "n_max")),
-    "sequences": (lambda size, **_: [verify_sequences(size)], (6, 7), ("n_max",)),
-    "profiles": (lambda size, **_: [verify_fulfillment_agreement(size)], (6, 7), ("n_max",)),
+        ("n", "n_max"), (8, 9), True),
+    "sequences": (lambda size, **_: [verify_sequences(size)], ("n_max",), (6, 7), True),
+    "profiles": (lambda size, **_: [verify_fulfillment_agreement(size)], ("n_max",),
+                 (6, 7), True),
     "dp-vs-oracle": (lambda s, t, size, **_: [
         verify_dp_vs_oracle(ss, tt, size)
         for ss, tt in ([(s, t)] if s is not None and t is not None else SMALL_PAIRS)],
-        (7, 8), ("n_max",)),
-    "bound-2t": (lambda n_max, t, **_: [verify_bound_2t(
-        3 if t is None else t, 20 if n_max is None else n_max)], None, ()),
-    "bounds": (lambda small, n_max, **_: [
-        verify_strict_bound(s, t, (20 if small else 30) if n_max is None else n_max)
-        for s, t in ((2, 2), (2, 3), (3, 3))], None, ()),
+        ("n_max", "s", "t"), (7, 8), True),
+    "bound-2t": (lambda t, size, **_: [verify_bound_2t(3 if t is None else t, size)],
+                 ("n_max", "t"), (20, 20), False),
+    "bounds": (lambda size, **_: [verify_strict_bound(s, t, size) for s, t in (
+        (2, 2), (2, 3), (3, 3))], ("n_max",), (20, 30), False),
     "structure": (lambda size, **_: check_structure_theorems(
-        range(2, size + 1), limit=max(10, size)), (7, 8), ("n_max",)),
-    "restriction": (lambda size, **_: [verify_restriction_transport(3, size)], (4, 5), ()),
+        range(2, size + 1), limit=max(10, size)), ("n_max",), (7, 8), True),
+    "restriction": (lambda size, **_: [verify_restriction_transport(3, size)], (), (4, 5),
+                    True),
     "regular": (lambda small, size, **_: [
-        verify_regular_constructor(20 if small else 40, size)], (8, 9), ()),
-    "pareto": (lambda small, **_: [verify_pareto_safety(6 if small else 8)], None, ()),
+        verify_regular_constructor(20 if small else 40, size)], (), (8, 9), True),
+    "pareto": (lambda size, **_: [verify_pareto_safety(size)], (), (6, 8), False),
     "constructions": (lambda size, **_: [
         verify_constructions_meet_optimum(size), verify_clique_product_formula()],
-        (8, 9), ()),
-    "pump": (lambda small, seed, **_: [
-        verify_pump_invariants(seed=seed, trials=60 if small else 120)], None, ()),
-    "invariants": (lambda small, **_: [
-        verify_height_bound(6 if small else 7),
-        verify_complement_involution(6 if small else 7)], None, ()),
+        (), (8, 9), True),
+    "pump": (lambda seed, size, **_: [verify_pump_invariants(seed=seed, trials=size)],
+             (), (60, 120), False),
+    "invariants": (lambda size, **_: [
+        verify_height_bound(size), verify_complement_involution(size)], (), (6, 7), True),
 }
 
-# The pair options each selector reads; given to any other selector, --s or
-# --t is a usage error.  ``all`` hands both to dp-vs-oracle.
-PAIR_OPTIONS = {"all": ("s", "t"), "dp-vs-oracle": ("s", "t"), "bound-2t": ("t",)}
+ALL = tuple(k for k in SELECTORS if k != "bound-2t")
+
+
+def options_read(which: str) -> set[str]:
+    """The options that selector ``which``, or any selector ``all`` runs, reads."""
+    return {o for k in (ALL if which == "all" else [which]) for o in SELECTORS[k][1]}
 
 
 def run_suite(
@@ -375,20 +378,17 @@ def run_suite(
     catalog_max: int | None = None,
 ) -> dict:
     """Dispatch for the CLI verify subcommand; returns a JSON-ready report."""
-    selected = [k for k in SELECTORS if k != "bound-2t"] if which == "all" else [which]
-    given = {"n": n, "n_max": n_max}
-    sizes: dict[str, int | None] = {}
-    for k in selected:
-        _, defaults, options = SELECTORS[k]
-        sizes[k] = defaults and next((given[o] for o in options if given[o] is not None),
-                                     defaults[0 if small else 1])
-    catalogs = [size for size in sizes.values() if size is not None]
+    selected = ALL if which == "all" else [which]
+    sizes = {k: next((v for o, v in (("n", n), ("n_max", n_max)) if v is not None and
+                      o in SELECTORS[k][1]), SELECTORS[k][2][0 if small else 1])
+             for k in selected}
+    catalogs = [sizes[k] for k in selected if SELECTORS[k][3]]
     if catalog_max is not None and catalogs and max(catalogs) > catalog_max:
         raise CapacityError(
             f"requested n up to {max(catalogs)} exceeds --catalog-max {catalog_max}")
 
     results = [r for k in selected for r in SELECTORS[k][0](
-        small=small, seed=seed, n=n, n_max=n_max, s=s, t=t, size=sizes[k])]
+        small=small, seed=seed, s=s, t=t, size=sizes[k])]
     if not results:
         bounds = ", ".join(f"{flag} {v}" for flag, v in (("--n", n), ("--n-max", n_max))
                            if v is not None)

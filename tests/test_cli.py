@@ -245,13 +245,69 @@ def test_verify_pair_needs_both_s_and_t(argv, capsys):
     (["verify", "sequences", "--s", "2", "--t", "3"], "--s"),
     (["verify", "pump", "--small", "--s", "2", "--t", "3"], "--s"),
     (["verify", "regular", "--t", "3"], "--t"),
-], ids=["bounds", "bound-2t", "sequences", "pump", "regular"])
+    # restriction's catalogs do not follow --n-max
+    (["verify", "restriction", "--n-max", "20", "--catalog-max", "5"], "--n-max"),
+    (["verify", "bounds", "--n", "4"], "--n"),
+    (["verify", "regular", "--n", "5", "--small"], "--n"),
+    (["verify", "structure", "--n", "3"], "--n"),
+    (["verify", "dp-vs-oracle", "--n", "4"], "--n"),
+    (["verify", "invariants", "--n-max", "3"], "--n-max"),
+], ids=["bounds", "bound-2t", "sequences", "pump", "regular", "restriction", "bounds-n",
+        "regular-n", "structure-n", "dp-vs-oracle-n", "invariants-n-max"])
 def test_verify_option_the_selector_does_not_read_is_usage_error(argv, option, capsys):
-    # the selector would otherwise run its fixed pairs and exit 0
+    # the selector would otherwise run its fixed pairs or sizes and exit 0
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
     assert err == f"usage error: verify {argv[1]} does not read {option}\n"
+
+
+def test_verify_bound_2t_below_t_2_names_t(capsys):
+    # K_{2,t} needs t >= 2; the s of the pair is fixed, so only --t can be wrong
+    for t in ("1", "0", "-3"):
+        code, out, err = run(["verify", "bound-2t", "--t", t], capsys)
+        assert (code, out) == (2, "")
+        assert err == "usage error: verify bound-2t needs --t >= 2\n"
+    code, out, _ = run(["verify", "bound-2t", "--t", "2", "--n-max", "6"], capsys)
+    assert code == 0 and json.loads(out)["checks"][0]["params"]["t"] == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "k33", "--n", "5", "--s", "3"], "construct k33 does not read --s"),
+    (["construct", "k33", "--n", "5", "--s", "3", "--d", "2"],
+     "construct k33 does not read --d"),
+    (["construct", "regular", "--n", "7", "--d", "4", "--t", "3"],
+     "construct regular does not read --t"),
+    (["construct", "star", "--n", "7", "--t", "3", "--path", "0"],
+     "construct star does not read --path"),
+    (["construct", "clique-product", "--s", "2", "--t", "3", "--r", "2", "--n", "9"],
+     "construct clique-product does not read --n"),
+    (["construct", "pump", "--input", "g.json", "--path", "0", "--k", "1", "--r", "2"],
+     "construct pump does not read --r"),
+    (["enumerate", "--profile", "inf,inf,inf;2", "--s", "3", "--n-max", "5"],
+     "enumerate --profile does not read --s"),
+    (["analyze", "--profile", "inf,inf,inf;2", "--t", "3"],
+     "analyze --profile does not read --t"),
+    (["analyze", "--input", "series.json", "--s", "2"], "analyze --input does not read --s"),
+    (["analyze", "--input", "series.json", "--profile", "inf;2"],
+     "analyze --input does not read --profile"),
+    (["analyze", "--input", "series.json", "--max-records", "5"],
+     "analyze --input does not read --max-records"),
+], ids=["k33-s", "k33-d", "regular", "star", "clique-product", "pump", "enumerate-profile",
+        "analyze-profile", "analyze-input-s", "analyze-input-profile",
+        "analyze-input-max-records"])
+def test_option_the_command_does_not_read_is_usage_error(argv, message, capsys):
+    # rejected before any file is read or any family is built
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {message}\n"
+
+
+def test_profile_text_is_read_even_when_empty(capsys):
+    # an empty --profile is the profile given, not a fall-back to --s and --t
+    code, out, err = run(["enumerate", "--profile", "", "--n-max", "5"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: profile text needs ';tail': ''\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -431,8 +487,6 @@ def test_catalog_max_is_held_to_the_selected_catalogs(selector, catalog_max, cod
     ["verify", "balanced-biclique", "--n", "4", "--n-max", "9", "--catalog-max", "5"],
     ["verify", "sequences", "--n-max", "4", "--catalog-max", "4"],
     ["verify", "dp-vs-oracle", "--n-max", "5", "--catalog-max", "5"],
-    # restriction's catalogs do not follow --n-max
-    ["verify", "restriction", "--n-max", "20", "--catalog-max", "5"],
 ])
 def test_catalog_max_is_held_to_the_requested_catalogs(argv, capsys):
     # --n and --n-max replace a selector's default catalog size, so a
@@ -440,6 +494,16 @@ def test_catalog_max_is_held_to_the_requested_catalogs(argv, capsys):
     code, out, _ = run(argv, capsys)
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+def test_invariants_is_held_to_catalog_max(capsys):
+    # its checks build every catalog up to 7, or 6 with --small
+    code, out, err = run(["verify", "invariants", "--catalog-max", "6"], capsys)
+    assert (code, out) == (3, "")
+    assert "requested n up to 7 exceeds --catalog-max 6" in err
+    code, out, _ = run(["verify", "invariants", "--small", "--catalog-max", "6"], capsys)
+    assert code == 0
+    assert [c["params"]["n_max"] for c in json.loads(out)["checks"]] == [6, 6]
 
 
 def test_small_suite_fits_a_catalog_of_8(monkeypatch, capsys):

@@ -1,8 +1,15 @@
 """The bundled verification suite stays green and reports structure."""
 
+from pathlib import Path
+
+import pytest
+
 import cogex.verification as verification
 from cogex.cotree import clique, edgeless, make_product, make_sum
+from cogex.oracle import CheckResult
 from cogex.verification import (
+    SELECTORS,
+    options_read,
     run_suite,
     verify_constructions_meet_optimum,
     verify_dp_vs_oracle,
@@ -123,3 +130,34 @@ def test_small_bundle():
     assert {"sequences", "dp-vs-oracle", "pareto-safety", "regular-constructor",
             "restriction-transport"} <= names
     assert [(c["check"], c["params"]) for c in report["checks"]] == SMALL_BUNDLE
+
+
+def test_readme_selector_table_is_the_selectors_table():
+    # one row per selector, in order, then all: the options it reads, its
+    # sizes with and without --small, and whether they are oracle catalogs
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| selector | reads | size with `--small` | size without | catalog |")
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        selector, reads, *rest = (c.strip() for c in line.strip("|").split("|"))
+        options = set() if reads == "none" else {
+            f.strip(" `-").replace("-", "_") for f in reads.split(",")}
+        rows.append([selector.strip("`"), options, *rest])
+    assert rows[:-1] == [[k, set(reads), str(small), str(full), "yes" if catalog else "no"]
+                         for k, (_, reads, (small, full), catalog) in SELECTORS.items()]
+    assert rows[-1][0].startswith("all`") and rows[-1][1] == options_read("all")
+
+
+@pytest.mark.parametrize("selector", list(SELECTORS))
+def test_size_is_n_then_n_max_where_read_else_the_default(selector, monkeypatch):
+    _, reads, (small, full), catalog = SELECTORS[selector]
+    sizes = []
+    monkeypatch.setitem(SELECTORS, selector, (
+        lambda size, **_: sizes.append(size) or [CheckResult("stub", {}, True)],
+        reads, (small, full), catalog))
+    for options in ({}, {"small": True}, {"n_max": 5}, {"n": 4, "n_max": 5}):
+        run_suite(selector, **options)
+    n_max = 5 if "n_max" in reads else full
+    assert sizes == [full, small, n_max, 4 if "n" in reads else n_max]
