@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--small", action="store_true", help="reduced bundled suite")
-    p.add_argument("--seed", type=int, default=20240817)
+    p.add_argument("--seed", type=int)
     p.add_argument("--catalog-max", type=int, default=10,
                    help="hard ceiling on oracle catalog size (capacity guard)")
     _add_common(p)
@@ -312,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--profile")
-    p.add_argument("--n-max", type=int, default=20)
-    p.add_argument("--n-min", type=int, default=1)
+    p.add_argument("--n-max", type=int)
+    p.add_argument("--n-min", type=int)
     p.add_argument("--input", help="series snapshot JSON from enumerate")
     p.add_argument("--alpha", help="exact rational, e.g. 3/2 (default: from s,t)")
     p.add_argument("--periods", help="comma-separated candidate periods")
@@ -341,18 +341,24 @@ def _validate(args: argparse.Namespace) -> None:
     # that does not read it, is a usage error
     if args.subcommand == "verify":
         command, reads = f"verify {args.check}", options_read(args.check)
-        unset = ("n", "n_max", "s", "t")
+        unset = ("n", "n_max", "s", "t", "seed")
     elif args.subcommand == "construct":
         command, reads = f"construct {args.family}", FAMILIES[args.family][0]
         unset = dict.fromkeys(o for options, *_ in FAMILIES.values() for o in options)
     elif args.subcommand == "analyze" and args.input:
-        command, reads, unset = "analyze --input", (), ("s", "t", "profile", "max_records")
+        command, reads = "analyze --input", ()
+        unset = ("s", "t", "profile", "max_records", "n_max", "n_min")
     else:  # enumerate and analyze read --s and --t without --profile only
         command, reads = f"{args.subcommand} --profile", ()
         unset = ("s", "t") if opts.get("profile") is not None else ()
     for o in unset:
         if opts[o] not in (None, ()) and o not in reads:  # no --path parses to ()
             raise ValueError(f"{command} does not read --{o.replace('_', '-')}")
+    # defaults of options that some modes do not read, once the check has
+    # seen whether they were given
+    late = {"analyze": {"n_max": 20, "n_min": 1}, "verify": {"seed": 20240817}}
+    for o, default in late.get(args.subcommand, {}).items():
+        opts[o] = default if opts[o] is None else opts[o]
     if args.subcommand in ("enumerate", "analyze") and not opts.get("input"):
         if args.profile is None and (args.s is None or args.t is None):
             raise ValueError("need --s and --t, or --profile")

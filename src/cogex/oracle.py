@@ -4,9 +4,7 @@ Everything the dynamic program or the constructions claim is re-derivable
 here by exhaustion: the catalog of all unlabeled cographs up to the size
 limit, biclique containment by common-neighborhood search on the dense
 expansion, extremal values by scanning the catalog, and the structural
-spot checks used by the verification suite.  The structure checks are
-guarded once: ``check_structure_theorems`` checks its largest n against
-the catalog limit before any work.
+spot checks used by the verification suite, on the witnesses they are given.
 
 Biclique sequences count every vertex set at once.  Each vertex's row
 becomes a 2^n-bit integer whose bit S is set iff the set S lies inside
@@ -29,6 +27,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from typing import Callable, Mapping, Sequence
 
 from .cotree import (
     DEFAULT_ADJACENCY_LIMIT,
@@ -45,7 +44,7 @@ from .cotree import (
     make_sum,
     to_adjacency,
 )
-from .profile import BicliqueProfile, forbidden_biclique_profile, fulfills
+from .profile import BicliqueProfile, fulfills
 
 DEFAULT_CATALOG_LIMIT = 10
 
@@ -322,15 +321,9 @@ def _has_edge_times_cliques_shape(g: Cotree) -> bool:
     return len(rest) == 1 and _is_sum_of_cliques(rest[0])
 
 
-def _extremal_witnesses(n: int, s: int, t: int) -> tuple[Cotree, ...]:
-    """All K_{s,t}-extremal n-vertex cographs, from an unguarded catalog."""
-    return extremal_bruteforce(n, forbidden_biclique_profile(s, t), limit=n)[1]
-
-
-def check_star_extremal_regular(n: int, t: int) -> CheckResult:
+def check_star_extremal_regular(witnesses: Sequence[Cotree], n: int, t: int) -> CheckResult:
     """Shape of K_{1,t}-extremal cographs: (t-1)-regular, or regular plus one
     connected remainder of at most 2t-3 vertices."""
-    witnesses = _extremal_witnesses(n, 1, t)
     bad = []
     even_all_regular = True
     for g in witnesses:
@@ -351,9 +344,8 @@ def check_star_extremal_regular(n: int, t: int) -> CheckResult:
     )
 
 
-def check_universal_vertex(n: int, t: int) -> CheckResult:
+def check_universal_vertex(witnesses: Sequence[Cotree], n: int, t: int) -> CheckResult:
     """Every K_{2,t}-extremal cograph (t in {2,3}) has a universal vertex."""
-    witnesses = _extremal_witnesses(n, 2, t)
     bad = [canonical_form(g).decode("ascii") for g in witnesses
            if g.n - 1 not in degree_counts(g)]
     return CheckResult(
@@ -365,9 +357,8 @@ def check_universal_vertex(n: int, t: int) -> CheckResult:
     )
 
 
-def check_k33_shape(n: int) -> CheckResult:
+def check_k33_shape(witnesses: Sequence[Cotree], n: int) -> CheckResult:
     """Some K_{3,3}-extremal cograph is an edge joined to a sum of cliques."""
-    witnesses = _extremal_witnesses(n, 3, 3)
     shaped = [g for g in witnesses if _has_edge_times_cliques_shape(g)]
     two_universal = [g for g in witnesses
                      if degree_counts(g).get(g.n - 1, 0) >= 2]
@@ -389,14 +380,14 @@ def _min_factor_size(comp: Cotree) -> int:
     return min(c.n for c in comp.children)
 
 
-def check_lifting_decomposition(n: int, s: int, t: int) -> CheckResult:
+def check_lifting_decomposition(witnesses: Sequence[Cotree], n: int, s: int,
+                                t: int) -> CheckResult:
     """Extremal witnesses decompose into products with small minimal factors.
 
     For each witness: every component's minimal factor size is < t; for each
     j in 1..s-1, at most one component has minimal factor size j; components
     splittable into two factors of >= s vertices each have <= 2(t-1) vertices.
     """
-    witnesses = _extremal_witnesses(n, s, t)
     bad = []
     for g in witnesses:
         comps = g.children if g.kind == "sum" else (g,)
@@ -438,20 +429,19 @@ def _balanced_split_exists(sizes: list[int], s: int) -> bool:
 
 def check_structure_theorems(
     n_range: range,
-    limit: int = DEFAULT_CATALOG_LIMIT,
+    witnesses: Callable[[int, int], Mapping[int, Sequence[Cotree]]],
 ) -> list[CheckResult]:
-    """Run the structural checks over a range of vertex counts, once its
-    largest n is within the catalog limit."""
-    if n_range:
-        _check_catalog_size(max(n_range), limit)
+    """Run the structural checks over a range of vertex counts on
+    ``witnesses(s, t)``: vertex count -> every K_{s,t}-extremal cograph."""
+    w = {st: witnesses(*st) for st in ((1, 3), (2, 2), (2, 3), (3, 3))}
     results: list[CheckResult] = []
     for n in n_range:
         if n >= 3:
-            results.append(check_star_extremal_regular(n, 3))
+            results.append(check_star_extremal_regular(w[1, 3][n], n, 3))
         for t in (2, 3):
-            results.append(check_universal_vertex(n, t))
+            results.append(check_universal_vertex(w[2, t][n], n, t))
         if n >= 2:
-            results.append(check_k33_shape(n))
+            results.append(check_k33_shape(w[3, 3][n], n))
         for s, t in ((2, 2), (2, 3), (3, 3)):
-            results.append(check_lifting_decomposition(n, s, t))
+            results.append(check_lifting_decomposition(w[s, t][n], n, s, t))
     return results

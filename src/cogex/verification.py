@@ -97,15 +97,26 @@ def verify_fulfillment_agreement(
                        not bad, "", bad)
 
 
+def exhaustive_witnesses(s: int, t: int, n_max: int) -> dict[int, tuple]:
+    """n -> every K_{s,t}-extremal n-vertex cograph, n = 1..n_max, as each
+    part of an extremal cograph is edge-best for its key, ties keep every
+    source, and the window never prunes a part of a graph that fits."""
+    return extremal_function(s, t, range(1, n_max + 1), exhaustive=True,
+                             witness_limit=None).witnesses
+
+
 def verify_dp_vs_oracle(s: int, t: int, n_max: int = 9) -> CheckResult:
-    """extremal_function values == brute force over the whole catalog."""
+    """extremal_function values and exhaustive witness sets == brute force."""
     series = extremal_function(s, t, range(1, n_max + 1))
+    witnesses = exhaustive_witnesses(s, t, n_max)
     p = forbidden_biclique_profile(s, t)
     bad = []
     for n in range(1, n_max + 1):
-        brute, _ = extremal_bruteforce(n, p, limit=max(10, n_max))
+        brute, brute_witnesses = extremal_bruteforce(n, p, limit=max(10, n_max))
         if series.values.get(n) != brute:
             bad.append(f"n={n}: dp={series.values.get(n)} brute={brute}")
+        if (dp_witnesses := witnesses.get(n, ())) != brute_witnesses:
+            bad.append(f"n={n}: dp witnesses {len(dp_witnesses)} != brute {len(brute_witnesses)}")
     return CheckResult("dp-vs-oracle", {"s": s, "t": t, "n_max": n_max},
                        not bad, "", bad)
 
@@ -320,8 +331,8 @@ def verify_complement_involution(n_max: int = 7) -> CheckResult:
 
 
 # The verify selectors in the order ``all`` runs them (``all`` leaves out
-# bound-2t): selector -> (runner, the options of n, n_max, s and t that it
-# reads, its default size (pump's: its trials) as (with --small, without),
+# bound-2t): selector -> (runner, the options of n, n_max, s, t and seed
+# that it reads, its default size (pump's: its trials) as (with --small, without),
 # whether that size is an oracle catalog).  Its size is --n, then --n-max,
 # if it reads them, else its default.  A runner takes run_suite's keyword
 # arguments, with ``size`` that size, and returns its checks.  run_suite
@@ -344,7 +355,8 @@ SELECTORS: dict[str, tuple[Callable[..., list[CheckResult]], tuple[str, ...],
     "bounds": (lambda size, **_: [verify_strict_bound(s, t, size) for s, t in (
         (2, 2), (2, 3), (3, 3))], ("n_max",), (20, 30), False),
     "structure": (lambda size, **_: check_structure_theorems(
-        range(2, size + 1), limit=max(10, size)), ("n_max",), (7, 8), True),
+        range(2, size + 1), lambda s, t: exhaustive_witnesses(s, t, size)),
+        ("n_max",), (7, 8), False),
     "restriction": (lambda size, **_: [verify_restriction_transport(3, size)], (), (4, 5),
                     True),
     "regular": (lambda small, size, **_: [
@@ -354,7 +366,7 @@ SELECTORS: dict[str, tuple[Callable[..., list[CheckResult]], tuple[str, ...],
         verify_constructions_meet_optimum(size), verify_clique_product_formula()],
         (), (8, 9), True),
     "pump": (lambda seed, size, **_: [verify_pump_invariants(seed=seed, trials=size)],
-             (), (60, 120), False),
+             ("seed",), (60, 120), False),
     "invariants": (lambda size, **_: [
         verify_height_bound(size), verify_complement_involution(size)], (), (6, 7), True),
 }

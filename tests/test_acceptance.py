@@ -109,9 +109,11 @@ def test_criterion_06_classification_checks():
     (3,3); 2-regularity of (1,3)-extremal graphs on even n >= 4."""
     for n in range(1, 10):
         for t in (2, 3):
-            assert check_universal_vertex(n, t).passed, (n, t)
+            _, wits = extremal_bruteforce(n, forbidden_biclique_profile(2, t))
+            assert check_universal_vertex(wits, n, t).passed, (n, t)
         if n >= 2:
-            assert check_k33_shape(n).passed, n
+            _, wits = extremal_bruteforce(n, forbidden_biclique_profile(3, 3))
+            assert check_k33_shape(wits, n).passed, n
     p13 = forbidden_biclique_profile(1, 3)
     for n in (4, 6, 8):  # even n at least t
         _, wits = extremal_bruteforce(n, p13)

@@ -252,8 +252,12 @@ def test_verify_pair_needs_both_s_and_t(argv, capsys):
     (["verify", "structure", "--n", "3"], "--n"),
     (["verify", "dp-vs-oracle", "--n", "4"], "--n"),
     (["verify", "invariants", "--n-max", "3"], "--n-max"),
+    # only pump, and so all, reads --seed
+    (["verify", "bounds", "--seed", "3"], "--seed"),
+    (["verify", "structure", "--small", "--seed", "0"], "--seed"),
 ], ids=["bounds", "bound-2t", "sequences", "pump", "regular", "restriction", "bounds-n",
-        "regular-n", "structure-n", "dp-vs-oracle-n", "invariants-n-max"])
+        "regular-n", "structure-n", "dp-vs-oracle-n", "invariants-n-max", "bounds-seed",
+        "structure-seed"])
 def test_verify_option_the_selector_does_not_read_is_usage_error(argv, option, capsys):
     # the selector would otherwise run its fixed pairs or sizes and exit 0
     code, out, err = run(argv, capsys)
@@ -293,14 +297,31 @@ def test_verify_bound_2t_below_t_2_names_t(capsys):
      "analyze --input does not read --profile"),
     (["analyze", "--input", "series.json", "--max-records", "5"],
      "analyze --input does not read --max-records"),
+    # the snapshot's rows are the range, with or without the defaults
+    (["analyze", "--input", "series.json", "--n-max", "5", "--n-min", "3"],
+     "analyze --input does not read --n-max"),
+    (["analyze", "--input", "series.json", "--n-min", "1"],
+     "analyze --input does not read --n-min"),
 ], ids=["k33-s", "k33-d", "regular", "star", "clique-product", "pump", "enumerate-profile",
         "analyze-profile", "analyze-input-s", "analyze-input-profile",
-        "analyze-input-max-records"])
+        "analyze-input-max-records", "analyze-input-n-max", "analyze-input-n-min"])
 def test_option_the_command_does_not_read_is_usage_error(argv, message, capsys):
     # rejected before any file is read or any family is built
     code, out, err = run(argv, capsys)
     assert (code, out) == (2, "")
     assert err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("given, default", [
+    (["verify", "pump", "--small", "--seed", "20240817"], ["verify", "pump", "--small"]),
+    (["analyze", "--s", "2", "--t", "3", "--n-min", "1", "--n-max", "20"],
+     ["analyze", "--s", "2", "--t", "3"]),
+], ids=["verify-seed", "analyze-range"])
+def test_defaults_filled_in_after_validation_are_the_old_defaults(given, default, capsys):
+    # an option left out reads the default it had in the parser
+    code, out, _ = run(given, capsys)
+    assert code == 0
+    assert run(default, capsys)[:2] == (0, out)
 
 
 def test_profile_text_is_read_even_when_empty(capsys):
@@ -451,7 +472,6 @@ def test_capacity_exit_code(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "balanced-biclique", "--n", "11"],
-    ["verify", "structure", "--n-max", "11"],
 ])
 def test_catalog_max_raises_the_catalog_limit(argv, capsys):
     code, out, err = run(argv + ["--catalog-max", "10"], capsys)
@@ -467,12 +487,11 @@ def test_catalog_max_raises_the_catalog_limit(argv, capsys):
 @pytest.mark.parametrize("selector, catalog_max, code", [
     ("structure", 8, 0),
     ("sequences", 7, 0),
-    ("structure", 7, 3),
 ])
 def test_catalog_max_is_held_to_the_selected_catalogs(selector, catalog_max, code,
                                                        capsys):
-    # structure builds catalogs up to 8 by default and sequences up to 7,
-    # not the whole suite's 9
+    # sequences builds catalogs up to 7 by default, not the whole suite's 9,
+    # and structure builds none
     got, out, err = run(["verify", selector, "--catalog-max", str(catalog_max)], capsys)
     assert got == code
     if code == 0:
@@ -482,7 +501,6 @@ def test_catalog_max_is_held_to_the_selected_catalogs(selector, catalog_max, cod
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "structure", "--n-max", "5", "--catalog-max", "6"],
     ["verify", "balanced-biclique", "--n", "4", "--catalog-max", "5"],
     ["verify", "balanced-biclique", "--n", "4", "--n-max", "9", "--catalog-max", "5"],
     ["verify", "sequences", "--n-max", "4", "--catalog-max", "4"],

@@ -130,11 +130,10 @@ def test_balanced_biclique_degenerate_single_vertex():
 
 
 def test_structure_theorems_small():
-    results = check_structure_theorems(range(2, 8))
+    # on the catalog's witnesses, every extremal cograph of each n
+    results = check_structure_theorems(range(2, 8), lambda s, t: {
+        n: extremal_bruteforce(n, forbidden_biclique_profile(s, t))[1] for n in range(2, 8)})
     assert all(r.passed for r in results), [r for r in results if not r.passed]
-    # the largest n is checked against the limit before any catalog is built
-    with pytest.raises(CapacityError, match="n=11 exceeds limit 10"):
-        check_structure_theorems(range(2, 12))
 
 
 # -- the lattice search and the per-n sequence table against plain loops -----

@@ -6,9 +6,11 @@ import pytest
 
 import cogex.verification as verification
 from cogex.cotree import clique, edgeless, make_product, make_sum
-from cogex.oracle import CheckResult
+from cogex.oracle import CheckResult, check_structure_theorems
 from cogex.verification import (
     SELECTORS,
+    SMALL_PAIRS,
+    exhaustive_witnesses,
     options_read,
     run_suite,
     verify_constructions_meet_optimum,
@@ -24,6 +26,45 @@ def test_individual_checks_pass():
     assert verify_strict_bound(2, 2, 20).passed
     assert verify_restriction_transport(3, 4).passed
     assert verify_constructions_meet_optimum(8).passed
+
+
+def test_dp_vs_oracle_compares_exhaustive_witness_sets(monkeypatch):
+    # the structure checks read these sets past the catalog, so the oracle
+    # holds them to every extremal cograph at every n it reaches
+    for s, t in SMALL_PAIRS:
+        assert verify_dp_vs_oracle(s, t, 9).passed, (s, t)
+    dp = verification.extremal_function
+
+    def drop_one(*args, **kwargs):
+        series = dp(*args, **kwargs)
+        if kwargs.get("exhaustive"):
+            series.witnesses[6] = series.witnesses[6][1:]
+        return series
+
+    monkeypatch.setattr(verification, "extremal_function", drop_one)
+    result = verify_dp_vs_oracle(3, 3, 8)
+    assert not result.passed
+    assert result.counterexamples == ["n=6: dp witnesses 1 != brute 2"]
+
+
+def test_structure_selector_builds_no_catalog(monkeypatch):
+    import cogex.oracle as oracle
+
+    def no_catalog(*_, **__):
+        raise AssertionError("the structure selector built an oracle catalog")
+
+    for name in ("enumerate_cotrees", "_sequence_table"):
+        monkeypatch.setattr(oracle, name, no_catalog)
+    report = run_suite("structure", n_max=20)
+    assert report["passed"]
+    assert max(c["params"]["n"] for c in report["checks"]) == 20
+
+
+def test_structure_theorems_to_30_on_exhaustive_witnesses():
+    results = check_structure_theorems(
+        range(2, 31), lambda s, t: exhaustive_witnesses(s, t, 30))
+    assert len(results) == 202
+    assert all(r.passed for r in results), [r.name for r in results if not r.passed]
 
 
 def test_regular_constructor_check_reads_degrees_past_16_vertices(monkeypatch):
