@@ -43,6 +43,7 @@ from .enumerator import (
     extremal_function,
     extremal_series_for_profile,
 )
+from .oracle import DEFAULT_CATALOG_LIMIT
 from .profile import forbidden_biclique_profile, fulfills, parse_profile
 from .serialize import (
     dumps_cotree,
@@ -54,7 +55,7 @@ from .serialize import (
     series_to_obj,
     to_dot,
 )
-from .verification import SELECTORS, options_read, run_suite
+from .verification import DEFAULT_SEED, SELECTORS, options_read, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -304,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int)
     p.add_argument("--small", action="store_true", help="reduced bundled suite")
     p.add_argument("--seed", type=int)
-    p.add_argument("--catalog-max", type=int, default=10,
+    p.add_argument("--catalog-max", type=int, default=DEFAULT_CATALOG_LIMIT,
                    help="hard ceiling on oracle catalog size (capacity guard)")
     _add_common(p)
 
@@ -356,22 +357,23 @@ def _validate(args: argparse.Namespace) -> None:
             raise ValueError(f"{command} does not read --{o.replace('_', '-')}")
     # defaults of options that some modes do not read, once the check has
     # seen whether they were given
-    late = {"analyze": {"n_max": 20, "n_min": 1}, "verify": {"seed": 20240817}}
+    late = {"analyze": {"n_max": 20, "n_min": 1}, "verify": {"seed": DEFAULT_SEED}}
     for o, default in late.get(args.subcommand, {}).items():
         opts[o] = default if opts[o] is None else opts[o]
-    if args.subcommand in ("enumerate", "analyze") and not opts.get("input"):
-        if args.profile is None and (args.s is None or args.t is None):
-            raise ValueError("need --s and --t, or --profile")
-        if args.profile is None and not 1 <= args.s <= args.t:
-            raise ValueError(f"need 1 <= s <= t, got ({args.s}, {args.t})")
-        if args.n_min > args.n_max:
-            raise ValueError("--n-min exceeds --n-max")
-    for name in ("n", "n_min", "n_max", "witness_max", "max_records", "catalog_max"):
-        if opts.get(name) is not None and opts[name] < 1:
-            raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
     # dp-vs-oracle runs on the default pairs unless both are given
     if args.subcommand == "verify" and "s" in reads and (args.s is None) != (args.t is None):
         raise ValueError(f"verify {args.check} needs both --s and --t, or neither")
+    runs_dp = args.subcommand in ("enumerate", "analyze") and not opts.get("input")
+    if runs_dp and args.profile is None and (args.s is None or args.t is None):
+        raise ValueError("need --s and --t, or --profile")
+    # every K_{s,t} that enumerate, analyze or verify reads
+    if args.subcommand != "construct" and opts.get("s") is not None and not 1 <= args.s <= args.t:
+        raise ValueError(f"need 1 <= s <= t, got ({args.s}, {args.t})")
+    if runs_dp and args.n_min > args.n_max:
+        raise ValueError("--n-min exceeds --n-max")
+    for name in ("n", "n_min", "n_max", "witness_max", "max_records", "catalog_max"):
+        if opts.get(name) is not None and opts[name] < 1:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
     if opts.get("check") == "bound-2t" and args.t is not None and args.t < 2:
         raise ValueError("verify bound-2t needs --t >= 2")
     if opts.get("periods") and min(args.periods) < 1:

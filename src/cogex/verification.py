@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Sequence
 
 from .constructions import (
@@ -34,7 +35,7 @@ from .cotree import (
     to_adjacency,
     to_formula,
 )
-from .enumerator import extremal_function
+from .enumerator import DEFAULT_WITNESS_LIMIT, ExtremalSeries, extremal_function
 from .oracle import (
     CheckResult,
     _sequence_table,
@@ -53,6 +54,7 @@ from .profile import (
 )
 
 SMALL_PAIRS = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
+DEFAULT_SEED = 20240817
 
 
 def verify_sequences(n_max: int = 7) -> CheckResult:
@@ -64,7 +66,7 @@ def verify_sequences(n_max: int = 7) -> CheckResult:
     bad = []
     total = 0
     for n in range(1, n_max + 1):
-        items = enumerate_cotrees(n, limit=max(10, n_max)).items
+        items = enumerate_cotrees(n, limit=n_max).items
         brute = {g: seq for seq, graphs in _sequence_table(n) for g in graphs}
         total += len(items)
         for g in items:
@@ -84,7 +86,7 @@ def verify_fulfillment_agreement(
     """Profile fulfillment == absence of the biclique, by direct search."""
     bad = []
     for n in range(1, n_max + 1):
-        for g in enumerate_cotrees(n, limit=max(10, n_max)).items:
+        for g in enumerate_cotrees(n, limit=n_max).items:
             a = to_adjacency(g)
             seq = biclique_sequence(g, g.n)
             for s, t in pairs:
@@ -97,43 +99,42 @@ def verify_fulfillment_agreement(
                        not bad, "", bad)
 
 
-def exhaustive_witnesses(s: int, t: int, n_max: int) -> dict[int, tuple]:
-    """n -> every K_{s,t}-extremal n-vertex cograph, n = 1..n_max, as each
-    part of an extremal cograph is edge-best for its key, ties keep every
-    source, and the window never prunes a part of a graph that fits."""
-    return extremal_function(s, t, range(1, n_max + 1), exhaustive=True,
-                             witness_limit=None).witnesses
+def dp_series(s: int, t: int, n_max: int, exhaustive: bool = False) -> ExtremalSeries:
+    """The DP's K_{s,t} series, n = 1..n_max; exhaustive witnesses are every
+    K_{s,t}-extremal n-vertex cograph, as each part of an extremal cograph is
+    edge-best for its key, ties keep every source, and the window never
+    prunes a part of a graph that fits."""
+    return extremal_function(s, t, range(1, n_max + 1), exhaustive=exhaustive,
+                             witness_limit=None if exhaustive else DEFAULT_WITNESS_LIMIT)
 
 
-def verify_dp_vs_oracle(s: int, t: int, n_max: int = 9) -> CheckResult:
-    """extremal_function values and exhaustive witness sets == brute force."""
-    series = extremal_function(s, t, range(1, n_max + 1))
-    witnesses = exhaustive_witnesses(s, t, n_max)
+def verify_dp_vs_oracle(series: ExtremalSeries, exhaustive: ExtremalSeries) -> CheckResult:
+    """A DP series' values and its exhaustive twin's witness sets == brute force."""
+    s, t, n_max = series.s, series.t, max(series.values)
     p = forbidden_biclique_profile(s, t)
     bad = []
     for n in range(1, n_max + 1):
-        brute, brute_witnesses = extremal_bruteforce(n, p, limit=max(10, n_max))
+        brute, brute_witnesses = extremal_bruteforce(n, p, limit=n_max)
         if series.values.get(n) != brute:
             bad.append(f"n={n}: dp={series.values.get(n)} brute={brute}")
-        if (dp_witnesses := witnesses.get(n, ())) != brute_witnesses:
+        if (dp_witnesses := exhaustive.witnesses.get(n, ())) != brute_witnesses:
             bad.append(f"n={n}: dp witnesses {len(dp_witnesses)} != brute {len(brute_witnesses)}")
     return CheckResult("dp-vs-oracle", {"s": s, "t": t, "n_max": n_max},
                        not bad, "", bad)
 
 
-def verify_strict_bound(s: int, t: int, n_max: int = 30) -> CheckResult:
-    """ex(n) < (s - 1 + (t-1)/2) * n for every computed n (s >= 2)."""
-    if s < 2:
+def verify_strict_bound(series: ExtremalSeries) -> CheckResult:
+    """ex(n) < (s - 1 + (t-1)/2) * n at every n of a K_{s,t} series (s >= 2)."""
+    if series.s < 2:
         raise ValueError("the strict bound is claimed for s >= 2 only")
-    series = extremal_function(s, t, range(1, n_max + 1))
     bad = [f"n={n}: ex={series.values[n]} >= {series.alpha * n}" for n in series.at_bound()]
-    return CheckResult("strict-bound", {"s": s, "t": t, "n_max": n_max,
+    return CheckResult("strict-bound", {"s": series.s, "t": series.t, "n_max": max(series.values),
                                         "alpha": str(series.alpha)}, not bad, "", bad)
 
 
-def verify_bound_2t(t: int, n_max: int = 20) -> CheckResult:
-    """ex(n, K_{2,t}) < (t+1)/2 * n on the computed range."""
-    res = verify_strict_bound(2, t, n_max)
+def verify_bound_2t(series: ExtremalSeries) -> CheckResult:
+    """ex(n, K_{2,t}) < (t+1)/2 * n on a K_{2,t} series."""
+    res = verify_strict_bound(series)
     res.name = "bound-2t"
     return res
 
@@ -195,7 +196,7 @@ def verify_regular_constructor(n_max: int = 40, exhaustive_max: int = 9) -> Chec
         feasibility[n] = feasible_ds
     for n in range(1, exhaustive_max + 1):
         found = set()
-        for g in enumerate_cotrees(n, limit=max(10, exhaustive_max)).items:
+        for g in enumerate_cotrees(n, limit=exhaustive_max).items:
             degs = set(to_adjacency(g).degree_sequence())
             if len(degs) == 1:
                 found.add(next(iter(degs)))
@@ -208,21 +209,17 @@ def verify_regular_constructor(n_max: int = 40, exhaustive_max: int = 9) -> Chec
                        not bad, f"feasible degrees {table} ...", bad)
 
 
-def verify_pareto_safety(
-    n_max: int = 8,
-    pairs: Sequence[tuple[int, int]] = SMALL_PAIRS,
-) -> CheckResult:
-    """Pareto-filtered and exhaustive DP agree on every extremal value."""
+def verify_pareto_safety(series: Sequence[tuple[ExtremalSeries, ExtremalSeries]]) -> CheckResult:
+    """Each (Pareto-filtered, exhaustive) DP pair agrees on every extremal value."""
     bad = []
-    for s, t in pairs:
-        filtered = extremal_function(s, t, range(1, n_max + 1))
-        full = extremal_function(s, t, range(1, n_max + 1), exhaustive=True)
+    n_max = max(n for filtered, _ in series for n in filtered.values)
+    for filtered, full in series:
         for n in range(1, n_max + 1):
             if filtered.values.get(n) != full.values.get(n):
-                bad.append(f"({s},{t}) n={n}: filtered={filtered.values.get(n)} "
-                           f"exhaustive={full.values.get(n)}")
+                bad.append(f"({filtered.s},{filtered.t}) n={n}: filtered="
+                           f"{filtered.values.get(n)} exhaustive={full.values.get(n)}")
     return CheckResult("pareto-safety",
-                       {"n_max": n_max, "pairs": list(map(list, pairs))},
+                       {"n_max": n_max, "pairs": [[f.s, f.t] for f, _ in series]},
                        not bad, "", bad)
 
 
@@ -238,7 +235,7 @@ def verify_constructions_meet_optimum(n_max: int = 9) -> CheckResult:
             cases.append((3, 3, f"k33({n})", k33_extremal, (n,)))
         for s, t, name, build, args in cases:
             profile = forbidden_biclique_profile(s, t)
-            want, _ = extremal_bruteforce(n, profile, limit=max(10, n_max))
+            want, _ = extremal_bruteforce(n, profile, limit=n_max)
             g = build(*args)
             if (g.edges != want or g.n != n
                     or not fulfills(biclique_sequence(g, g.n), profile)):
@@ -266,7 +263,7 @@ def verify_clique_product_formula(max_r: int = 6,
     return CheckResult("clique-product-formula", {"max_r": max_r}, not bad, "", bad)
 
 
-def verify_pump_invariants(seed: int = 20240817, trials: int = 120,
+def verify_pump_invariants(seed: int = DEFAULT_SEED, trials: int = 120,
                            pairs: Sequence[tuple[int, int]] = ((2, 2), (2, 3), (3, 3))) -> CheckResult:
     """Pumping arithmetic and profile stability on random small cores.
 
@@ -335,33 +332,35 @@ def verify_complement_involution(n_max: int = 7) -> CheckResult:
 # that it reads, its default size (pump's: its trials) as (with --small, without),
 # whether that size is an oracle catalog).  Its size is --n, then --n-max,
 # if it reads them, else its default.  A runner takes run_suite's keyword
-# arguments, with ``size`` that size, and returns its checks.  run_suite
-# holds the catalog sizes to --catalog-max before any runner starts, so a
-# runner's own catalog limit is max(10, size).
+# arguments, with ``size`` that size and ``dp`` a memo of dp_series, and
+# returns its checks.  run_suite holds the catalog sizes to --catalog-max
+# before any runner starts, so a runner's own catalog limit is its size.
 SELECTORS: dict[str, tuple[Callable[..., list[CheckResult]], tuple[str, ...],
                            tuple[int, int], bool]] = {
     "balanced-biclique": (lambda size, **_: [
-        check_balanced_biclique(k, limit=max(10, k)) for k in range(2, size + 1)],
+        check_balanced_biclique(k, limit=size) for k in range(2, size + 1)],
         ("n", "n_max"), (8, 9), True),
     "sequences": (lambda size, **_: [verify_sequences(size)], ("n_max",), (6, 7), True),
     "profiles": (lambda size, **_: [verify_fulfillment_agreement(size)], ("n_max",),
                  (6, 7), True),
-    "dp-vs-oracle": (lambda s, t, size, **_: [
-        verify_dp_vs_oracle(ss, tt, size)
+    "dp-vs-oracle": (lambda dp, s, t, size, **_: [
+        verify_dp_vs_oracle(dp(ss, tt, size), dp(ss, tt, size, True))
         for ss, tt in ([(s, t)] if s is not None and t is not None else SMALL_PAIRS)],
         ("n_max", "s", "t"), (7, 8), True),
-    "bound-2t": (lambda t, size, **_: [verify_bound_2t(3 if t is None else t, size)],
+    "bound-2t": (lambda dp, t, size, **_: [verify_bound_2t(dp(2, 3 if t is None else t, size))],
                  ("n_max", "t"), (20, 20), False),
-    "bounds": (lambda size, **_: [verify_strict_bound(s, t, size) for s, t in (
+    "bounds": (lambda dp, size, **_: [verify_strict_bound(dp(s, t, size)) for s, t in (
         (2, 2), (2, 3), (3, 3))], ("n_max",), (20, 30), False),
-    "structure": (lambda size, **_: check_structure_theorems(
-        range(2, size + 1), lambda s, t: exhaustive_witnesses(s, t, size)),
+    "structure": (lambda dp, size, **_: check_structure_theorems(
+        range(2, size + 1), lambda s, t: dp(s, t, size, True).witnesses),
         ("n_max",), (7, 8), False),
     "restriction": (lambda size, **_: [verify_restriction_transport(3, size)], (), (4, 5),
                     True),
     "regular": (lambda small, size, **_: [
         verify_regular_constructor(20 if small else 40, size)], (), (8, 9), True),
-    "pareto": (lambda size, **_: [verify_pareto_safety(size)], (), (6, 8), False),
+    "pareto": (lambda dp, size, **_: [verify_pareto_safety(
+        [(dp(s, t, size), dp(s, t, size, True)) for s, t in SMALL_PAIRS])],
+        ("n_max",), (6, 8), False),
     "constructions": (lambda size, **_: [
         verify_constructions_meet_optimum(size), verify_clique_product_formula()],
         (), (8, 9), True),
@@ -382,7 +381,7 @@ def options_read(which: str) -> set[str]:
 def run_suite(
     which: str = "all",
     small: bool = False,
-    seed: int = 20240817,
+    seed: int = DEFAULT_SEED,
     n: int | None = None,
     n_max: int | None = None,
     s: int | None = None,
@@ -399,8 +398,9 @@ def run_suite(
         raise CapacityError(
             f"requested n up to {max(catalogs)} exceeds --catalog-max {catalog_max}")
 
+    dp = cache(dp_series)  # one build per series and call, shared: runners only read it
     results = [r for k in selected for r in SELECTORS[k][0](
-        small=small, seed=seed, s=s, t=t, size=sizes[k])]
+        small=small, seed=seed, s=s, t=t, size=sizes[k], dp=dp)]
     if not results:
         bounds = ", ".join(f"{flag} {v}" for flag, v in (("--n", n), ("--n-max", n_max))
                            if v is not None)

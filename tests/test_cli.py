@@ -239,6 +239,33 @@ def test_verify_pair_needs_both_s_and_t(argv, capsys):
     assert err == f"usage error: verify {argv[1]} needs both --s and --t, or neither\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "all", "--s", "3", "--t", "2"],
+    ["verify", "dp-vs-oracle", "--s", "0", "--t", "2"],
+], ids=["all", "dp-vs-oracle"])
+def test_verify_pair_outside_enumerates_range_is_usage_error(argv, monkeypatch, capsys):
+    # checked before any selector runs: all would otherwise build the
+    # catalogs of the selectors before dp-vs-oracle, then fail in the DP
+    import cogex.oracle as oracle
+    import cogex.verification as verification
+
+    def no_catalog(*_, **__):
+        raise AssertionError("a catalog was built")
+
+    for module in (oracle, verification):
+        monkeypatch.setattr(module, "enumerate_cotrees", no_catalog)
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: need 1 <= s <= t, got ({argv[3]}, {argv[5]})\n"
+
+
+def test_verify_pareto_reads_n_max(capsys):
+    # the Pareto filter against the exhaustive DP, past the oracle's catalogs
+    code, out, _ = run(["verify", "pareto", "--n-max", "14"], capsys)
+    assert code == 0
+    assert [c["params"]["n_max"] for c in json.loads(out)["checks"]] == [14]
+
+
 @pytest.mark.parametrize("argv, option", [
     (["verify", "bounds", "--s", "4", "--t", "4"], "--s"),
     (["verify", "bound-2t", "--s", "3", "--t", "4", "--n-max", "10"], "--s"),

@@ -35,7 +35,7 @@ from cogex.enumerator import (
 )
 from cogex.oracle import extremal_bruteforce
 from cogex.profile import alpha_for, binding_cap, forbidden_biclique_profile, parse_profile, validate
-from cogex.verification import verify_pareto_safety
+from cogex.verification import dp_series, verify_pareto_safety
 from cogex.cotree import INF
 
 # brute-force extremal values, frozen from the oracle (n = 1..9)
@@ -456,8 +456,10 @@ def test_exhaustive_and_filtered_values_agree():
 
 def test_pareto_safety_beyond_small_pairs():
     # wider windows than SMALL_PAIRS, past the oracle's reach
-    result = verify_pareto_safety(14, ((3, 4), (4, 4), (4, 5), (5, 5)))
+    result = verify_pareto_safety([(dp_series(s, t, 14), dp_series(s, t, 14, True))
+                                   for s, t in ((3, 4), (4, 4), (4, 5), (5, 5))])
     assert result.passed, result.counterexamples
+    assert result.params == {"n_max": 14, "pairs": [[3, 4], [4, 4], [4, 5], [5, 5]]}
 
 
 def test_strict_bound_small():

@@ -10,11 +10,12 @@ from cogex.oracle import CheckResult, check_structure_theorems
 from cogex.verification import (
     SELECTORS,
     SMALL_PAIRS,
-    exhaustive_witnesses,
+    dp_series,
     options_read,
     run_suite,
     verify_constructions_meet_optimum,
     verify_dp_vs_oracle,
+    verify_pareto_safety,
     verify_pump_invariants,
     verify_restriction_transport,
     verify_strict_bound,
@@ -22,29 +23,38 @@ from cogex.verification import (
 
 
 def test_individual_checks_pass():
-    assert verify_dp_vs_oracle(2, 3, 8).passed
-    assert verify_strict_bound(2, 2, 20).passed
+    assert verify_dp_vs_oracle(dp_series(2, 3, 8), dp_series(2, 3, 8, True)).passed
+    assert verify_strict_bound(dp_series(2, 2, 20)).passed
     assert verify_restriction_transport(3, 4).passed
     assert verify_constructions_meet_optimum(8).passed
 
 
-def test_dp_vs_oracle_compares_exhaustive_witness_sets(monkeypatch):
+def test_dp_vs_oracle_compares_exhaustive_witness_sets():
     # the structure checks read these sets past the catalog, so the oracle
     # holds them to every extremal cograph at every n it reaches
     for s, t in SMALL_PAIRS:
-        assert verify_dp_vs_oracle(s, t, 9).passed, (s, t)
-    dp = verification.extremal_function
-
-    def drop_one(*args, **kwargs):
-        series = dp(*args, **kwargs)
-        if kwargs.get("exhaustive"):
-            series.witnesses[6] = series.witnesses[6][1:]
-        return series
-
-    monkeypatch.setattr(verification, "extremal_function", drop_one)
-    result = verify_dp_vs_oracle(3, 3, 8)
+        assert verify_dp_vs_oracle(dp_series(s, t, 9), dp_series(s, t, 9, True)).passed, (s, t)
+    exhaustive = dp_series(3, 3, 8, True)
+    exhaustive.witnesses[6] = exhaustive.witnesses[6][1:]
+    result = verify_dp_vs_oracle(dp_series(3, 3, 8), exhaustive)
     assert not result.passed
     assert result.counterexamples == ["n=6: dp witnesses 1 != brute 2"]
+
+
+def test_dp_checks_judge_the_series_they_are_given():
+    # the checks read s, t, n_max and the values from the series as given:
+    # a filtered value off by one, then a value at the bound
+    filtered, exhaustive = dp_series(2, 3, 8), dp_series(2, 3, 8, True)
+    filtered.values[7] += 1  # 13, still below 2 * 7
+    result = verify_pareto_safety([(dp_series(2, 2, 8), dp_series(2, 2, 8, True)),
+                                   (filtered, exhaustive)])
+    assert result.params == {"n_max": 8, "pairs": [[2, 2], [2, 3]]}
+    assert result.counterexamples == [f"(2,3) n=7: filtered={exhaustive.values[7] + 1} "
+                                      f"exhaustive={exhaustive.values[7]}"]
+    filtered.values[5] = 10  # alpha(K_{2,3}) = 2
+    result = verify_strict_bound(filtered)
+    assert result.params == {"s": 2, "t": 3, "n_max": 8, "alpha": "2"}
+    assert result.counterexamples == ["n=5: ex=10 >= 10"]
 
 
 def test_structure_selector_builds_no_catalog(monkeypatch):
@@ -62,9 +72,26 @@ def test_structure_selector_builds_no_catalog(monkeypatch):
 
 def test_structure_theorems_to_30_on_exhaustive_witnesses():
     results = check_structure_theorems(
-        range(2, 31), lambda s, t: exhaustive_witnesses(s, t, 30))
+        range(2, 31), lambda s, t: dp_series(s, t, 30, True).witnesses)
     assert len(results) == 202
     assert all(r.passed for r in results), [r.name for r in results if not r.passed]
+
+
+@pytest.mark.parametrize("small, calls", [(False, 13), (True, 23)], ids=["all", "small"])
+def test_run_suite_builds_each_dp_series_once(small, calls, monkeypatch):
+    # dp-vs-oracle, structure and pareto share their series at the same size
+    import cogex.enumerator as enumerator
+
+    built = []
+    original = enumerator.build_registries
+
+    def record(n_max, cap, prune=None, exhaustive=False, **kwargs):
+        built.append((prune, n_max, exhaustive))
+        return original(n_max, cap, prune=prune, exhaustive=exhaustive, **kwargs)
+
+    monkeypatch.setattr(enumerator, "build_registries", record)
+    assert run_suite("all", small=small)["passed"]
+    assert len(built) == len(set(built)) == calls
 
 
 def test_regular_constructor_check_reads_degrees_past_16_vertices(monkeypatch):
