@@ -55,7 +55,7 @@ from .serialize import (
     series_to_obj,
     to_dot,
 )
-from .verification import DEFAULT_SEED, SELECTORS, options_read, run_suite
+from .verification import SELECTORS, options_read, reject_unread, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -305,8 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int)
     p.add_argument("--small", action="store_true", help="reduced bundled suite")
     p.add_argument("--seed", type=int)
-    p.add_argument("--catalog-max", type=int, default=DEFAULT_CATALOG_LIMIT,
-                   help="hard ceiling on oracle catalog size (capacity guard)")
+    p.add_argument("--catalog-max", type=int,
+                   help="hard ceiling on oracle catalog size (capacity guard), "
+                        f"default {DEFAULT_CATALOG_LIMIT}")
     _add_common(p)
 
     p = sub.add_parser("analyze", help="periodicity of ex(n) - alpha*n")
@@ -338,26 +339,34 @@ def _validate(args: argparse.Namespace) -> None:
         raise ValueError(f"--alpha {args.alpha} has a zero denominator") from None
     args.periods = [int(x) for x in args.periods.split(",")] if opts.get("periods") else None
     args.path = tuple(int(x) for x in args.path.split("/")) if opts.get("path") else ()
+    for name in ("n", "n_min", "n_max", "witness_max", "max_records", "catalog_max"):
+        if opts.get(name) is not None and opts[name] < 1:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
     # An option that defaults to None, given to a command or a mode of one
     # that does not read it, is a usage error
     if args.subcommand == "verify":
-        command, reads = f"verify {args.check}", options_read(args.check)
-        unset = ("n", "n_max", "s", "t", "seed")
-    elif args.subcommand == "construct":
-        command, reads = f"construct {args.family}", FAMILIES[args.family][0]
-        unset = dict.fromkeys(o for options, *_ in FAMILIES.values() for o in options)
-    elif args.subcommand == "analyze" and args.input:
-        command, reads = "analyze --input", ()
-        unset = ("s", "t", "profile", "max_records", "n_max", "n_min")
-    else:  # enumerate and analyze read --s and --t without --profile only
-        command, reads = f"{args.subcommand} --profile", ()
-        unset = ("s", "t") if opts.get("profile") is not None else ()
-    for o in unset:
-        if opts[o] not in (None, ()) and o not in reads:  # no --path parses to ()
-            raise ValueError(f"{command} does not read --{o.replace('_', '-')}")
+        reads = options_read(args.check)
+        reject_unread(args.check, n=args.n, n_max=args.n_max, s=args.s, t=args.t,
+                      seed=args.seed, catalog_max=args.catalog_max)
+    else:
+        if args.subcommand == "construct":
+            command, reads = f"construct {args.family}", FAMILIES[args.family][0]
+            unset = dict.fromkeys(o for options, *_ in FAMILIES.values() for o in options)
+        elif args.subcommand == "analyze" and args.input:
+            command, reads = "analyze --input", ()
+            unset = ("s", "t", "profile", "max_records", "n_max", "n_min")
+        else:  # enumerate and analyze read --s and --t without --profile only
+            command, reads = f"{args.subcommand} --profile", ()
+            unset = ("s", "t") if opts.get("profile") is not None else ()
+        for o in unset:
+            if opts[o] not in (None, ()) and o not in reads:  # no --path parses to ()
+                raise ValueError(f"{command} does not read --{o.replace('_', '-')}")
     # defaults of options that some modes do not read, once the check has
-    # seen whether they were given
-    late = {"analyze": {"n_max": 20, "n_min": 1}, "verify": {"seed": DEFAULT_SEED}}
+    # seen whether they were given: run_suite's catalogs have no limit
+    # without --catalog-max
+    late = {"analyze": {"n_max": 20, "n_min": 1},
+            "verify": {"catalog_max": DEFAULT_CATALOG_LIMIT if "catalog_max" in reads
+                       else None}}
     for o, default in late.get(args.subcommand, {}).items():
         opts[o] = default if opts[o] is None else opts[o]
     # dp-vs-oracle runs on the default pairs unless both are given
@@ -371,9 +380,6 @@ def _validate(args: argparse.Namespace) -> None:
         raise ValueError(f"need 1 <= s <= t, got ({args.s}, {args.t})")
     if runs_dp and args.n_min > args.n_max:
         raise ValueError("--n-min exceeds --n-max")
-    for name in ("n", "n_min", "n_max", "witness_max", "max_records", "catalog_max"):
-        if opts.get(name) is not None and opts[name] < 1:
-            raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
     if opts.get("check") == "bound-2t" and args.t is not None and args.t < 2:
         raise ValueError("verify bound-2t needs --t >= 2")
     if opts.get("periods") and min(args.periods) < 1:

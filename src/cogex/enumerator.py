@@ -39,6 +39,24 @@ Survivors are decoded once, so registries and everything after the DP see
 tuple keys.
 The loop stays pure Python: importing numpy would raise the CLI's peak
 resident set from about 18 MB to 30 MB.
+
+Sums start with a connected part.  Every disconnected cograph is one
+connected component plus the rest (its cotree's root is a sum).  A record
+is connected-type if it is the leaf or one of its tied best sources is a
+join, and sum-only otherwise; a sum's first part is connected-type, its
+second part any record, and two connected-type parts are summed once, the
+smaller first (the earlier of one level).  This keeps every (key, edges)
+of every level, by induction on n.  A sum-only record A has a sum source
+(A1, A2): its code is a1 | a2 | floor and its edges e1 + e2.  So A + B has
+the code and edges of A1 + (A2 + B), whose second part is a sum at a lower
+level and so matched by a kept record, or, past the Pareto filter,
+dominated by one; A1 + that record matches or dominates A + B, with a
+first part of fewer vertices, down to a connected-type one.  A mirrored
+pair of connected-type parts has the same code and edges.  Every level's
+frontier, and in exhaustive mode its every candidate code with its best
+edges, is as with all pairs summed, and so is every exhaustive witness set:
+each extremal sum is a component plus an extremal rest.  A record under a
+binding witness limit keeps the first graphs of its (fewer) sources.
 """
 
 from __future__ import annotations
@@ -264,19 +282,25 @@ def build_registries(
     over = ~_encode(window, width)
 
     registries = [Registry(n, cap) for n in range(1, n_max + 1)]
-    # per level: (code, record, edges, join slack) for each record, in key order
-    rows: list[list[tuple[int, ExtremalRecord, int, float]]] = [[] for _ in registries]
+    # per level: (code, record, edges, join slack) for each record, in key
+    # order, of the connected-type records (the leaf and the records with a
+    # join source) and of the sum-only ones; then all rows, connected-type first
+    connected: list[list[tuple[int, ExtremalRecord, int, float]]] = [[] for _ in registries]
+    sum_only: list[list[tuple[int, ExtremalRecord, int, float]]] = [[] for _ in registries]
+    rows: list[list[tuple[int, ExtremalRecord, int, float]]] = []
 
-    def keep(n: int, code: int, rec: ExtremalRecord) -> None:
+    def keep(n: int, code: int, rec: ExtremalRecord, joined: bool) -> None:
         """Store the record of a surviving code of level n and append its row."""
         registries[n - 1].records[rec.key] = rec
-        rows[n - 1].append((code, rec, rec.edges, _join_slack(rec.key, window, bounded)))
+        (connected if joined else sum_only)[n - 1].append(
+            (code, rec, rec.edges, _join_slack(rec.key, window, bounded)))
 
     leaf = _encode(_leaf_entries(cap), width)
     if 1 <= window[0] and not leaf & over:
-        keep(1, leaf, ExtremalRecord(_decode(leaf, 1, cap, width), 0, (make_leaf(),)))
+        keep(1, leaf, ExtremalRecord(_decode(leaf, 1, cap, width), 0, (make_leaf(),)), True)
 
     for n in range(2, n_max + 1):
+        rows.append(connected[n - 2] + sum_only[n - 2])  # level n - 1 is complete
         # pass 1: combine keys, remembering where each best candidate came
         # from, as (make_sum or make_product, part record, part record)
         candidates: dict[int, tuple[int, list[tuple]]] = {}
@@ -284,27 +308,30 @@ def build_registries(
         # edgeless graph's: the 0 floor of sum_entries up to entry n
         floor = _encode((n,) + (0,) * min(n, cap) + (NEG_INF,) * (cap - n), width)
         # parts passed the window, so only the floor can fail it, and then
-        # it fails it for every sum of the level
-        sums = not floor & over
-        # entry 0 is n for every key of the level
+        # it fails it for every sum of the level; entry 0 is n for every key
+        # of the level
+        sums = not floor & over and n <= window[0]
+        # the first part of a sum is connected-type; two connected-type
+        # parts are summed once, the smaller first, or the earlier of two
+        # of one level
+        for n1 in range(1, n) if sums else ():
+            n2 = n - n1
+            right = sum_only[n2 - 1] if n1 > n2 else rows[n2 - 1]
+            for i, (c1, r1, e1, _) in enumerate(connected[n1 - 1]):
+                c1 |= floor
+                for c2, r2, e2, _ in right[i:] if n1 == n2 else right:
+                    code = c1 | c2
+                    edges = e1 + e2
+                    cur = candidates.get(code)
+                    if cur is None or edges > cur[0]:
+                        candidates[code] = (edges, [(make_sum, r1, r2)])
+                    elif edges == cur[0]:
+                        cur[1].append((make_sum, r1, r2))
         for n1 in range(1, n // 2 + 1) if n <= window[0] else ():
             n2 = n - n1
             same = n1 == n2
-            left = rows[n1 - 1]
-            right = rows[n2 - 1]
-            if sums:
-                for i, (c1, r1, e1, _) in enumerate(left):
-                    c1 |= floor
-                    for c2, r2, e2, _ in right[i:] if same else right:
-                        code = c1 | c2
-                        edges = e1 + e2
-                        cur = candidates.get(code)
-                        if cur is None or edges > cur[0]:
-                            candidates[code] = (edges, [(make_sum, r1, r2)])
-                        elif edges == cur[0]:
-                            cur[1].append((make_sum, r1, r2))
-            join_left = [r for r in left if r[3] >= n2]
-            join_right = join_left if same else [r for r in right if r[3] >= n1]
+            join_left = [r for r in rows[n1 - 1] if r[3] >= n2]
+            join_right = join_left if same else [r for r in rows[n2 - 1] if r[3] >= n1]
             cross = n1 * n2
             for i, (_, r1, e1, _) in enumerate(join_left):
                 k1 = r1.key
@@ -335,7 +362,8 @@ def build_registries(
         for code in sorted(surviving):
             edges, sources = candidates[code]
             keep(n, code, ExtremalRecord._lazy(
-                _decode(code, n, cap, width), edges, sources, witness_limit))
+                _decode(code, n, cap, width), edges, sources, witness_limit),
+                any(maker is make_product for maker, _, _ in sources))
 
     return registries
 

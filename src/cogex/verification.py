@@ -328,46 +328,49 @@ def verify_complement_involution(n_max: int = 7) -> CheckResult:
 
 
 # The verify selectors in the order ``all`` runs them (``all`` leaves out
-# bound-2t): selector -> (runner, the options of n, n_max, s, t and seed
-# that it reads, its default size (pump's: its trials) as (with --small, without),
-# whether that size is an oracle catalog).  Its size is --n, then --n-max,
-# if it reads them, else its default.  A runner takes run_suite's keyword
-# arguments, with ``size`` that size and ``dp`` a memo of dp_series, and
-# returns its checks.  run_suite holds the catalog sizes to --catalog-max
-# before any runner starts, so a runner's own catalog limit is its size.
+# bound-2t): selector -> (runner, the options of n, n_max, s, t, seed and
+# catalog_max that it reads, its default size (pump's: its trials) as (with
+# --small, without)).  Its size is --n, then --n-max, if it reads them, else
+# its default; a selector reads catalog_max iff its size is an oracle
+# catalog.  A runner takes run_suite's keyword arguments, with ``size`` that
+# size and ``dp`` a memo of dp_series, and returns its checks.  run_suite
+# holds the catalog sizes to catalog_max before any runner starts, so a
+# runner's own catalog limit is its size.
 SELECTORS: dict[str, tuple[Callable[..., list[CheckResult]], tuple[str, ...],
-                           tuple[int, int], bool]] = {
+                           tuple[int, int]]] = {
     "balanced-biclique": (lambda size, **_: [
         check_balanced_biclique(k, limit=size) for k in range(2, size + 1)],
-        ("n", "n_max"), (8, 9), True),
-    "sequences": (lambda size, **_: [verify_sequences(size)], ("n_max",), (6, 7), True),
-    "profiles": (lambda size, **_: [verify_fulfillment_agreement(size)], ("n_max",),
-                 (6, 7), True),
+        ("n", "n_max", "catalog_max"), (8, 9)),
+    "sequences": (lambda size, **_: [verify_sequences(size)], ("n_max", "catalog_max"),
+                  (6, 7)),
+    "profiles": (lambda size, **_: [verify_fulfillment_agreement(size)],
+                 ("n_max", "catalog_max"), (6, 7)),
     "dp-vs-oracle": (lambda dp, s, t, size, **_: [
         verify_dp_vs_oracle(dp(ss, tt, size), dp(ss, tt, size, True))
         for ss, tt in ([(s, t)] if s is not None and t is not None else SMALL_PAIRS)],
-        ("n_max", "s", "t"), (7, 8), True),
+        ("n_max", "s", "t", "catalog_max"), (7, 8)),
     "bound-2t": (lambda dp, t, size, **_: [verify_bound_2t(dp(2, 3 if t is None else t, size))],
-                 ("n_max", "t"), (20, 20), False),
+                 ("n_max", "t"), (20, 20)),
     "bounds": (lambda dp, size, **_: [verify_strict_bound(dp(s, t, size)) for s, t in (
-        (2, 2), (2, 3), (3, 3))], ("n_max",), (20, 30), False),
+        (2, 2), (2, 3), (3, 3))], ("n_max",), (20, 30)),
     "structure": (lambda dp, size, **_: check_structure_theorems(
         range(2, size + 1), lambda s, t: dp(s, t, size, True).witnesses),
-        ("n_max",), (7, 8), False),
-    "restriction": (lambda size, **_: [verify_restriction_transport(3, size)], (), (4, 5),
-                    True),
+        ("n_max",), (7, 8)),
+    "restriction": (lambda size, **_: [verify_restriction_transport(3, size)],
+                    ("catalog_max",), (4, 5)),
     "regular": (lambda small, size, **_: [
-        verify_regular_constructor(20 if small else 40, size)], (), (8, 9), True),
+        verify_regular_constructor(20 if small else 40, size)], ("catalog_max",), (8, 9)),
     "pareto": (lambda dp, size, **_: [verify_pareto_safety(
         [(dp(s, t, size), dp(s, t, size, True)) for s, t in SMALL_PAIRS])],
-        ("n_max",), (6, 8), False),
+        ("n_max",), (6, 8)),
     "constructions": (lambda size, **_: [
         verify_constructions_meet_optimum(size), verify_clique_product_formula()],
-        (), (8, 9), True),
+        ("catalog_max",), (8, 9)),
     "pump": (lambda seed, size, **_: [verify_pump_invariants(seed=seed, trials=size)],
-             ("seed",), (60, 120), False),
+             ("seed",), (60, 120)),
     "invariants": (lambda size, **_: [
-        verify_height_bound(size), verify_complement_involution(size)], (), (6, 7), True),
+        verify_height_bound(size), verify_complement_involution(size)], ("catalog_max",),
+        (6, 7)),
 }
 
 ALL = tuple(k for k in SELECTORS if k != "bound-2t")
@@ -378,29 +381,44 @@ def options_read(which: str) -> set[str]:
     return {o for k in (ALL if which == "all" else [which]) for o in SELECTORS[k][1]}
 
 
+def reject_unread(which: str, **options: object) -> None:
+    """Raise ValueError naming the first given option (one that is not None)
+    that selector ``which``, or some selector ``all`` runs, does not read."""
+    reads = options_read(which)
+    for o, v in options.items():
+        if v is not None and o not in reads:
+            raise ValueError(f"verify {which} does not read --{o.replace('_', '-')}")
+
+
 def run_suite(
     which: str = "all",
     small: bool = False,
-    seed: int = DEFAULT_SEED,
+    seed: int | None = None,
     n: int | None = None,
     n_max: int | None = None,
     s: int | None = None,
     t: int | None = None,
     catalog_max: int | None = None,
 ) -> dict:
-    """Dispatch for the CLI verify subcommand; returns a JSON-ready report."""
+    """Dispatch for the CLI verify subcommand; returns a JSON-ready report.
+
+    An option that the selector does not read is a ValueError; the seed
+    defaults to DEFAULT_SEED, and catalogs have no limit without
+    ``catalog_max``."""
+    reject_unread(which, n=n, n_max=n_max, s=s, t=t, seed=seed, catalog_max=catalog_max)
     selected = ALL if which == "all" else [which]
     sizes = {k: next((v for o, v in (("n", n), ("n_max", n_max)) if v is not None and
                       o in SELECTORS[k][1]), SELECTORS[k][2][0 if small else 1])
              for k in selected}
-    catalogs = [sizes[k] for k in selected if SELECTORS[k][3]]
-    if catalog_max is not None and catalogs and max(catalogs) > catalog_max:
+    catalogs = [sizes[k] for k in selected if "catalog_max" in SELECTORS[k][1]]
+    if catalog_max is not None and max(catalogs) > catalog_max:  # catalogs read it
         raise CapacityError(
             f"requested n up to {max(catalogs)} exceeds --catalog-max {catalog_max}")
 
     dp = cache(dp_series)  # one build per series and call, shared: runners only read it
     results = [r for k in selected for r in SELECTORS[k][0](
-        small=small, seed=seed, s=s, t=t, size=sizes[k], dp=dp)]
+        small=small, seed=DEFAULT_SEED if seed is None else seed, s=s, t=t,
+        size=sizes[k], dp=dp)]
     if not results:
         bounds = ", ".join(f"{flag} {v}" for flag, v in (("--n", n), ("--n-max", n_max))
                            if v is not None)

@@ -512,19 +512,25 @@ def test_catalog_max_raises_the_catalog_limit(argv, capsys):
 
 
 @pytest.mark.parametrize("selector, catalog_max, code", [
-    ("structure", 8, 0),
     ("sequences", 7, 0),
 ])
 def test_catalog_max_is_held_to_the_selected_catalogs(selector, catalog_max, code,
                                                        capsys):
-    # sequences builds catalogs up to 7 by default, not the whole suite's 9,
-    # and structure builds none
+    # sequences builds catalogs up to 7 by default, not the whole suite's 9
     got, out, err = run(["verify", selector, "--catalog-max", str(catalog_max)], capsys)
     assert got == code
     if code == 0:
         assert json.loads(out)["passed"] is True
     else:
         assert "requested n up to 8 exceeds --catalog-max 7" in err
+
+
+@pytest.mark.parametrize("selector", ["bounds", "bound-2t", "structure", "pareto", "pump"])
+def test_catalog_max_on_a_selector_that_builds_no_catalog_is_usage_error(selector, capsys):
+    # it would otherwise be accepted and change nothing
+    code, out, err = run(["verify", selector, "--catalog-max", "5"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: verify {selector} does not read --catalog-max\n"
 
 
 @pytest.mark.parametrize("argv", [

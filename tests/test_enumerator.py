@@ -287,14 +287,53 @@ REFERENCE_CASES = {
     "no-window": (9, dict(cap=2)),
     "exhaustive": (10, dict(_kst(3, 3), exhaustive=True)),
     "all-witnesses": (14, dict(_kst(2, 3), witness_limit=None)),
+    # wide windows, where most sums of two parts have a sum-only first part
+    **{f"K{s}{t}{mode}": (18, dict(_kst(s, t), exhaustive=mode == "-exhaustive"))
+       for s, t in ((2, 7), (3, 5)) for mode in ("", "-exhaustive")},
 }
+
+
+def _keys_and_edges(levels):
+    return [[(k, e) for k, e, _ in level] for level in levels]
 
 
 @pytest.mark.parametrize("case", REFERENCE_CASES)
 def test_fast_dp_matches_reference(case):
+    # the reference sums every pair of records; the fast DP sums only those
+    # whose first part is connected-type, so a record under a binding
+    # witness limit keeps the first graphs of fewer sources.  Its (key,
+    # edges) match on every level, and its witnesses are extremal graphs of
+    # its key that the reference builds without a limit
     n_max, opts = REFERENCE_CASES[case]
-    assert _as_levels(build_registries(n_max, **opts)) == \
-        _reference_registries(n_max, **opts)
+    fast = _as_levels(build_registries(n_max, **opts))
+    limit = None if opts.get("exhaustive") else opts.get("witness_limit",
+                                                         DEFAULT_WITNESS_LIMIT)
+    if limit is None:
+        assert fast == _reference_registries(n_max, **opts)
+        return
+    every = _reference_registries(n_max, **dict(opts, witness_limit=None))
+    assert _keys_and_edges(fast) == _keys_and_edges(every)
+    for fast_level, every_level in zip(fast, every):
+        for (key, _, wits), (_, _, all_wits) in zip(fast_level, every_level):
+            assert 1 <= len(wits) <= limit and set(wits) <= set(all_wits), key
+
+
+@pytest.mark.parametrize("case", ["K33", "K45", "no-window", "exhaustive"])
+def test_every_sum_source_starts_with_a_connected_type_part(case):
+    # connected-type: the leaf, or a record with a join source; the sources
+    # are read before any witness is built
+    n_max, opts = REFERENCE_CASES[case]
+    sums = 0
+    for reg in build_registries(n_max, **opts):
+        for rec in reg.records.values():
+            if rec._pending is None:  # the leaf
+                continue
+            for maker, r1, _ in rec._pending[0]:
+                if maker is make_sum:
+                    sums += 1
+                    assert r1.key[0] == 1 or any(
+                        m is make_product for m, _, _ in r1._pending[0]), (rec.key, r1.key)
+    assert sums
 
 
 def test_fast_dp_keeps_every_witness_without_a_limit():
@@ -401,10 +440,12 @@ def test_registries_build_no_witness(monkeypatch):
 
 
 def test_series_builds_the_witnesses_it_reads(monkeypatch):
-    # building every record's witnesses would take 9,009 calls
+    # building every record's witnesses would take 9,009 calls.  It took
+    # 681 when sums of every pair were sources; with a connected-type first
+    # part, the records read have fewer sum sources, and so fewer parts
     calls = _count_witness_builds(monkeypatch)
     extremal_function(3, 3, range(1, 49))
-    assert calls[0] == 681
+    assert calls[0] == 148
 
 
 def test_lazy_record_keeps_the_first_witnesses_of_every_pair():

@@ -201,10 +201,10 @@ def test_small_bundle():
 
 
 def test_readme_selector_table_is_the_selectors_table():
-    # one row per selector, in order, then all: the options it reads, its
-    # sizes with and without --small, and whether they are oracle catalogs
+    # one row per selector, in order, then all: the options it reads and
+    # its sizes with and without --small
     lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
-    start = lines.index("| selector | reads | size with `--small` | size without | catalog |")
+    start = lines.index("| selector | reads | size with `--small` | size without |")
     rows = []
     for line in lines[start + 2:]:
         if not line.startswith("|"):
@@ -213,19 +213,39 @@ def test_readme_selector_table_is_the_selectors_table():
         options = set() if reads == "none" else {
             f.strip(" `-").replace("-", "_") for f in reads.split(",")}
         rows.append([selector.strip("`"), options, *rest])
-    assert rows[:-1] == [[k, set(reads), str(small), str(full), "yes" if catalog else "no"]
-                         for k, (_, reads, (small, full), catalog) in SELECTORS.items()]
+    assert rows[:-1] == [[k, set(reads), str(small), str(full)]
+                         for k, (_, reads, (small, full)) in SELECTORS.items()]
     assert rows[-1][0].startswith("all`") and rows[-1][1] == options_read("all")
 
 
 @pytest.mark.parametrize("selector", list(SELECTORS))
 def test_size_is_n_then_n_max_where_read_else_the_default(selector, monkeypatch):
-    _, reads, (small, full), catalog = SELECTORS[selector]
+    _, reads, (small, full) = SELECTORS[selector]
     sizes = []
     monkeypatch.setitem(SELECTORS, selector, (
         lambda size, **_: sizes.append(size) or [CheckResult("stub", {}, True)],
-        reads, (small, full), catalog))
+        reads, (small, full)))
     for options in ({}, {"small": True}, {"n_max": 5}, {"n": 4, "n_max": 5}):
-        run_suite(selector, **options)
-    n_max = 5 if "n_max" in reads else full
-    assert sizes == [full, small, n_max, 4 if "n" in reads else n_max]
+        if set(options) - {"small"} <= set(reads):
+            run_suite(selector, **options)
+    # --n and --n-max where it reads them; the rest is an unread option
+    assert sizes == [full, small] + [5] * ("n_max" in reads) + [4] * ("n" in reads)
+
+
+UNREAD = [(k, o) for k in ("all", *SELECTORS)
+          for o in ("n", "n_max", "s", "t", "seed", "catalog_max") if o not in options_read(k)]
+
+
+@pytest.mark.parametrize("selector, option", UNREAD, ids=[f"{k}-{o}" for k, o in UNREAD])
+def test_run_suite_rejects_an_option_its_selector_does_not_read(selector, option,
+                                                                 monkeypatch):
+    # before any check runs: the selector would otherwise run its fixed
+    # sizes, pairs or seed, and no catalog limit applies where none is built
+    def no_check(**_):
+        raise AssertionError("a check ran")
+
+    for k, (_, reads, sizes) in SELECTORS.items():
+        monkeypatch.setitem(SELECTORS, k, (no_check, reads, sizes))
+    with pytest.raises(ValueError, match=f"^verify {selector} does not read "
+                                         f"--{option.replace('_', '-')}$"):
+        run_suite(selector, **{option: 5})
