@@ -38,6 +38,7 @@ from .constructions import (
 from .cotree import (CapacityError, Cotree, biclique_sequence, degree_counts, to_adjacency,
                      to_formula)
 from .enumerator import (
+    DEFAULT_WITNESS_LIMIT,
     ExtremalSeries,
     analyze_periodicity,
     extremal_function,
@@ -55,7 +56,7 @@ from .serialize import (
     series_to_obj,
     to_dot,
 )
-from .verification import SELECTORS, options_read, reject_unread, run_suite
+from .verification import SELECTORS, check_options, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -213,9 +214,8 @@ def _emit_cotree(g: Cotree, fmt: str, json_text: Callable[[], str],
 # =============================================================================
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = run_suite(args.check, small=args.small, seed=args.seed, n=args.n,
-                       n_max=args.n_max, s=args.s, t=args.t,
-                       catalog_max=args.catalog_max)
+    report = run_suite(args.check, seed=args.seed, n=args.n, n_max=args.n_max,
+                       s=args.s, t=args.t, catalog_max=args.catalog_max)
     _emit_json(report, _resolve_output(args.output))
     for c in report["checks"]:
         status = "PASS" if c["passed"] else "FAIL"
@@ -277,9 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--exhaustive", action="store_true",
-                   help="keep all profile classes and witnesses (no Pareto filter)")
+                   help="keep every profile class (no Pareto filter); the output "
+                        "still lists at most --witness-max witnesses per n")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--witness-max", type=int, default=8)
+    p.add_argument("--witness-max", type=int, default=DEFAULT_WITNESS_LIMIT)
     p.add_argument("--max-records", type=int, default=None,
                    help="per-level registry size cap (capacity guard)")
     _add_common(p)
@@ -303,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int)
     p.add_argument("--s", type=int)
     p.add_argument("--t", type=int)
-    p.add_argument("--small", action="store_true", help="reduced bundled suite")
     p.add_argument("--seed", type=int)
     p.add_argument("--catalog-max", type=int,
                    help="hard ceiling on oracle catalog size (capacity guard), "
@@ -342,46 +342,36 @@ def _validate(args: argparse.Namespace) -> None:
     for name in ("n", "n_min", "n_max", "witness_max", "max_records", "catalog_max"):
         if opts.get(name) is not None and opts[name] < 1:
             raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
+    if args.subcommand == "verify":
+        check_options(args.check, n=args.n, n_max=args.n_max, s=args.s, t=args.t,
+                      seed=args.seed, catalog_max=args.catalog_max)
+        return
     # An option that defaults to None, given to a command or a mode of one
     # that does not read it, is a usage error
-    if args.subcommand == "verify":
-        reads = options_read(args.check)
-        reject_unread(args.check, n=args.n, n_max=args.n_max, s=args.s, t=args.t,
-                      seed=args.seed, catalog_max=args.catalog_max)
-    else:
-        if args.subcommand == "construct":
-            command, reads = f"construct {args.family}", FAMILIES[args.family][0]
-            unset = dict.fromkeys(o for options, *_ in FAMILIES.values() for o in options)
-        elif args.subcommand == "analyze" and args.input:
-            command, reads = "analyze --input", ()
-            unset = ("s", "t", "profile", "max_records", "n_max", "n_min")
-        else:  # enumerate and analyze read --s and --t without --profile only
-            command, reads = f"{args.subcommand} --profile", ()
-            unset = ("s", "t") if opts.get("profile") is not None else ()
-        for o in unset:
-            if opts[o] not in (None, ()) and o not in reads:  # no --path parses to ()
-                raise ValueError(f"{command} does not read --{o.replace('_', '-')}")
-    # defaults of options that some modes do not read, once the check has
-    # seen whether they were given: run_suite's catalogs have no limit
-    # without --catalog-max
-    late = {"analyze": {"n_max": 20, "n_min": 1},
-            "verify": {"catalog_max": DEFAULT_CATALOG_LIMIT if "catalog_max" in reads
-                       else None}}
-    for o, default in late.get(args.subcommand, {}).items():
-        opts[o] = default if opts[o] is None else opts[o]
-    # dp-vs-oracle runs on the default pairs unless both are given
-    if args.subcommand == "verify" and "s" in reads and (args.s is None) != (args.t is None):
-        raise ValueError(f"verify {args.check} needs both --s and --t, or neither")
+    if args.subcommand == "construct":
+        command, reads = f"construct {args.family}", FAMILIES[args.family][0]
+        unset = dict.fromkeys(o for options, *_ in FAMILIES.values() for o in options)
+    elif args.subcommand == "analyze" and args.input:
+        command, reads = "analyze --input", ()
+        unset = ("s", "t", "profile", "max_records", "n_max", "n_min")
+    else:  # enumerate and analyze read --s and --t without --profile only
+        command, reads = f"{args.subcommand} --profile", ()
+        unset = ("s", "t") if opts.get("profile") is not None else ()
+    for o in unset:
+        if opts[o] not in (None, ()) and o not in reads:  # no --path parses to ()
+            raise ValueError(f"{command} does not read --{o.replace('_', '-')}")
+    # analyze's range defaults, once the check has seen whether it was given
+    if args.subcommand == "analyze":
+        for o, default in (("n_max", 20), ("n_min", 1)):
+            opts[o] = default if opts[o] is None else opts[o]
     runs_dp = args.subcommand in ("enumerate", "analyze") and not opts.get("input")
-    if runs_dp and args.profile is None and (args.s is None or args.t is None):
-        raise ValueError("need --s and --t, or --profile")
-    # every K_{s,t} that enumerate, analyze or verify reads
-    if args.subcommand != "construct" and opts.get("s") is not None and not 1 <= args.s <= args.t:
-        raise ValueError(f"need 1 <= s <= t, got ({args.s}, {args.t})")
+    if runs_dp and args.profile is None:
+        if args.s is None or args.t is None:
+            raise ValueError("need --s and --t, or --profile")
+        if not 1 <= args.s <= args.t:
+            raise ValueError(f"need 1 <= s <= t, got ({args.s}, {args.t})")
     if runs_dp and args.n_min > args.n_max:
         raise ValueError("--n-min exceeds --n-max")
-    if opts.get("check") == "bound-2t" and args.t is not None and args.t < 2:
-        raise ValueError("verify bound-2t needs --t >= 2")
     if opts.get("periods") and min(args.periods) < 1:
         raise ValueError("--periods entries must be >= 1")
 

@@ -37,6 +37,7 @@ from .cotree import (
 )
 from .enumerator import DEFAULT_WITNESS_LIMIT, ExtremalSeries, extremal_function
 from .oracle import (
+    DEFAULT_CATALOG_LIMIT,
     CheckResult,
     _sequence_table,
     check_balanced_biclique,
@@ -329,48 +330,42 @@ def verify_complement_involution(n_max: int = 7) -> CheckResult:
 
 # The verify selectors in the order ``all`` runs them (``all`` leaves out
 # bound-2t): selector -> (runner, the options of n, n_max, s, t, seed and
-# catalog_max that it reads, its default size (pump's: its trials) as (with
-# --small, without)).  Its size is --n, then --n-max, if it reads them, else
-# its default; a selector reads catalog_max iff its size is an oracle
-# catalog.  A runner takes run_suite's keyword arguments, with ``size`` that
-# size and ``dp`` a memo of dp_series, and returns its checks.  run_suite
-# holds the catalog sizes to catalog_max before any runner starts, so a
-# runner's own catalog limit is its size.
-SELECTORS: dict[str, tuple[Callable[..., list[CheckResult]], tuple[str, ...],
-                           tuple[int, int]]] = {
+# catalog_max that it reads, its default size (pump's: its trials)).  Its
+# size is --n, then --n-max, if it reads them, else its default; a selector
+# reads catalog_max iff its size is an oracle catalog.  A runner takes
+# run_suite's keyword arguments, with ``size`` that size and ``dp`` a memo of
+# dp_series, and returns its checks.  run_suite holds the catalog sizes to
+# catalog_max before any runner starts, so a runner's own catalog limit is
+# its size.
+SELECTORS: dict[str, tuple[Callable[..., list[CheckResult]], tuple[str, ...], int]] = {
     "balanced-biclique": (lambda size, **_: [
         check_balanced_biclique(k, limit=size) for k in range(2, size + 1)],
-        ("n", "n_max", "catalog_max"), (8, 9)),
-    "sequences": (lambda size, **_: [verify_sequences(size)], ("n_max", "catalog_max"),
-                  (6, 7)),
+        ("n", "n_max", "catalog_max"), 9),
+    "sequences": (lambda size, **_: [verify_sequences(size)], ("n_max", "catalog_max"), 7),
     "profiles": (lambda size, **_: [verify_fulfillment_agreement(size)],
-                 ("n_max", "catalog_max"), (6, 7)),
+                 ("n_max", "catalog_max"), 7),
     "dp-vs-oracle": (lambda dp, s, t, size, **_: [
         verify_dp_vs_oracle(dp(ss, tt, size), dp(ss, tt, size, True))
-        for ss, tt in ([(s, t)] if s is not None and t is not None else SMALL_PAIRS)],
-        ("n_max", "s", "t", "catalog_max"), (7, 8)),
+        for ss, tt in ([(s, t)] if s is not None else SMALL_PAIRS)],
+        ("n_max", "s", "t", "catalog_max"), 8),
     "bound-2t": (lambda dp, t, size, **_: [verify_bound_2t(dp(2, 3 if t is None else t, size))],
-                 ("n_max", "t"), (20, 20)),
+                 ("n_max", "t"), 20),
     "bounds": (lambda dp, size, **_: [verify_strict_bound(dp(s, t, size)) for s, t in (
-        (2, 2), (2, 3), (3, 3))], ("n_max",), (20, 30)),
+        (2, 2), (2, 3), (3, 3))], ("n_max",), 30),
     "structure": (lambda dp, size, **_: check_structure_theorems(
-        range(2, size + 1), lambda s, t: dp(s, t, size, True).witnesses),
-        ("n_max",), (7, 8)),
+        range(2, size + 1), lambda s, t: dp(s, t, size, True).witnesses), ("n_max",), 8),
     "restriction": (lambda size, **_: [verify_restriction_transport(3, size)],
-                    ("catalog_max",), (4, 5)),
-    "regular": (lambda small, size, **_: [
-        verify_regular_constructor(20 if small else 40, size)], ("catalog_max",), (8, 9)),
+                    ("catalog_max",), 5),
+    "regular": (lambda size, **_: [verify_regular_constructor(40, size)], ("catalog_max",), 9),
     "pareto": (lambda dp, size, **_: [verify_pareto_safety(
-        [(dp(s, t, size), dp(s, t, size, True)) for s, t in SMALL_PAIRS])],
-        ("n_max",), (6, 8)),
+        [(dp(s, t, size), dp(s, t, size, True)) for s, t in SMALL_PAIRS])], ("n_max",), 8),
     "constructions": (lambda size, **_: [
         verify_constructions_meet_optimum(size), verify_clique_product_formula()],
-        ("catalog_max",), (8, 9)),
+        ("catalog_max",), 9),
     "pump": (lambda seed, size, **_: [verify_pump_invariants(seed=seed, trials=size)],
-             ("seed",), (60, 120)),
+             ("seed",), 120),
     "invariants": (lambda size, **_: [
-        verify_height_bound(size), verify_complement_involution(size)], ("catalog_max",),
-        (6, 7)),
+        verify_height_bound(size), verify_complement_involution(size)], ("catalog_max",), 7),
 }
 
 ALL = tuple(k for k in SELECTORS if k != "bound-2t")
@@ -381,18 +376,30 @@ def options_read(which: str) -> set[str]:
     return {o for k in (ALL if which == "all" else [which]) for o in SELECTORS[k][1]}
 
 
-def reject_unread(which: str, **options: object) -> None:
-    """Raise ValueError naming the first given option (one that is not None)
-    that selector ``which``, or some selector ``all`` runs, does not read."""
+def check_options(which: str, *, n: int | None = None, n_max: int | None = None,
+                  s: int | None = None, t: int | None = None, seed: int | None = None,
+                  catalog_max: int | None = None) -> None:
+    """Raise ValueError at the first rule that the options of selector
+    ``which`` break, in this order: a given option (one that is not None)
+    that it, or every selector ``all`` runs, does not read; half a --s/--t
+    pair; a pair outside 1 <= s <= t; a bound-2t --t below 2."""
     reads = options_read(which)
-    for o, v in options.items():
+    for o, v in (("n", n), ("n_max", n_max), ("s", s), ("t", t), ("seed", seed),
+                 ("catalog_max", catalog_max)):
         if v is not None and o not in reads:
             raise ValueError(f"verify {which} does not read --{o.replace('_', '-')}")
+    # dp-vs-oracle would otherwise drop the one given for its default pairs
+    if "s" in reads and (s is None) != (t is None):
+        raise ValueError(f"verify {which} needs both --s and --t, or neither")
+    if s is not None and not 1 <= s <= t:
+        raise ValueError(f"need 1 <= s <= t, got ({s}, {t})")
+    if which == "bound-2t" and t is not None and t < 2:
+        raise ValueError("verify bound-2t needs --t >= 2")
 
 
 def run_suite(
     which: str = "all",
-    small: bool = False,
+    *,
     seed: int | None = None,
     n: int | None = None,
     n_max: int | None = None,
@@ -402,23 +409,22 @@ def run_suite(
 ) -> dict:
     """Dispatch for the CLI verify subcommand; returns a JSON-ready report.
 
-    An option that the selector does not read is a ValueError; the seed
-    defaults to DEFAULT_SEED, and catalogs have no limit without
-    ``catalog_max``."""
-    reject_unread(which, n=n, n_max=n_max, s=s, t=t, seed=seed, catalog_max=catalog_max)
+    The options break no rule of ``check_options``, which runs before any
+    catalog or DP series is built.  The seed defaults to DEFAULT_SEED and
+    catalog_max, where a selector reads it, to DEFAULT_CATALOG_LIMIT."""
+    check_options(which, n=n, n_max=n_max, s=s, t=t, seed=seed, catalog_max=catalog_max)
     selected = ALL if which == "all" else [which]
     sizes = {k: next((v for o, v in (("n", n), ("n_max", n_max)) if v is not None and
-                      o in SELECTORS[k][1]), SELECTORS[k][2][0 if small else 1])
+                      o in SELECTORS[k][1]), SELECTORS[k][2])
              for k in selected}
-    catalogs = [sizes[k] for k in selected if "catalog_max" in SELECTORS[k][1]]
-    if catalog_max is not None and max(catalogs) > catalog_max:  # catalogs read it
-        raise CapacityError(
-            f"requested n up to {max(catalogs)} exceeds --catalog-max {catalog_max}")
+    catalog = max((sizes[k] for k in selected if "catalog_max" in SELECTORS[k][1]), default=0)
+    limit = DEFAULT_CATALOG_LIMIT if catalog_max is None else catalog_max
+    if catalog > limit:
+        raise CapacityError(f"requested n up to {catalog} exceeds --catalog-max {limit}")
 
     dp = cache(dp_series)  # one build per series and call, shared: runners only read it
     results = [r for k in selected for r in SELECTORS[k][0](
-        small=small, seed=DEFAULT_SEED if seed is None else seed, s=s, t=t,
-        size=sizes[k], dp=dp)]
+        seed=DEFAULT_SEED if seed is None else seed, s=s, t=t, size=sizes[k], dp=dp)]
     if not results:
         bounds = ", ".join(f"{flag} {v}" for flag, v in (("--n", n), ("--n-max", n_max))
                            if v is not None)

@@ -13,6 +13,7 @@ from cogex.cli import main
 from cogex.constructions import clique_product_family
 from cogex.enumerator import analyze_periodicity, extremal_function
 from cogex.serialize import dumps_cotree
+from cogex.verification import SELECTORS
 
 
 def run(argv, capsys):
@@ -229,7 +230,7 @@ def test_bounds_below_range_are_usage_errors(argv, named, capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "dp-vs-oracle", "--s", "2"],
     ["verify", "dp-vs-oracle", "--t", "3"],
-    ["verify", "all", "--small", "--s", "2"],
+    ["verify", "all", "--s", "2"],
 ])
 def test_verify_pair_needs_both_s_and_t(argv, capsys):
     # one of the two would otherwise be dropped for the default pairs
@@ -270,18 +271,18 @@ def test_verify_pareto_reads_n_max(capsys):
     (["verify", "bounds", "--s", "4", "--t", "4"], "--s"),
     (["verify", "bound-2t", "--s", "3", "--t", "4", "--n-max", "10"], "--s"),
     (["verify", "sequences", "--s", "2", "--t", "3"], "--s"),
-    (["verify", "pump", "--small", "--s", "2", "--t", "3"], "--s"),
+    (["verify", "pump", "--s", "2", "--t", "3"], "--s"),
     (["verify", "regular", "--t", "3"], "--t"),
     # restriction's catalogs do not follow --n-max
     (["verify", "restriction", "--n-max", "20", "--catalog-max", "5"], "--n-max"),
     (["verify", "bounds", "--n", "4"], "--n"),
-    (["verify", "regular", "--n", "5", "--small"], "--n"),
+    (["verify", "regular", "--n", "5"], "--n"),
     (["verify", "structure", "--n", "3"], "--n"),
     (["verify", "dp-vs-oracle", "--n", "4"], "--n"),
     (["verify", "invariants", "--n-max", "3"], "--n-max"),
     # only pump, and so all, reads --seed
     (["verify", "bounds", "--seed", "3"], "--seed"),
-    (["verify", "structure", "--small", "--seed", "0"], "--seed"),
+    (["verify", "structure", "--seed", "0"], "--seed"),
 ], ids=["bounds", "bound-2t", "sequences", "pump", "regular", "restriction", "bounds-n",
         "regular-n", "structure-n", "dp-vs-oracle-n", "invariants-n-max", "bounds-seed",
         "structure-seed"])
@@ -340,7 +341,7 @@ def test_option_the_command_does_not_read_is_usage_error(argv, message, capsys):
 
 
 @pytest.mark.parametrize("given, default", [
-    (["verify", "pump", "--small", "--seed", "20240817"], ["verify", "pump", "--small"]),
+    (["verify", "pump", "--seed", "20240817"], ["verify", "pump"]),
     (["analyze", "--s", "2", "--t", "3", "--n-min", "1", "--n-max", "20"],
      ["analyze", "--s", "2", "--t", "3"]),
 ], ids=["verify-seed", "analyze-range"])
@@ -361,7 +362,7 @@ def test_profile_text_is_read_even_when_empty(capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "bound-2t", "--t", "4", "--n-max", "10"],
     ["verify", "dp-vs-oracle", "--s", "2", "--t", "3", "--n-max", "6"],
-    ["verify", "all", "--small", "--s", "2", "--t", "3"],
+    ["verify", "all", "--s", "2", "--t", "3"],
 ], ids=["bound-2t", "dp-vs-oracle", "all"])
 def test_verify_reads_the_pair_options_it_names(argv, capsys):
     code, out, _ = run(argv, capsys)
@@ -548,16 +549,16 @@ def test_catalog_max_is_held_to_the_requested_catalogs(argv, capsys):
 
 
 def test_invariants_is_held_to_catalog_max(capsys):
-    # its checks build every catalog up to 7, or 6 with --small
+    # its checks build every catalog up to 7
     code, out, err = run(["verify", "invariants", "--catalog-max", "6"], capsys)
     assert (code, out) == (3, "")
     assert "requested n up to 7 exceeds --catalog-max 6" in err
-    code, out, _ = run(["verify", "invariants", "--small", "--catalog-max", "6"], capsys)
+    code, out, _ = run(["verify", "invariants", "--catalog-max", "7"], capsys)
     assert code == 0
-    assert [c["params"]["n_max"] for c in json.loads(out)["checks"]] == [6, 6]
+    assert [c["params"]["n_max"] for c in json.loads(out)["checks"]] == [7, 7]
 
 
-def test_small_suite_fits_a_catalog_of_8(monkeypatch, capsys):
+def test_all_suite_fits_a_catalog_of_9(monkeypatch, capsys):
     import cogex.oracle as oracle
 
     sizes = []
@@ -568,12 +569,22 @@ def test_small_suite_fits_a_catalog_of_8(monkeypatch, capsys):
         check(n, limit)
 
     monkeypatch.setattr(oracle, "_check_catalog_size", record)
-    code, _, _ = run(["verify", "all", "--small", "--catalog-max", "8"], capsys)
+    code, _, _ = run(["verify", "all", "--catalog-max", "9"], capsys)
     assert code == 0
-    assert max(sizes) == 8
-    code, _, err = run(["verify", "all", "--small", "--catalog-max", "7"], capsys)
+    assert max(sizes) == 9
+    code, _, err = run(["verify", "all", "--catalog-max", "8"], capsys)
     assert code == 3
-    assert "requested n up to 8 exceeds --catalog-max 7" in err
+    assert "requested n up to 9 exceeds --catalog-max 8" in err
+
+
+@pytest.mark.parametrize("selector", ["all", *SELECTORS])
+def test_verify_has_no_small_option(selector, capsys):
+    # each selector has one default size
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", selector, "--small"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "unrecognized arguments: --small" in err
 
 
 def test_analyze_has_no_witness_option(capsys):

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 import cogex.verification as verification
-from cogex.cotree import clique, edgeless, make_product, make_sum
+from cogex.cli import main
+from cogex.cotree import CapacityError, clique, edgeless, make_product, make_sum
 from cogex.oracle import CheckResult, check_structure_theorems
 from cogex.verification import (
     SELECTORS,
@@ -77,9 +78,11 @@ def test_structure_theorems_to_30_on_exhaustive_witnesses():
     assert all(r.passed for r in results), [r.name for r in results if not r.passed]
 
 
-@pytest.mark.parametrize("small, calls", [(False, 13), (True, 23)], ids=["all", "small"])
-def test_run_suite_builds_each_dp_series_once(small, calls, monkeypatch):
-    # dp-vs-oracle, structure and pareto share their series at the same size
+@pytest.mark.parametrize("options, calls", [({}, 13), ({"n_max": 6}, 10)],
+                         ids=["all", "n-max"])
+def test_run_suite_builds_each_dp_series_once(options, calls, monkeypatch):
+    # dp-vs-oracle, structure and pareto share their series at the same size,
+    # and bounds too at its --n-max
     import cogex.enumerator as enumerator
 
     built = []
@@ -90,7 +93,7 @@ def test_run_suite_builds_each_dp_series_once(small, calls, monkeypatch):
         return original(n_max, cap, prune=prune, exhaustive=exhaustive, **kwargs)
 
     monkeypatch.setattr(enumerator, "build_registries", record)
-    assert run_suite("all", small=small)["passed"]
+    assert run_suite("all", **options)["passed"]
     assert len(built) == len(set(built)) == calls
 
 
@@ -136,21 +139,23 @@ def test_pump_invariants_deterministic_seed():
     assert a.detail == b.detail
 
 
-# (check, params) of every check in ``run_suite("all", small=True)``, in order
-SMALL_BUNDLE = [
+# (check, params) of every check in ``run_suite("all")``, in order: the 74
+# checks of the verify workload's report (perfbench/checks.py)
+BUNDLE = [
     ("balanced-biclique", {"n": 2, "t": 1}), ("balanced-biclique", {"n": 3, "t": 1}),
     ("balanced-biclique", {"n": 4, "t": 1}), ("balanced-biclique", {"n": 5, "t": 1}),
     ("balanced-biclique", {"n": 6, "t": 2}), ("balanced-biclique", {"n": 7, "t": 2}),
-    ("balanced-biclique", {"n": 8, "t": 2}), ("sequences", {"n_max": 6}),
-    ("fulfillment-agreement", {"n_max": 6, "pairs": [[2, 2], [2, 3], [3, 3]]}),
-    ("dp-vs-oracle", {"s": 1, "t": 2, "n_max": 7}),
-    ("dp-vs-oracle", {"s": 1, "t": 3, "n_max": 7}),
-    ("dp-vs-oracle", {"s": 2, "t": 2, "n_max": 7}),
-    ("dp-vs-oracle", {"s": 2, "t": 3, "n_max": 7}),
-    ("dp-vs-oracle", {"s": 3, "t": 3, "n_max": 7}),
-    ("strict-bound", {"s": 2, "t": 2, "n_max": 20, "alpha": "3/2"}),
-    ("strict-bound", {"s": 2, "t": 3, "n_max": 20, "alpha": "2"}),
-    ("strict-bound", {"s": 3, "t": 3, "n_max": 20, "alpha": "3"}),
+    ("balanced-biclique", {"n": 8, "t": 2}), ("balanced-biclique", {"n": 9, "t": 2}),
+    ("sequences", {"n_max": 7}),
+    ("fulfillment-agreement", {"n_max": 7, "pairs": [[2, 2], [2, 3], [3, 3]]}),
+    ("dp-vs-oracle", {"s": 1, "t": 2, "n_max": 8}),
+    ("dp-vs-oracle", {"s": 1, "t": 3, "n_max": 8}),
+    ("dp-vs-oracle", {"s": 2, "t": 2, "n_max": 8}),
+    ("dp-vs-oracle", {"s": 2, "t": 3, "n_max": 8}),
+    ("dp-vs-oracle", {"s": 3, "t": 3, "n_max": 8}),
+    ("strict-bound", {"s": 2, "t": 2, "n_max": 30, "alpha": "3/2"}),
+    ("strict-bound", {"s": 2, "t": 3, "n_max": 30, "alpha": "2"}),
+    ("strict-bound", {"s": 3, "t": 3, "n_max": 30, "alpha": "3"}),
     ("universal-vertex", {"n": 2, "t": 2}), ("universal-vertex", {"n": 2, "t": 3}),
     ("k33-extremal-shape", {"n": 2}),
     ("lifting-decomposition", {"n": 2, "s": 2, "t": 2}),
@@ -181,30 +186,33 @@ SMALL_BUNDLE = [
     ("lifting-decomposition", {"n": 7, "s": 2, "t": 2}),
     ("lifting-decomposition", {"n": 7, "s": 2, "t": 3}),
     ("lifting-decomposition", {"n": 7, "s": 3, "t": 3}),
-    ("restriction-transport", {"g1_max": 3, "g2_max": 4}),
-    ("regular-constructor", {"n_max": 20, "exhaustive_max": 8}),
-    ("pareto-safety", {"n_max": 6, "pairs": [[1, 2], [1, 3], [2, 2], [2, 3], [3, 3]]}),
-    ("constructions-optimum", {"n_max": 8}), ("clique-product-formula", {"max_r": 6}),
-    ("pump-invariants", {"seed": 20240817, "trials": 60}),
-    ("height-bound", {"n_max": 6, "trials": 200}),
-    ("complement-involution", {"n_max": 6}),
+    ("star-extremal-shape", {"n": 8, "t": 3}), ("universal-vertex", {"n": 8, "t": 2}),
+    ("universal-vertex", {"n": 8, "t": 3}), ("k33-extremal-shape", {"n": 8}),
+    ("lifting-decomposition", {"n": 8, "s": 2, "t": 2}),
+    ("lifting-decomposition", {"n": 8, "s": 2, "t": 3}),
+    ("lifting-decomposition", {"n": 8, "s": 3, "t": 3}),
+    ("restriction-transport", {"g1_max": 3, "g2_max": 5}),
+    ("regular-constructor", {"n_max": 40, "exhaustive_max": 9}),
+    ("pareto-safety", {"n_max": 8, "pairs": [[1, 2], [1, 3], [2, 2], [2, 3], [3, 3]]}),
+    ("constructions-optimum", {"n_max": 9}), ("clique-product-formula", {"max_r": 6}),
+    ("pump-invariants", {"seed": 20240817, "trials": 120}),
+    ("height-bound", {"n_max": 7, "trials": 200}),
+    ("complement-involution", {"n_max": 7}),
 ]
 
 
 def test_small_bundle():
-    report = run_suite("all", small=True)
+    report = run_suite("all")
     assert report["passed"], [c["check"] for c in report["checks"] if not c["passed"]]
-    names = {c["check"] for c in report["checks"]}
-    assert {"sequences", "dp-vs-oracle", "pareto-safety", "regular-constructor",
-            "restriction-transport"} <= names
-    assert [(c["check"], c["params"]) for c in report["checks"]] == SMALL_BUNDLE
+    assert len(BUNDLE) == 74
+    assert [(c["check"], c["params"]) for c in report["checks"]] == BUNDLE
 
 
 def test_readme_selector_table_is_the_selectors_table():
     # one row per selector, in order, then all: the options it reads and
-    # its sizes with and without --small
+    # its size
     lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
-    start = lines.index("| selector | reads | size with `--small` | size without |")
+    start = lines.index("| selector | reads | size |")
     rows = []
     for line in lines[start + 2:]:
         if not line.startswith("|"):
@@ -213,23 +221,24 @@ def test_readme_selector_table_is_the_selectors_table():
         options = set() if reads == "none" else {
             f.strip(" `-").replace("-", "_") for f in reads.split(",")}
         rows.append([selector.strip("`"), options, *rest])
-    assert rows[:-1] == [[k, set(reads), str(small), str(full)]
-                         for k, (_, reads, (small, full)) in SELECTORS.items()]
+    assert rows[:-1] == [[k, set(reads), str(size)] for k, (_, reads, size) in SELECTORS.items()]
     assert rows[-1][0].startswith("all`") and rows[-1][1] == options_read("all")
+    assert rows[-1][2] == str(max(size for k, (_, reads, size) in SELECTORS.items()
+                                  if k != "bound-2t" and "catalog_max" in reads))
 
 
 @pytest.mark.parametrize("selector", list(SELECTORS))
 def test_size_is_n_then_n_max_where_read_else_the_default(selector, monkeypatch):
-    _, reads, (small, full) = SELECTORS[selector]
+    _, reads, default = SELECTORS[selector]
     sizes = []
     monkeypatch.setitem(SELECTORS, selector, (
         lambda size, **_: sizes.append(size) or [CheckResult("stub", {}, True)],
-        reads, (small, full)))
-    for options in ({}, {"small": True}, {"n_max": 5}, {"n": 4, "n_max": 5}):
-        if set(options) - {"small"} <= set(reads):
+        reads, default))
+    for options in ({}, {"n_max": 5}, {"n": 4, "n_max": 5}):
+        if set(options) <= set(reads):
             run_suite(selector, **options)
     # --n and --n-max where it reads them; the rest is an unread option
-    assert sizes == [full, small] + [5] * ("n_max" in reads) + [4] * ("n" in reads)
+    assert sizes == [default] + [5] * ("n_max" in reads) + [4] * ("n" in reads)
 
 
 UNREAD = [(k, o) for k in ("all", *SELECTORS)
@@ -249,3 +258,40 @@ def test_run_suite_rejects_an_option_its_selector_does_not_read(selector, option
     with pytest.raises(ValueError, match=f"^verify {selector} does not read "
                                          f"--{option.replace('_', '-')}$"):
         run_suite(selector, **{option: 5})
+
+
+def _no_catalog_or_dp(monkeypatch):
+    import cogex.enumerator as enumerator
+    import cogex.oracle as oracle
+
+    def fail(*_, **__):
+        raise AssertionError("a catalog or DP series was built")
+
+    for module in (oracle, verification):
+        monkeypatch.setattr(module, "enumerate_cotrees", fail)
+    monkeypatch.setattr(enumerator, "build_registries", fail)
+
+
+@pytest.mark.parametrize("selector, options, message", [
+    ("dp-vs-oracle", {"s": 2}, "verify dp-vs-oracle needs both --s and --t, or neither"),
+    ("all", {"s": 3, "t": 2}, "need 1 <= s <= t, got (3, 2)"),
+    ("bound-2t", {"t": 1}, "verify bound-2t needs --t >= 2"),
+], ids=["half-pair", "s-above-t", "bound-2t-t-1"])
+def test_run_suite_applies_the_clis_option_rules(selector, options, message, monkeypatch,
+                                                 capsys):
+    # before any catalog or DP series is built, with the message of the
+    # CLI's usage error: dp-vs-oracle would otherwise run its default pairs
+    _no_catalog_or_dp(monkeypatch)
+    with pytest.raises(ValueError) as exc:
+        run_suite(selector, **options)
+    assert str(exc.value) == message
+    argv = ["verify", selector] + [a for o, v in options.items() for a in (f"--{o}", str(v))]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
+
+
+def test_run_suite_holds_catalogs_to_the_default_limit(monkeypatch):
+    # as verify does without --catalog-max
+    _no_catalog_or_dp(monkeypatch)
+    with pytest.raises(CapacityError, match=r"^requested n up to 11 exceeds --catalog-max 10$"):
+        run_suite("balanced-biclique", n=11)
