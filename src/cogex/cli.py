@@ -282,7 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--witness-max", type=int, default=DEFAULT_WITNESS_LIMIT)
     p.add_argument("--max-records", type=int, default=None,
-                   help="per-level registry size cap (capacity guard)")
+                   help="most candidate keys one DP level may make before the "
+                        "Pareto filter (capacity guard); without --exhaustive, sums "
+                        "that a sum with the same first part strictly dominates are "
+                        "not made, so not counted")
     _add_common(p)
 
     p = sub.add_parser("construct", help="explicit families and transformations")
@@ -339,13 +342,13 @@ def _validate(args: argparse.Namespace) -> None:
         raise ValueError(f"--alpha {args.alpha} has a zero denominator") from None
     args.periods = [int(x) for x in args.periods.split(",")] if opts.get("periods") else None
     args.path = tuple(int(x) for x in args.path.split("/")) if opts.get("path") else ()
-    for name in ("n", "n_min", "n_max", "witness_max", "max_records", "catalog_max"):
-        if opts.get(name) is not None and opts[name] < 1:
-            raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
     if args.subcommand == "verify":
         check_options(args.check, n=args.n, n_max=args.n_max, s=args.s, t=args.t,
                       seed=args.seed, catalog_max=args.catalog_max)
         return
+    for name in ("n", "n_min", "n_max", "witness_max", "max_records"):
+        if opts.get(name) is not None and opts[name] < 1:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
     # An option that defaults to None, given to a command or a mode of one
     # that does not read it, is a usage error
     if args.subcommand == "construct":

@@ -28,13 +28,16 @@ floor being the code of the edgeless graph on n vertices (the 0 floor of
 ``sum_entries``); as both parts passed the window, the sums of a level
 pass or fail it together, at the floor.  A join's entry j is at least
 k1[j] + n2 and at least k2[j] + n1, so each record stores once its join
-slack, the least window[j] - key[j] over the window's bounded entries, and
-only pairs of parts whose slack covers the other part's size reach
-``product_entries`` on tuple keys, whose result is coded and tested like a
-sum's; when n1 and n2 are both at least s, no K_{s,t} join survives and
-none is computed.  The Pareto filter groups kept codes by bit length: a
-code that dominates another is a bitwise subset of it, so not longer, and
-a candidate is tested against the groups no longer than itself only.
+slack, the least window[j] - key[j] over the window's bounded entries.
+Each level's rows are sorted by slack once, so the rows that can be joined
+with a part of n2 vertices are a prefix, found by bisection.  A join's code
+comes from one part's finite key prefix (entries 0..min(n, cap), all
+integers) and the other part's code with entry 0, in one max-plus loop
+over shifted codes (``_join_code``), and is tested like a sum's; when n1
+and n2 are both at least s, no K_{s,t} join survives and none is computed.
+The Pareto filter keeps its kept codes sorted: a code that dominates
+another is a bitwise subset of it, so not larger, and a candidate is tested
+against the kept codes below it only.
 Survivors are decoded once, so registries and everything after the DP see
 tuple keys.
 The loop stays pure Python: importing numpy would raise the CLI's peak
@@ -45,25 +48,39 @@ connected component plus the rest (its cotree's root is a sum).  A record
 is connected-type if it is the leaf or one of its tied best sources is a
 join, and sum-only otherwise; a sum's first part is connected-type, its
 second part any record, and two connected-type parts are summed once, the
-smaller first (the earlier of one level).  This keeps every (key, edges)
-of every level, by induction on n.  A sum-only record A has a sum source
-(A1, A2): its code is a1 | a2 | floor and its edges e1 + e2.  So A + B has
-the code and edges of A1 + (A2 + B), whose second part is a sum at a lower
-level and so matched by a kept record, or, past the Pareto filter,
-dominated by one; A1 + that record matches or dominates A + B, with a
-first part of fewer vertices, down to a connected-type one.  A mirrored
-pair of connected-type parts has the same code and edges.  Every level's
-frontier, and in exhaustive mode its every candidate code with its best
-edges, is as with all pairs summed, and so is every exhaustive witness set:
-each extremal sum is a component plus an extremal rest.  A record under a
-binding witness limit keeps the first graphs of its (fewer) sources.
+smaller first (of one level, the first in the level's order by edges).
+This keeps every (key, edges) of every level, by induction on n.  A
+sum-only record A has a sum source (A1, A2): its code is a1 | a2 | floor
+and its edges e1 + e2.  So A + B has the code and edges of A1 + (A2 + B),
+whose second part is a sum at a lower level and so matched by a kept
+record, or, past the Pareto filter, dominated by one; A1 + that record
+matches or dominates A + B, with a first part of fewer vertices, down to
+a connected-type one.  A mirrored pair of connected-type parts has the
+same code and edges.  Every level's frontier, and in exhaustive mode its
+every candidate code with its best edges, is as with all pairs summed, and
+so is every exhaustive witness set: each extremal sum is a component plus
+an extremal rest.  A record under a binding witness limit keeps the first
+graphs of its (fewer) sources.
+
+Sums of a first part stop early.  Each level's rows are sorted by edges,
+most first.  For a connected-type first part c1 (floor included), let the
+first second part whose code lies within c1 (``c1 | c2 == c1``) have e*
+edges: that sum has code c1 and e1 + e* edges.  A later second part c2
+with fewer edges makes code c1 | c2, which contains c1, with fewer edges:
+a candidate that (c1, e1 + e*) strictly dominates, or a pair that is not
+a best source of its code.  Either way it changes no frontier code and no
+source of one, so the loop stops at the first row below e*; rows with e*
+edges are still summed, as they may be tied best sources.  Exhaustive mode
+keeps every candidate and never stops.  Without it, ``max_records`` counts
+the fewer candidate keys that are made.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter, le
+from operator import attrgetter, itemgetter, le
 from typing import Iterable, Sequence
 
 from .cotree import (
@@ -76,7 +93,6 @@ from .cotree import (
     make_leaf,
     make_product,
     make_sum,
-    product_entries,
 )
 from .profile import (
     BicliqueProfile,
@@ -88,6 +104,9 @@ from .profile import (
 )
 
 DEFAULT_WITNESS_LIMIT = 8
+
+_EDGES = itemgetter(2)  # of a sum row
+_NEG_SLACK = itemgetter(0)  # of a join row, negated
 
 
 class ExtremalRecord:
@@ -188,32 +207,24 @@ def pareto_filter(candidates: Iterable[tuple[int, int]]) -> set[tuple[int, int]]
     no other pair has a pointwise smaller-or-equal key (``not other & ~code``)
     and at least as many edges with one strict.
 
-    Kept codes are grouped by bit length.  A code that is a bitwise subset
-    of another is at most the other, so no group longer than a candidate
-    holds a code dominating it (for non-negative codes), and such groups
-    are skipped.
+    Kept codes are kept sorted.  A code that is a bitwise subset of another
+    is at most the other, so only kept codes below a candidate can dominate
+    it (for non-negative codes), and only those are tested.
     """
-    best: dict[int, int] = {}
-    for code, edges in candidates:
-        if best.get(code, -1) < edges:
-            best[code] = edges
-    groups: dict[int, list[int]] = {}
-    for code, _ in sorted(best.items(), key=lambda kv: (-kv[1], kv[0])):
-        # every kept code has at least as many edges, by sort order
-        length = code.bit_length()
+    # in code order, each code's last pair has its most edges
+    best = dict(sorted(candidates))
+    kept: list[int] = []
+    # most edges first, so every kept code has at least as many edges;
+    # among equal edges the smaller code first
+    for code, _ in sorted(best.items(), key=itemgetter(1), reverse=True):
+        below = bisect_right(kept, code)
         over = ~code
-        dominated = False
-        for size, group in groups.items():
-            if size <= length:
-                for kcode in group:
-                    if not kcode & over:
-                        dominated = True
-                        break
-                if dominated:
-                    break
-        if not dominated:
-            groups.setdefault(length, []).append(code)
-    return {(code, best[code]) for group in groups.values() for code in group}
+        for i in range(below - 1, -1, -1):
+            if not kept[i] & over:
+                break
+        else:
+            kept.insert(below, code)
+    return {(code, best[code]) for code in kept}
 
 
 def _encode(entries: Sequence[float], width: int) -> int:
@@ -233,11 +244,30 @@ def _encode(entries: Sequence[float], width: int) -> int:
     return code
 
 
-def _decode(code: int, n: int, cap: int, width: int) -> Entries:
-    """The key (n, entries 1..cap) whose ``_encode`` is ``code``."""
-    mask = (1 << width) - 1
-    fields = [code >> (cap - j) * width & mask for j in range(1, cap + 1)]
-    return (n, *(f.bit_length() - 1 if f else NEG_INF for f in fields))
+def _join_units(cap: int, width: int) -> list[list[int]]:
+    """``units[l2][a]``: one low bit in each field of entries a..min(a + l2,
+    cap) of a code with entry 0 (``_encode((0,) + key, width)``)."""
+    field = [1 << (cap - j) * width for j in range(cap + 1)]
+    return [[sum(field[a:a + l2 + 1]) for a in range(cap + 1)] for l2 in range(cap + 1)]
+
+
+def _join_code(p1: Sequence[int], x2: int, units: Sequence[int], width: int) -> int:
+    """The join's code with entry 0, ``_encode((0,) + product_entries(k1,
+    k2, cap), width)``, from the finite prefix ``p1 = k1[:min(n1, cap) + 1]``
+    and ``x2 = _encode((0,) + k2, width)``, with ``units =
+    _join_units(cap, width)[min(n2, cap)]``.
+
+    Entry j of a join is the max-plus convolution max(p1[a] + k2[j - a]).
+    For each a, ``x2`` moved a fields down puts k2[j - a] in field j, and
+    shifting by p1[a] with p1[a] low bits set in each field where k2[j - a]
+    is finite adds p1[a] to every entry at once; ``|`` takes the maximum.
+    Join entries at level n are below n, so no field overflows its width.
+    """
+    code = 0
+    for v, unit in zip(p1, units):
+        code |= x2 << v | ((1 << v) - 1) * unit
+        x2 >>= width
+    return code
 
 
 def _passes(key: Entries, window: tuple[float, ...]) -> bool:
@@ -249,7 +279,12 @@ def _join_slack(key: Entries, window: tuple[float, ...], bounded: list[int]) -> 
     pass the window: the join's entry j is at least key[j] + other_n, so
     the least window[j] - key[j] over the bounded entries.  A -inf key
     entry bounds nothing (and -inf - -inf would be NaN)."""
-    return min((window[j] - key[j] for j in bounded if key[j] != NEG_INF), default=INF)
+    slack = INF
+    for j in bounded:
+        v = key[j]
+        if v != NEG_INF and window[j] - v < slack:
+            slack = window[j] - v
+    return slack
 
 
 def build_registries(
@@ -280,30 +315,50 @@ def build_registries(
     width = n_max + 2
     # a code passes the window iff it sets none of these bits
     over = ~_encode(window, width)
+    mask = (1 << width) - 1  # one field
+    low = (1 << cap * width) - 1  # drops entry 0 from a join's code
+    units = _join_units(cap, width)
 
     registries = [Registry(n, cap) for n in range(1, n_max + 1)]
-    # per level: (code, record, edges, join slack) for each record, in key
-    # order, of the connected-type records (the leaf and the records with a
-    # join source) and of the sum-only ones; then all rows, connected-type first
-    connected: list[list[tuple[int, ExtremalRecord, int, float]]] = [[] for _ in registries]
-    sum_only: list[list[tuple[int, ExtremalRecord, int, float]]] = [[] for _ in registries]
-    rows: list[list[tuple[int, ExtremalRecord, int, float]]] = []
+    # each completed level is indexed once.  For sums: rows (code, record,
+    # edges), most edges first, of its connected-type records (the leaf and
+    # the records with a join source), of its sum-only ones and of all.
+    # For joins: rows (-join slack, finite key prefix, code with entry 0,
+    # record, edges) of its records with slack >= 1, most slack first
+    firsts: list[list[tuple[int, ExtremalRecord, int]]] = []
+    sum_only: list[list[tuple[int, ExtremalRecord, int]]] = []
+    every: list[list[tuple[int, ExtremalRecord, int]]] = []
+    joinable: list[list[tuple[float, tuple[int, ...], int, ExtremalRecord, int]]] = []
 
-    def keep(n: int, code: int, rec: ExtremalRecord, joined: bool) -> None:
-        """Store the record of a surviving code of level n and append its row."""
-        registries[n - 1].records[rec.key] = rec
-        (connected if joined else sum_only)[n - 1].append(
-            (code, rec, rec.edges, _join_slack(rec.key, window, bounded)))
+    def index(n: int, level: list[tuple[int, ExtremalRecord, bool]]) -> None:
+        """Index level n from its (code, record, connected-type) in key order."""
+        m = min(n, cap)
+        top = (2 << n) - 1 << cap * width  # entry 0 of a code with entry 0
+        firsts.append(sorted([(code, rec, rec.edges) for code, rec, joined in level if joined],
+                             key=_EDGES, reverse=True))
+        sum_only.append(sorted([(code, rec, rec.edges) for code, rec, joined in level
+                                if not joined], key=_EDGES, reverse=True))
+        every.append(sorted(firsts[-1] + sum_only[-1], key=_EDGES, reverse=True))
+        joins = []
+        for code, rec, _ in level:
+            slack = _join_slack(rec.key, window, bounded)
+            if slack >= 1:  # else it joins with nothing
+                joins.append((-slack, rec.key[:m + 1], top | code, rec, rec.edges))
+        joinable.append(sorted(joins, key=_NEG_SLACK))
 
-    leaf = _encode(_leaf_entries(cap), width)
+    key = _leaf_entries(cap)
+    leaf = _encode(key, width)
+    level = []
     if 1 <= window[0] and not leaf & over:
-        keep(1, leaf, ExtremalRecord(_decode(leaf, 1, cap, width), 0, (make_leaf(),)), True)
+        rec = registries[0].records[key] = ExtremalRecord(key, 0, (make_leaf(),))
+        level.append((leaf, rec, True))
+    index(1, level)
 
     for n in range(2, n_max + 1):
-        rows.append(connected[n - 2] + sum_only[n - 2])  # level n - 1 is complete
         # pass 1: combine keys, remembering where each best candidate came
         # from, as (make_sum or make_product, part record, part record)
         candidates: dict[int, tuple[int, list[tuple]]] = {}
+        get = candidates.get
         # a sum's key is the pointwise maximum of its parts' keys and the
         # edgeless graph's: the 0 floor of sum_entries up to entry n
         floor = _encode((n,) + (0,) * min(n, cap) + (NEG_INF,) * (cap - n), width)
@@ -311,36 +366,49 @@ def build_registries(
         # it fails it for every sum of the level; entry 0 is n for every key
         # of the level
         sums = not floor & over and n <= window[0]
-        # the first part of a sum is connected-type; two connected-type
-        # parts are summed once, the smaller first, or the earlier of two
-        # of one level
         for n1 in range(1, n) if sums else ():
             n2 = n - n1
-            right = sum_only[n2 - 1] if n1 > n2 else rows[n2 - 1]
-            for i, (c1, r1, e1, _) in enumerate(connected[n1 - 1]):
+            # the first part is connected-type, and two connected-type parts
+            # are summed once: the second is not before the first in firsts
+            right = sum_only[n2 - 1] if n1 > n2 else every[n2 - 1]
+            for rank, (c1, r1, e1) in enumerate(firsts[n1 - 1]):
                 c1 |= floor
-                for c2, r2, e2, _ in right[i:] if n1 == n2 else right:
+                if n1 == n2:
+                    right = sorted(firsts[n2 - 1][rank:] + sum_only[n2 - 1],
+                                   key=_EDGES, reverse=True)
+                # once a second part inside c1 gave c1 itself with e1 + e*
+                # edges, every later one has at most e* edges, and one with
+                # fewer makes a sum that c1's strictly dominates; no code is
+                # -1, so exhaustive mode never stops
+                inside = -1 if exhaustive else c1
+                stop = -1
+                for c2, r2, e2 in right:
+                    if e2 < stop:
+                        break
                     code = c1 | c2
+                    if code == inside:
+                        stop = e2
                     edges = e1 + e2
-                    cur = candidates.get(code)
+                    cur = get(code)
                     if cur is None or edges > cur[0]:
                         candidates[code] = (edges, [(make_sum, r1, r2)])
                     elif edges == cur[0]:
                         cur[1].append((make_sum, r1, r2))
         for n1 in range(1, n // 2 + 1) if n <= window[0] else ():
             n2 = n - n1
-            same = n1 == n2
-            join_left = [r for r in rows[n1 - 1] if r[3] >= n2]
-            join_right = join_left if same else [r for r in rows[n2 - 1] if r[3] >= n1]
+            # the rows whose join slack covers the other part's size
+            left = joinable[n1 - 1][:bisect_right(joinable[n1 - 1], -n2, key=_NEG_SLACK)]
+            right = left if n1 == n2 else \
+                joinable[n2 - 1][:bisect_right(joinable[n2 - 1], -n1, key=_NEG_SLACK)]
+            units2 = units[min(n2, cap)]
             cross = n1 * n2
-            for i, (_, r1, e1, _) in enumerate(join_left):
-                k1 = r1.key
-                for _, r2, e2, _ in join_right[i:] if same else join_right:
-                    code = _encode(product_entries(k1, r2.key, cap), width)
+            for i, (_, p1, _, r1, e1) in enumerate(left):
+                for _, _, x2, r2, e2 in right[i:] if n1 == n2 else right:
+                    code = _join_code(p1, x2, units2, width) & low
                     if code & over:
                         continue
                     edges = e1 + e2 + cross
-                    cur = candidates.get(code)
+                    cur = get(code)
                     if cur is None or edges > cur[0]:
                         candidates[code] = (edges, [(make_product, r1, r2)])
                     elif edges == cur[0]:
@@ -352,18 +420,25 @@ def build_registries(
 
         # pass 2: Pareto reduction at the (key, edges) level
         if exhaustive:
-            surviving = set(candidates)
+            surviving = list(candidates)
         else:
-            frontier = pareto_filter((c, e) for c, (e, _) in candidates.items())
-            surviving = {c for c, _ in frontier}
+            surviving = [c for c, _ in pareto_filter(
+                (c, e) for c, (e, _) in candidates.items())]
 
         # survivors keep their sources, in key order; witnesses are built
-        # when first read
+        # when first read.  Entries 1..m are finite, the rest -inf
+        m = min(n, cap)
+        shifts = range((cap - 1) * width, (cap - m - 1) * width, -width)
+        tail = (NEG_INF,) * (cap - m)
+        records = registries[n - 1].records
+        level = []
         for code in sorted(surviving):
             edges, sources = candidates[code]
-            keep(n, code, ExtremalRecord._lazy(
-                _decode(code, n, cap, width), edges, sources, witness_limit),
-                any(maker is make_product for maker, _, _ in sources))
+            key = (n, *[(code >> shift & mask).bit_length() - 1 for shift in shifts], *tail)
+            rec = records[key] = ExtremalRecord._lazy(key, edges, sources, witness_limit)
+            # joins come after sums, so a record with a join source ends with one
+            level.append((code, rec, sources[-1][0] is make_product))
+        index(n, level)
 
     return registries
 

@@ -380,9 +380,13 @@ def check_options(which: str, *, n: int | None = None, n_max: int | None = None,
                   s: int | None = None, t: int | None = None, seed: int | None = None,
                   catalog_max: int | None = None) -> None:
     """Raise ValueError at the first rule that the options of selector
-    ``which`` break, in this order: a given option (one that is not None)
-    that it, or every selector ``all`` runs, does not read; half a --s/--t
-    pair; a pair outside 1 <= s <= t; a bound-2t --t below 2."""
+    ``which`` break, in this order: an --n, --n-max or --catalog-max below
+    1; a given option (one that is not None) that it, or every selector
+    ``all`` runs, does not read; half a --s/--t pair; a pair outside
+    1 <= s <= t; a bound-2t --t below 2."""
+    for o, v in (("n", n), ("n_max", n_max), ("catalog_max", catalog_max)):
+        if v is not None and v < 1:
+            raise ValueError(f"--{o.replace('_', '-')} must be >= 1")
     reads = options_read(which)
     for o, v in (("n", n), ("n_max", n_max), ("s", s), ("t", t), ("seed", seed),
                  ("catalog_max", catalog_max)):

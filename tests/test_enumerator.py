@@ -23,7 +23,6 @@ from cogex.enumerator import (
     DEFAULT_WITNESS_LIMIT,
     ExtremalRecord,
     ExtremalSeries,
-    _decode,
     _encode,
     _join_slack,
     analyze_periodicity,
@@ -92,6 +91,13 @@ def test_level_two_keeps_both_records():
     assert records[(2, 1, 0)].witnesses == (clique(2),)
     assert records[(2, 0, 0)].edges == 0
     assert records[(2, 0, 0)].witnesses == (edgeless(2),)
+
+
+def _decode(code, n, cap, width):
+    """The key (n, entries 1..cap) whose ``_encode`` is ``code``."""
+    mask = (1 << width) - 1
+    fields = [code >> (cap - j) * width & mask for j in range(1, cap + 1)]
+    return (n, *(f.bit_length() - 1 if f else NEG_INF for f in fields))
 
 
 def _coded(pairs, width=5):
@@ -287,6 +293,11 @@ REFERENCE_CASES = {
     "no-window": (9, dict(cap=2)),
     "exhaustive": (10, dict(_kst(3, 3), exhaustive=True)),
     "all-witnesses": (14, dict(_kst(2, 3), witness_limit=None)),
+    # the sum cutoff keeps every tied best source: every witness is compared.
+    # Past n = 15 a filtered record can have fewer witnesses than the
+    # reference's, as its sums start with a connected-type part
+    **{f"K{s}{t}-all-witnesses": (15, dict(_kst(s, t), witness_limit=None))
+       for s, t in ((3, 3), (4, 5), (2, 7))},
     # wide windows, where most sums of two parts have a sum-only first part
     **{f"K{s}{t}{mode}": (18, dict(_kst(s, t), exhaustive=mode == "-exhaustive"))
        for s, t in ((2, 7), (3, 5)) for mode in ("", "-exhaustive")},

@@ -16,9 +16,16 @@ from cogex.cotree import (
     product_entries,
     sum_entries,
 )
-from cogex.enumerator import _decode, _encode, _join_slack, _passes, build_registries
+from cogex.enumerator import (
+    _encode,
+    _join_code,
+    _join_slack,
+    _join_units,
+    _passes,
+    build_registries,
+)
 from cogex.profile import BicliqueProfile, binding_cap
-from test_enumerator import _as_levels, _reference_registries
+from test_enumerator import _as_levels, _decode, _reference_registries
 
 MAX_N = 12
 
@@ -104,6 +111,17 @@ def test_sum_code_is_or_with_the_edgeless_floor(g1, g2, cap):
     floor = _encode(_key(edgeless(g1.n + g2.n), cap), WIDTH)
     code = _encode(k1, WIDTH) | _encode(k2, WIDTH) | floor
     assert code == _encode(sum_entries(k1, k2, cap), WIDTH)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cotrees(), cotrees(), caps)
+def test_join_code_is_the_coded_product(g1, g2, cap):
+    """The DP's join kernel, on a part's finite prefix and the other's code
+    with entry 0, is the code of product_entries, parts below cap included."""
+    k1, k2 = _key(g1, cap), _key(g2, cap)
+    units = _join_units(cap, WIDTH)[min(g2.n, cap)]
+    assert _join_code(k1[:min(g1.n, cap) + 1], _encode((0,) + k2, WIDTH), units, WIDTH) == \
+        _encode((0,) + product_entries(k1, k2, cap), WIDTH)
 
 
 @settings(max_examples=300, deadline=None)

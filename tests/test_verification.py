@@ -276,7 +276,13 @@ def _no_catalog_or_dp(monkeypatch):
     ("dp-vs-oracle", {"s": 2}, "verify dp-vs-oracle needs both --s and --t, or neither"),
     ("all", {"s": 3, "t": 2}, "need 1 <= s <= t, got (3, 2)"),
     ("bound-2t", {"t": 1}, "verify bound-2t needs --t >= 2"),
-], ids=["half-pair", "s-above-t", "bound-2t-t-1"])
+    ("balanced-biclique", {"n": 0}, "--n must be >= 1"),
+    ("sequences", {"n_max": 0}, "--n-max must be >= 1"),
+    ("sequences", {"catalog_max": 0}, "--catalog-max must be >= 1"),
+    # the limit comes before the unread-option rule
+    ("pump", {"catalog_max": 0}, "--catalog-max must be >= 1"),
+], ids=["half-pair", "s-above-t", "bound-2t-t-1", "n-0", "n-max-0", "catalog-max-0",
+        "unread-catalog-max-0"])
 def test_run_suite_applies_the_clis_option_rules(selector, options, message, monkeypatch,
                                                  capsys):
     # before any catalog or DP series is built, with the message of the
@@ -285,7 +291,8 @@ def test_run_suite_applies_the_clis_option_rules(selector, options, message, mon
     with pytest.raises(ValueError) as exc:
         run_suite(selector, **options)
     assert str(exc.value) == message
-    argv = ["verify", selector] + [a for o, v in options.items() for a in (f"--{o}", str(v))]
+    argv = ["verify", selector] + [a for o, v in options.items()
+                                   for a in (f"--{o.replace('_', '-')}", str(v))]
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"usage error: {message}\n")
 
