@@ -30,7 +30,6 @@ from .profile import (
     parse_profile,
     restrict,
     start_index,
-    validate,
 )
 from .enumerator import (
     ExtremalRecord,

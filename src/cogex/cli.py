@@ -214,8 +214,8 @@ def _emit_cotree(g: Cotree, fmt: str, json_text: Callable[[], str],
 # =============================================================================
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = run_suite(args.check, seed=args.seed, n=args.n, n_max=args.n_max,
-                       s=args.s, t=args.t, catalog_max=args.catalog_max)
+    report = run_suite(args.check, seed=args.seed, n_max=args.n_max, s=args.s, t=args.t,
+                       catalog_max=args.catalog_max)
     _emit_json(report, _resolve_output(args.output))
     for c in report["checks"]:
         status = "PASS" if c["passed"] else "FAIL"
@@ -264,13 +264,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``cogex`` parser, built on the first call and shared after it."""
+    """The ``cogex`` parser, built on the first call and shared after it; no
+    parser reads an abbreviated option (``verify --n`` is not ``--n-max``)."""
     parser = argparse.ArgumentParser(
-        prog="cogex",
+        prog="cogex", allow_abbrev=False,
         description="Edge-maximal biclique-free cographs: enumerate, construct, verify.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("enumerate", help="extremal edge counts by dynamic programming")
+    p = sub.add_parser("enumerate", allow_abbrev=False,
+                       help="extremal edge counts by dynamic programming")
     p.add_argument("--s", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--profile", help='constraint profile text, e.g. "inf,inf,inf;2"')
@@ -288,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "not made, so not counted")
     _add_common(p)
 
-    p = sub.add_parser("construct", help="explicit families and transformations")
+    p = sub.add_parser("construct", allow_abbrev=False,
+                       help="explicit families and transformations")
     p.add_argument("family", choices=FAMILIES)
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
@@ -301,9 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "graph6", "dot"), default="json")
     _add_common(p)
 
-    p = sub.add_parser("verify", help="oracle and property suites")
+    p = sub.add_parser("verify", allow_abbrev=False, help="oracle and property suites")
     p.add_argument("check", choices=("all", *SELECTORS))
-    p.add_argument("--n", type=int)
     p.add_argument("--n-max", type=int)
     p.add_argument("--s", type=int)
     p.add_argument("--t", type=int)
@@ -313,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"default {DEFAULT_CATALOG_LIMIT}")
     _add_common(p)
 
-    p = sub.add_parser("analyze", help="periodicity of ex(n) - alpha*n")
+    p = sub.add_parser("analyze", allow_abbrev=False, help="periodicity of ex(n) - alpha*n")
     p.add_argument("--s", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--profile")
@@ -325,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-records", type=int, default=None)
     _add_common(p)
 
-    p = sub.add_parser("export", help="convert a cotree JSON artifact")
+    p = sub.add_parser("export", allow_abbrev=False, help="convert a cotree JSON artifact")
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=("json", "graph6", "dot"), default="json")
     _add_common(p)
@@ -343,8 +345,8 @@ def _validate(args: argparse.Namespace) -> None:
     args.periods = [int(x) for x in args.periods.split(",")] if opts.get("periods") else None
     args.path = tuple(int(x) for x in args.path.split("/")) if opts.get("path") else ()
     if args.subcommand == "verify":
-        check_options(args.check, n=args.n, n_max=args.n_max, s=args.s, t=args.t,
-                      seed=args.seed, catalog_max=args.catalog_max)
+        check_options(args.check, n_max=args.n_max, s=args.s, t=args.t, seed=args.seed,
+                      catalog_max=args.catalog_max)
         return
     for name in ("n", "n_min", "n_max", "witness_max", "max_records"):
         if opts.get(name) is not None and opts[name] < 1:

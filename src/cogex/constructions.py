@@ -160,13 +160,13 @@ def _clique_join(c: int, t: int, m: int) -> Cotree:
     return make_product([clique(c), make_sum(parts)]) if c else make_sum(parts)
 
 
-def star_extremal(t: int, n: int, catalog_limit: int = 12) -> Cotree:
+def star_extremal(t: int, n: int) -> Cotree:
     """An edge-maximal cograph on n vertices with maximum degree below t.
 
     A clique when n < t, a (t-1)-regular cograph when one exists, and
     otherwise a (t-1)-regular part plus the best connected remainder of at
     most 2t-3 vertices, found by exhaustive search over the oracle's
-    catalog; a remainder size past ``catalog_limit`` raises CapacityError.
+    catalog; a remainder past 12 vertices raises CapacityError.
     """
     if t < 2 or n < 1:
         raise ValueError(f"need t >= 2 and n >= 1, got ({t}, {n})")
@@ -189,7 +189,7 @@ def star_extremal(t: int, n: int, catalog_limit: int = 12) -> Cotree:
             regular_part = regular_cograph(rest, t - 1)
             if regular_part is None:
                 continue
-        for comp in connected_cotrees(r, limit=catalog_limit):
+        for comp in connected_cotrees(r, limit=12):
             if max_degree(comp) > t - 1:
                 continue
             total = comp if regular_part is None else make_sum([regular_part, comp])

@@ -408,19 +408,20 @@ def biclique_sequence(g: Cotree, cap: int) -> Entries:
 
 
 def check_sequence_invariants(e: Entries) -> None:
-    """Raise AssertionError if a computed sequence violates its invariants."""
+    """Raise ValueError if a computed sequence violates its invariants."""
     n = e[0]
     for i in range(len(e) - 1):
-        assert e[i] >= e[i + 1], f"not decreasing at {i}: {e}"
+        if e[i] < e[i + 1]:
+            raise ValueError(f"not decreasing at {i}: {e}")
     for i, v in enumerate(e):
-        if i > n:
-            assert v == NEG_INF, f"entry {i} should be -inf for n={n}: {e}"
-        else:
-            assert v >= 0, f"entry {i} should be >= 0 for n={n}: {e}"
+        if i > n and v != NEG_INF:
+            raise ValueError(f"entry {i} should be -inf for n={n}: {e}")
+        if i <= n and v < 0:
+            raise ValueError(f"entry {i} should be >= 0 for n={n}: {e}")
     # subdiagonality between finite entries: e[j] < l forces e[l] < j
     for j, vj in enumerate(e):
         if vj == NEG_INF:
             continue
         l = int(vj) + 1
-        if l < len(e) and e[l] != NEG_INF:
-            assert e[l] < j, f"not subdiagonal at ({j}, {l}): {e}"
+        if l < len(e) and e[l] != NEG_INF and e[l] >= j:
+            raise ValueError(f"not subdiagonal at ({j}, {l}): {e}")

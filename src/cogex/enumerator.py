@@ -47,8 +47,8 @@ Sums start with a connected part.  Every disconnected cograph is one
 connected component plus the rest (its cotree's root is a sum).  A record
 is connected-type if it is the leaf or one of its tied best sources is a
 join, and sum-only otherwise; a sum's first part is connected-type, its
-second part any record, and two connected-type parts are summed once, the
-smaller first (of one level, the first in the level's order by edges).
+second part any record, and two connected-type parts of different sizes
+are summed once, the smaller first (of one size, in both orders).
 This keeps every (key, edges) of every level, by induction on n.  A
 sum-only record A has a sum source (A1, A2): its code is a1 | a2 | floor
 and its edges e1 + e2.  So A + B has the code and edges of A1 + (A2 + B),
@@ -369,13 +369,10 @@ def build_registries(
         for n1 in range(1, n) if sums else ():
             n2 = n - n1
             # the first part is connected-type, and two connected-type parts
-            # are summed once: the second is not before the first in firsts
+            # of different sizes are summed once, the smaller first
             right = sum_only[n2 - 1] if n1 > n2 else every[n2 - 1]
-            for rank, (c1, r1, e1) in enumerate(firsts[n1 - 1]):
+            for c1, r1, e1 in firsts[n1 - 1]:
                 c1 |= floor
-                if n1 == n2:
-                    right = sorted(firsts[n2 - 1][rank:] + sum_only[n2 - 1],
-                                   key=_EDGES, reverse=True)
                 # once a second part inside c1 gave c1 itself with e1 + e*
                 # edges, every later one has at most e* edges, and one with
                 # fewer makes a sum that c1's strictly dominates; no code is
@@ -507,6 +504,10 @@ def extremal_series_for_profile(
     if (not isinstance(n_range, range) or n_range.step != 1 or not n_range
             or n_range.start < 1):
         raise ValueError(f"need a nonempty contiguous range of n >= 1, got {n_range!r}")
+    # a profile without a finite start value is rejected before the DP runs
+    s = start_index(p)
+    start_value = p[s]
+    alpha = profile_alpha(p)
     cap = binding_cap(p) + 1
     registries = build_registries(
         n_range.stop - 1, cap, prune=p, exhaustive=exhaustive,
@@ -519,11 +520,9 @@ def extremal_series_for_profile(
             continue  # no cograph on n vertices fulfills the profile
         values[n] = edges
         witnesses[n] = wits[:witness_limit]
-    s = start_index(p)
-    start_value = p[s]
     return ExtremalSeries(
         constraint=constraint or format_profile(p),
-        alpha=profile_alpha(p),
+        alpha=alpha,
         values=values,
         witnesses=witnesses,
         s=s,

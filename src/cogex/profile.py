@@ -7,7 +7,7 @@ representation is an explicit prefix plus a repeated tail value.
 
 Subdiagonality mirrors the part-swap symmetry of bicliques: whenever two
 finite entries satisfy P_j < l, the entry P_l must be < j.  The check is
-applied to pairs of finite entries; see ``validate``.
+applied to pairs of finite entries; see ``BicliqueProfile``.
 
 ``fulfills`` and ``restrict`` take a graph's sequence as the plain tuple
 ``cotree.Entries`` and read its vertex count n as entry 0.
@@ -37,7 +37,8 @@ class ProfileError(ValueError):
 
 
 class BicliqueProfile:
-    """Eventually constant profile: explicit ``prefix`` then repeated ``tail``."""
+    """Eventually constant profile: explicit ``prefix`` then repeated ``tail``;
+    one that breaks a rule raises ProfileError naming the failing index pair."""
 
     __slots__ = ("prefix", "tail")
 
@@ -104,11 +105,6 @@ def _check(prefix: tuple[Value, ...], tail: Value) -> None:
                 "not-subdiagonal", (j, l),
                 f"not subdiagonal: P_{j} = {vj} < {l} requires P_{l} < {j}, "
                 f"got P_{l} = {w[l]}")
-
-
-def validate(prefix: Iterable[Value], tail: Value) -> BicliqueProfile:
-    """Build a profile, raising ProfileError naming the failing index pair."""
-    return BicliqueProfile(prefix, tail)
 
 
 # =============================================================================

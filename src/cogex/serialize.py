@@ -228,9 +228,9 @@ def catalog_to_graph6(catalog) -> str:
 _DOT_LABEL = {"sum": "+", "prod": "×", "leaf": "•"}
 
 
-def to_dot(g: Cotree, name: str = "cotree") -> str:
-    """DOT digraph: inner nodes labeled +/x, root highlighted, numbered in pre-order."""
-    lines = [f"digraph {name} {{", "  node [shape=circle];",
+def to_dot(g: Cotree) -> str:
+    """DOT digraph cotree: inner nodes labeled +/x, root highlighted, numbered in pre-order."""
+    lines = ["digraph cotree {", "  node [shape=circle];",
              f'  n0 [label="{_DOT_LABEL[g.kind]}" style=filled fillcolor="mediumpurple"];']
     stack = [("n0", iter(g.children))]  # node id, children left
     count = 0

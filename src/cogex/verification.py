@@ -54,11 +54,13 @@ from .profile import (
     restrict,
 )
 
-SMALL_PAIRS = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
+# the pairs with s >= 2 that the checks without a pair option read
+S2_PAIRS = ((2, 2), (2, 3), (3, 3))
+SMALL_PAIRS = ((1, 2), (1, 3), *S2_PAIRS)
 DEFAULT_SEED = 20240817
 
 
-def verify_sequences(n_max: int = 7) -> CheckResult:
+def verify_sequences(n_max: int) -> CheckResult:
     """Cotree sequence recursion == brute-force search, all cographs <= n_max.
 
     The brute-force sequences are read from the oracle's per-n table, which
@@ -74,29 +76,29 @@ def verify_sequences(n_max: int = 7) -> CheckResult:
             rec = biclique_sequence(g, g.n)
             if rec != brute[g]:
                 bad.append(canonical_form(g).decode("ascii"))
-            else:
+                continue
+            try:
                 check_sequence_invariants(rec)
+            except ValueError as exc:
+                bad.append(f"{canonical_form(g).decode('ascii')}: {exc}")
     return CheckResult("sequences", {"n_max": n_max}, not bad,
                        f"{total} cographs", bad)
 
 
-def verify_fulfillment_agreement(
-    n_max: int = 7,
-    pairs: Sequence[tuple[int, int]] = ((2, 2), (2, 3), (3, 3)),
-) -> CheckResult:
+def verify_fulfillment_agreement(n_max: int) -> CheckResult:
     """Profile fulfillment == absence of the biclique, by direct search."""
     bad = []
     for n in range(1, n_max + 1):
         for g in enumerate_cotrees(n, limit=n_max).items:
             a = to_adjacency(g)
             seq = biclique_sequence(g, g.n)
-            for s, t in pairs:
+            for s, t in S2_PAIRS:
                 want = not contains_biclique(a, s, t)
                 if want != fulfills(seq, forbidden_biclique_profile(s, t)):
                     bad.append(f"({s},{t}) {canonical_form(g).decode('ascii')}")
                     break
     return CheckResult("fulfillment-agreement",
-                       {"n_max": n_max, "pairs": list(map(list, pairs))},
+                       {"n_max": n_max, "pairs": list(map(list, S2_PAIRS))},
                        not bad, "", bad)
 
 
@@ -140,12 +142,9 @@ def verify_bound_2t(series: ExtremalSeries) -> CheckResult:
     return res
 
 
-def verify_restriction_transport(
-    g1_max: int = 3,
-    g2_max: int = 5,
-    pairs: Sequence[tuple[int, int]] = ((2, 2), (2, 3), (3, 3)),
-) -> CheckResult:
+def verify_restriction_transport(g2_max: int) -> CheckResult:
     """G1 x G2 fulfills p  <=>  G2 fulfills restrict(p, S(G1)), exhaustively."""
+    g1_max = 3
     bad = []
     count = 0
     g1s = [g for n in range(1, g1_max + 1)
@@ -160,7 +159,7 @@ def verify_restriction_transport(
     seqs1 = [seq(g1) for g1 in g1s]
     seqs2 = [seq(g2) for g2 in g2s]
     prod_seqs = [[seq(make_product([g1, g2])) for g2 in g2s] for g1 in g1s]
-    for s, t in pairs:
+    for s, t in S2_PAIRS:
         p = forbidden_biclique_profile(s, t)
         for g1, s1, prods in zip(g1s, seqs1, prod_seqs):
             restricted = restrict(p, s1)
@@ -176,9 +175,10 @@ def verify_restriction_transport(
                        f"{count} combinations", bad)
 
 
-def verify_regular_constructor(n_max: int = 40, exhaustive_max: int = 9) -> CheckResult:
+def verify_regular_constructor(exhaustive_max: int) -> CheckResult:
     """Regularity of every feasible output; feasibility table matches
     exhaustive search for small n.  The table is included in the detail."""
+    n_max = 40
     bad = []
     feasibility: dict[int, list[int]] = {}
     for n in range(1, n_max + 1):
@@ -224,7 +224,7 @@ def verify_pareto_safety(series: Sequence[tuple[ExtremalSeries, ExtremalSeries]]
                        not bad, "", bad)
 
 
-def verify_constructions_meet_optimum(n_max: int = 9) -> CheckResult:
+def verify_constructions_meet_optimum(n_max: int) -> CheckResult:
     """star/k2t/k33 families have n vertices, reach the brute-force optimum
     and avoid their K_{s,t} at every n."""
     bad = []
@@ -244,11 +244,11 @@ def verify_constructions_meet_optimum(n_max: int = 9) -> CheckResult:
     return CheckResult("constructions-optimum", {"n_max": n_max}, not bad, "", bad)
 
 
-def verify_clique_product_formula(max_r: int = 6,
-                                  pairs: Sequence[tuple[int, int]] = ((2, 2), (2, 3), (3, 3), (3, 4), (4, 5))) -> CheckResult:
+def verify_clique_product_formula() -> CheckResult:
     """Closed-form edge count of the K_{s-1} x (r K_t) family, exactly."""
+    max_r = 6
     bad = []
-    for s, t in pairs:
+    for s, t in ((2, 2), (2, 3), (3, 3), (3, 4), (4, 5)):
         for r in range(0, max_r + 1):
             if s == 1 and r == 0:
                 continue
@@ -264,8 +264,7 @@ def verify_clique_product_formula(max_r: int = 6,
     return CheckResult("clique-product-formula", {"max_r": max_r}, not bad, "", bad)
 
 
-def verify_pump_invariants(seed: int = DEFAULT_SEED, trials: int = 120,
-                           pairs: Sequence[tuple[int, int]] = ((2, 2), (2, 3), (3, 3))) -> CheckResult:
+def verify_pump_invariants(seed: int, trials: int) -> CheckResult:
     """Pumping arithmetic and profile stability on random small cores.
 
     Vertex/edge growth follows |g| + k|H| and ||g|| + k(||H|| + |H| w) with
@@ -290,7 +289,7 @@ def verify_pump_invariants(seed: int = DEFAULT_SEED, trials: int = 120,
         if pumped.edges != g.edges + k * (child.edges + child.n * w):
             bad.append(f"edge growth {to_formula(g)} at {path}")
             continue
-        for s, t in pairs:
+        for s, t in S2_PAIRS:
             if w >= s:
                 continue
             p = forbidden_biclique_profile(s, t)
@@ -301,14 +300,15 @@ def verify_pump_invariants(seed: int = DEFAULT_SEED, trials: int = 120,
                        not bad, f"{tried} pumps", bad)
 
 
-def verify_height_bound(n_max: int = 7, seed: int = 7, trials: int = 200) -> CheckResult:
+def verify_height_bound(n_max: int) -> CheckResult:
     """height(g) <= 2 * clique_number(g) + 1, exhaustive then randomized."""
+    trials = 200
     bad = []
     for n in range(1, n_max + 1):
         for g in enumerate_cotrees(n).items:
             if height(g) > 2 * clique_number(g) + 1:
                 bad.append(canonical_form(g).decode("ascii"))
-    rng = random.Random(seed)
+    rng = random.Random(7)
     for _ in range(trials):
         g = random_cotree(rng, rng.randint(1, 14))
         if height(g) > 2 * clique_number(g) + 1:
@@ -317,7 +317,7 @@ def verify_height_bound(n_max: int = 7, seed: int = 7, trials: int = 200) -> Che
                        not bad, "", bad)
 
 
-def verify_complement_involution(n_max: int = 7) -> CheckResult:
+def verify_complement_involution(n_max: int) -> CheckResult:
     """complement is an involution and edge counts are complementary."""
     bad = []
     for n in range(1, n_max + 1):
@@ -329,10 +329,10 @@ def verify_complement_involution(n_max: int = 7) -> CheckResult:
 
 
 # The verify selectors in the order ``all`` runs them (``all`` leaves out
-# bound-2t): selector -> (runner, the options of n, n_max, s, t, seed and
+# bound-2t): selector -> (runner, the options of n_max, s, t, seed and
 # catalog_max that it reads, its default size (pump's: its trials)).  Its
-# size is --n, then --n-max, if it reads them, else its default; a selector
-# reads catalog_max iff its size is an oracle catalog.  A runner takes
+# size is --n-max if it reads it, else its default; a selector reads
+# catalog_max iff its size is an oracle catalog.  A runner takes
 # run_suite's keyword arguments, with ``size`` that size and ``dp`` a memo of
 # dp_series, and returns its checks.  run_suite holds the catalog sizes to
 # catalog_max before any runner starts, so a runner's own catalog limit is
@@ -340,7 +340,7 @@ def verify_complement_involution(n_max: int = 7) -> CheckResult:
 SELECTORS: dict[str, tuple[Callable[..., list[CheckResult]], tuple[str, ...], int]] = {
     "balanced-biclique": (lambda size, **_: [
         check_balanced_biclique(k, limit=size) for k in range(2, size + 1)],
-        ("n", "n_max", "catalog_max"), 9),
+        ("n_max", "catalog_max"), 9),
     "sequences": (lambda size, **_: [verify_sequences(size)], ("n_max", "catalog_max"), 7),
     "profiles": (lambda size, **_: [verify_fulfillment_agreement(size)],
                  ("n_max", "catalog_max"), 7),
@@ -350,19 +350,19 @@ SELECTORS: dict[str, tuple[Callable[..., list[CheckResult]], tuple[str, ...], in
         ("n_max", "s", "t", "catalog_max"), 8),
     "bound-2t": (lambda dp, t, size, **_: [verify_bound_2t(dp(2, 3 if t is None else t, size))],
                  ("n_max", "t"), 20),
-    "bounds": (lambda dp, size, **_: [verify_strict_bound(dp(s, t, size)) for s, t in (
-        (2, 2), (2, 3), (3, 3))], ("n_max",), 30),
+    "bounds": (lambda dp, size, **_: [verify_strict_bound(dp(s, t, size)) for s, t in S2_PAIRS],
+               ("n_max",), 30),
     "structure": (lambda dp, size, **_: check_structure_theorems(
         range(2, size + 1), lambda s, t: dp(s, t, size, True).witnesses), ("n_max",), 8),
-    "restriction": (lambda size, **_: [verify_restriction_transport(3, size)],
+    "restriction": (lambda size, **_: [verify_restriction_transport(size)],
                     ("catalog_max",), 5),
-    "regular": (lambda size, **_: [verify_regular_constructor(40, size)], ("catalog_max",), 9),
+    "regular": (lambda size, **_: [verify_regular_constructor(size)], ("catalog_max",), 9),
     "pareto": (lambda dp, size, **_: [verify_pareto_safety(
         [(dp(s, t, size), dp(s, t, size, True)) for s, t in SMALL_PAIRS])], ("n_max",), 8),
     "constructions": (lambda size, **_: [
         verify_constructions_meet_optimum(size), verify_clique_product_formula()],
         ("catalog_max",), 9),
-    "pump": (lambda seed, size, **_: [verify_pump_invariants(seed=seed, trials=size)],
+    "pump": (lambda seed, size, **_: [verify_pump_invariants(seed, size)],
              ("seed",), 120),
     "invariants": (lambda size, **_: [
         verify_height_bound(size), verify_complement_involution(size)], ("catalog_max",), 7),
@@ -376,19 +376,19 @@ def options_read(which: str) -> set[str]:
     return {o for k in (ALL if which == "all" else [which]) for o in SELECTORS[k][1]}
 
 
-def check_options(which: str, *, n: int | None = None, n_max: int | None = None,
-                  s: int | None = None, t: int | None = None, seed: int | None = None,
+def check_options(which: str, *, n_max: int | None = None, s: int | None = None,
+                  t: int | None = None, seed: int | None = None,
                   catalog_max: int | None = None) -> None:
     """Raise ValueError at the first rule that the options of selector
-    ``which`` break, in this order: an --n, --n-max or --catalog-max below
-    1; a given option (one that is not None) that it, or every selector
+    ``which`` break, in this order: an --n-max or --catalog-max below 1; a
+    given option (one that is not None) that it, or every selector
     ``all`` runs, does not read; half a --s/--t pair; a pair outside
     1 <= s <= t; a bound-2t --t below 2."""
-    for o, v in (("n", n), ("n_max", n_max), ("catalog_max", catalog_max)):
+    for o, v in (("n_max", n_max), ("catalog_max", catalog_max)):
         if v is not None and v < 1:
             raise ValueError(f"--{o.replace('_', '-')} must be >= 1")
     reads = options_read(which)
-    for o, v in (("n", n), ("n_max", n_max), ("s", s), ("t", t), ("seed", seed),
+    for o, v in (("n_max", n_max), ("s", s), ("t", t), ("seed", seed),
                  ("catalog_max", catalog_max)):
         if v is not None and o not in reads:
             raise ValueError(f"verify {which} does not read --{o.replace('_', '-')}")
@@ -405,7 +405,6 @@ def run_suite(
     which: str = "all",
     *,
     seed: int | None = None,
-    n: int | None = None,
     n_max: int | None = None,
     s: int | None = None,
     t: int | None = None,
@@ -416,10 +415,9 @@ def run_suite(
     The options break no rule of ``check_options``, which runs before any
     catalog or DP series is built.  The seed defaults to DEFAULT_SEED and
     catalog_max, where a selector reads it, to DEFAULT_CATALOG_LIMIT."""
-    check_options(which, n=n, n_max=n_max, s=s, t=t, seed=seed, catalog_max=catalog_max)
+    check_options(which, n_max=n_max, s=s, t=t, seed=seed, catalog_max=catalog_max)
     selected = ALL if which == "all" else [which]
-    sizes = {k: next((v for o, v in (("n", n), ("n_max", n_max)) if v is not None and
-                      o in SELECTORS[k][1]), SELECTORS[k][2])
+    sizes = {k: n_max if n_max is not None and "n_max" in SELECTORS[k][1] else SELECTORS[k][2]
              for k in selected}
     catalog = max((sizes[k] for k in selected if "catalog_max" in SELECTORS[k][1]), default=0)
     limit = DEFAULT_CATALOG_LIMIT if catalog_max is None else catalog_max
@@ -429,10 +427,8 @@ def run_suite(
     dp = cache(dp_series)  # one build per series and call, shared: runners only read it
     results = [r for k in selected for r in SELECTORS[k][0](
         seed=DEFAULT_SEED if seed is None else seed, s=s, t=t, size=sizes[k], dp=dp)]
-    if not results:
-        bounds = ", ".join(f"{flag} {v}" for flag, v in (("--n", n), ("--n-max", n_max))
-                           if v is not None)
-        raise ValueError(f"no {which} checks for {bounds}: its range starts at n = 2")
+    if not results:  # only a given --n-max is below 2
+        raise ValueError(f"no {which} checks for --n-max {n_max}: its range starts at n = 2")
     return {
         "selector": which,
         "passed": all(r.passed for r in results),

@@ -165,7 +165,7 @@ def test_construct_pump(tmp_path, capsys):
 
 
 def test_verify_pass_and_fail_exit_codes(capsys):
-    code, out, _ = run(["verify", "balanced-biclique", "--n", "6"], capsys)
+    code, out, _ = run(["verify", "balanced-biclique", "--n-max", "6"], capsys)
     assert code == 0
     assert json.loads(out)["passed"] is True
     code, _, _ = run(["verify", "dp-vs-oracle", "--s", "2", "--t", "3",
@@ -204,11 +204,11 @@ def test_analyze_alpha_zero_denominator(capsys):
 
 @pytest.mark.parametrize("argv, named", [
     (["verify", "sequences", "--n-max", "0"], "--n-max"),
-    (["verify", "balanced-biclique", "--n", "0"], "--n"),
+    (["construct", "k2t", "--t", "3", "--n", "0"], "--n"),
     (["enumerate", "--s", "2", "--t", "2", "--n-min", "0", "--n-max", "4"], "--n-min"),
     (["analyze", "--s", "2", "--t", "2", "--n-max", "0"], "--n-max"),
     (["construct", "k33", "--n", "0"], "--n"),
-    (["verify", "balanced-biclique", "--n", "1"], "--n 1"),
+    (["verify", "balanced-biclique", "--n-max", "1"], "--n-max 1"),
     (["verify", "structure", "--n-max", "1"], "--n-max 1"),
     (["analyze", "--s", "2", "--t", "3", "--periods", "0"], "--periods"),
     (["analyze", "--s", "2", "--t", "3", "--periods", "2,-1"], "--periods"),
@@ -275,17 +275,12 @@ def test_verify_pareto_reads_n_max(capsys):
     (["verify", "regular", "--t", "3"], "--t"),
     # restriction's catalogs do not follow --n-max
     (["verify", "restriction", "--n-max", "20", "--catalog-max", "5"], "--n-max"),
-    (["verify", "bounds", "--n", "4"], "--n"),
-    (["verify", "regular", "--n", "5"], "--n"),
-    (["verify", "structure", "--n", "3"], "--n"),
-    (["verify", "dp-vs-oracle", "--n", "4"], "--n"),
     (["verify", "invariants", "--n-max", "3"], "--n-max"),
     # only pump, and so all, reads --seed
     (["verify", "bounds", "--seed", "3"], "--seed"),
     (["verify", "structure", "--seed", "0"], "--seed"),
-], ids=["bounds", "bound-2t", "sequences", "pump", "regular", "restriction", "bounds-n",
-        "regular-n", "structure-n", "dp-vs-oracle-n", "invariants-n-max", "bounds-seed",
-        "structure-seed"])
+], ids=["bounds", "bound-2t", "sequences", "pump", "regular", "restriction",
+        "invariants-n-max", "bounds-seed", "structure-seed"])
 def test_verify_option_the_selector_does_not_read_is_usage_error(argv, option, capsys):
     # the selector would otherwise run its fixed pairs or sizes and exit 0
     code, out, err = run(argv, capsys)
@@ -499,7 +494,7 @@ def test_capacity_exit_code(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "balanced-biclique", "--n", "11"],
+    ["verify", "balanced-biclique", "--n-max", "11"],
 ])
 def test_catalog_max_raises_the_catalog_limit(argv, capsys):
     code, out, err = run(argv + ["--catalog-max", "10"], capsys)
@@ -535,14 +530,14 @@ def test_catalog_max_on_a_selector_that_builds_no_catalog_is_usage_error(selecto
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "balanced-biclique", "--n", "4", "--catalog-max", "5"],
-    ["verify", "balanced-biclique", "--n", "4", "--n-max", "9", "--catalog-max", "5"],
+    ["verify", "balanced-biclique", "--n-max", "4", "--catalog-max", "5"],
+    ["verify", "profiles", "--n-max", "4", "--catalog-max", "4"],
     ["verify", "sequences", "--n-max", "4", "--catalog-max", "4"],
     ["verify", "dp-vs-oracle", "--n-max", "5", "--catalog-max", "5"],
 ])
 def test_catalog_max_is_held_to_the_requested_catalogs(argv, capsys):
-    # --n and --n-max replace a selector's default catalog size, so a
-    # smaller catalog than the default fits a smaller --catalog-max
+    # --n-max replaces a selector's default catalog size, so a smaller
+    # catalog than the default fits a smaller --catalog-max
     code, out, _ = run(argv, capsys)
     assert code == 0
     assert json.loads(out)["passed"] is True
@@ -585,6 +580,34 @@ def test_verify_has_no_small_option(selector, capsys):
     out, err = capsys.readouterr()
     assert (exc.value.code, out) == (2, "")
     assert "unrecognized arguments: --small" in err
+
+
+@pytest.mark.parametrize("selector", ["all", *SELECTORS])
+def test_verify_has_no_n_option(selector, capsys):
+    # a selector's size is --n-max where it reads it; without prefix
+    # matching, --n is not read as --n-max either
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", selector, "--n", "5"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "unrecognized arguments: --n 5" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--s", "2", "--t", "2", "--n-ma", "5"],
+    ["enumerate", "--s", "2", "--t", "2", "--n-max", "5", "--exh"],
+    ["construct", "regular", "--n", "7", "--d", "4", "--form", "dot"],
+    ["verify", "sequences", "--n-m", "4"],
+    ["analyze", "--s", "2", "--t", "3", "--per", "2"],
+], ids=["enumerate-n-max", "enumerate-flag", "construct", "verify", "analyze"])
+def test_an_abbreviated_option_is_a_usage_error(argv, capsys):
+    # each is a unique prefix of one option, which argparse would otherwise
+    # read as that option
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "unrecognized arguments" in err or "required" in err
 
 
 def test_analyze_has_no_witness_option(capsys):

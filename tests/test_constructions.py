@@ -202,11 +202,12 @@ def test_star_extremal_examples():
 
 
 def test_star_extremal_honours_catalog_limit():
-    # t = 6, n = 21: no 5-regular cograph (both odd), so the search tries
-    # connected remainders of up to 2t - 3 = 9 vertices
-    with pytest.raises(CapacityError, match="n=9 exceeds limit 8"):
-        star_extremal(6, 21, catalog_limit=8)
-    assert star_extremal(6, 21, catalog_limit=9) == star_extremal(6, 21)
+    # no (t-1)-regular cograph for even t and odd n, so the search tries
+    # connected remainders of up to 2t - 3 vertices: 9 fit the catalog limit
+    # of 12, 13 do not
+    assert star_extremal(6, 21).n == 21
+    with pytest.raises(CapacityError, match="n=13 exceeds limit 12"):
+        star_extremal(8, 101)
 
 
 def test_star_extremal_meets_oracle():

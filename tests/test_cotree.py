@@ -1,10 +1,15 @@
 """Cotree data model: construction, reduction, expansion, sequences."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import cogex
 from cogex.cotree import (
     NEG_INF,
     AdjacencyGraph,
@@ -188,6 +193,22 @@ def test_biclique_sequence_invariants():
         check_sequence_invariants(seq)
         assert seq[0] == g.n
         assert all(seq[i] == NEG_INF for i in range(g.n + 1, g.n + 3))
+
+
+def test_sequence_invariants_are_checked_under_python_O():
+    # an assert would be stripped by -O and let the sequence pass
+    code = """
+from cogex.cotree import NEG_INF, check_sequence_invariants
+try:
+    check_sequence_invariants((3, 1, 2, NEG_INF))
+except ValueError as exc:
+    print(exc)
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cogex.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "not decreasing at 1: (3, 1, 2, -inf)\n"
 
 
 def test_formula_rendering(k2_join_two_triangles):

@@ -33,7 +33,8 @@ from cogex.enumerator import (
     query,
 )
 from cogex.oracle import extremal_bruteforce
-from cogex.profile import alpha_for, binding_cap, forbidden_biclique_profile, parse_profile, validate
+from cogex.profile import (BicliqueProfile, alpha_for, binding_cap,
+                           forbidden_biclique_profile, parse_profile)
 from cogex.verification import dp_series, verify_pareto_safety
 from cogex.cotree import INF
 
@@ -193,11 +194,11 @@ def test_query_examples():
     assert make_product([clique(1), make_sum([clique(2), clique(2)])]) in rec.witnesses
 
     r1 = build_registries(1, 2)[0]
-    assert query(r1, validate((INF, INF), 0)).edges == 0
+    assert query(r1, BicliqueProfile((INF, INF), 0)).edges == 0
 
     # forbidding every edge leaves only the edgeless class
     regs = build_registries(4, 2)
-    rec = query(regs[3], validate((4, 0, 0, 0, 0), NEG_INF))
+    rec = query(regs[3], BicliqueProfile((4, 0, 0, 0, 0), NEG_INF))
     assert rec.edges == 0
     assert rec.witnesses == (edgeless(4),)
 
@@ -394,6 +395,26 @@ def test_profile_route_equals_st_route():
         for t in range(s, 9):
             series = extremal_function(s, t, range(1, 2))
             assert (series.alpha, series.s, series.t) == (alpha_for(s, t), s, t)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("inf;inf", "all-infinite profile has no start index"),
+    ("inf;-inf", "start value must be finite"),
+], ids=["inf;inf", "inf;-inf"])
+def test_profile_without_a_finite_start_value_is_rejected_before_the_dp(
+        text, message, monkeypatch, capsys):
+    # checked before the DP, which takes half a minute at --n-max 80 before
+    # the profile's start value is read
+    from cogex.cli import main
+
+    def no_dp(*_, **__):
+        raise AssertionError("the DP ran")
+
+    monkeypatch.setattr(enumerator, "build_registries", no_dp)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        extremal_series_for_profile(parse_profile(text), range(1, 81))
+    assert main(["enumerate", "--profile", text, "--n-max", "80"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("n_range", [5, (1, 5), range(0, 5), range(3, 3), range(1, 9, 2)])

@@ -27,7 +27,7 @@ from cogex.oracle import (
     extremal_bruteforce,
     _sequence_table,
 )
-from cogex.profile import forbidden_biclique_profile, fulfills, validate
+from cogex.profile import BicliqueProfile, forbidden_biclique_profile, fulfills
 from cogex.cotree import NEG_INF
 from cogex.verification import SMALL_PAIRS
 
@@ -112,7 +112,7 @@ def test_fulfillment_agreement():
 def test_extremal_bruteforce_examples():
     assert extremal_bruteforce(5, forbidden_biclique_profile(2, 2))[0] == 6
     assert extremal_bruteforce(6, forbidden_biclique_profile(3, 3))[0] == 12
-    edges, wits = extremal_bruteforce(3, validate((3, 0, 0, 0), NEG_INF))
+    edges, wits = extremal_bruteforce(3, BicliqueProfile((3, 0, 0, 0), NEG_INF))
     assert edges == 0
     assert wits == (edgeless(3),)
 

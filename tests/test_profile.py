@@ -25,14 +25,13 @@ from cogex.profile import (
     parse_profile,
     restrict,
     start_index,
-    validate,
 )
 from cogex.oracle import enumerate_cotrees, random_cotree
 
 
 def test_validate_rejects_not_decreasing():
     with pytest.raises(ProfileError) as exc:
-        validate((3, 1, 2), NEG_INF)
+        BicliqueProfile((3, 1, 2), NEG_INF)
     assert exc.value.reason == "not-decreasing"
     assert exc.value.indices == (1, 2)
 
@@ -40,7 +39,7 @@ def test_validate_rejects_not_decreasing():
 def test_validate_rejects_not_subdiagonal():
     # a degree bound of 1 forces common neighborhoods below 1
     with pytest.raises(ProfileError) as exc:
-        validate((INF, 1, 1, 1), 1)
+        BicliqueProfile((INF, 1, 1, 1), 1)
     assert exc.value.reason == "not-subdiagonal"
     assert exc.value.indices == (1, 2)
 
@@ -55,7 +54,7 @@ def test_validate_accepts_forbidden_profiles():
 def test_validate_repeated_band_after_value_is_rejected():
     # a value v at index j forbids the same value persisting at index v+1
     with pytest.raises(ProfileError) as exc:
-        validate((INF, INF, 2, 2), 2)
+        BicliqueProfile((INF, INF, 2, 2), 2)
     assert exc.value.indices == (2, 3)
 
 
@@ -77,20 +76,20 @@ def test_text_form_round_trip():
 
 def test_start_index():
     assert start_index(forbidden_biclique_profile(3, 3)) == 3
-    assert start_index(validate((5,), NEG_INF)) == 0
-    assert start_index(validate((INF, 4), 0)) == 1
+    assert start_index(BicliqueProfile((5,), NEG_INF)) == 0
+    assert start_index(BicliqueProfile((INF, 4), 0)) == 1
     with pytest.raises(ValueError):
-        start_index(validate((), INF))
+        start_index(BicliqueProfile((), INF))
 
 
 def test_dominates():
-    p = validate((INF, 3), 0)
-    q = validate((INF, 2), 0)
+    p = BicliqueProfile((INF, 3), 0)
+    q = BicliqueProfile((INF, 2), 0)
     assert dominates(p, q)
     assert not dominates(q, p)
     assert not dominates(p, p)
-    a = validate((INF, 3, 1), 0)
-    b = validate((INF, 2, 2), 0)
+    a = BicliqueProfile((INF, 3, 1), 0)
+    b = BicliqueProfile((INF, 2, 2), 0)
     assert not dominates(a, b)
     assert not dominates(b, a)
 
@@ -169,10 +168,10 @@ def test_restrict_output_validates_on_random_inputs():
 
 
 def test_fulfills(c4, k1):
-    assert not fulfills(biclique_sequence(c4, 4), validate((INF, INF, 1), 1))
+    assert not fulfills(biclique_sequence(c4, 4), BicliqueProfile((INF, INF, 1), 1))
     assert fulfills(biclique_sequence(k1, 1), forbidden_biclique_profile(3, 3))
     e5 = edgeless(5)
-    assert fulfills(biclique_sequence(e5, 5), validate((5, 0, 0, 0, 0, 0), NEG_INF))
+    assert fulfills(biclique_sequence(e5, 5), BicliqueProfile((5, 0, 0, 0, 0, 0), NEG_INF))
 
 
 def test_fulfills_requires_enough_entries(k3):
@@ -206,4 +205,4 @@ def test_binding_cap():
     assert binding_cap(forbidden_biclique_profile(3, 3)) == 3
     assert binding_cap(forbidden_biclique_profile(1, 4)) == 1
     # a loose profile whose low index does not cover the later drop
-    assert binding_cap(validate((INF, 5, 0), 0)) == 2
+    assert binding_cap(BicliqueProfile((INF, 5, 0), 0)) == 2

@@ -6,7 +6,7 @@ import pytest
 
 import cogex.verification as verification
 from cogex.cli import main
-from cogex.cotree import CapacityError, clique, edgeless, make_product, make_sum
+from cogex.cotree import NEG_INF, CapacityError, clique, edgeless, make_product, make_sum
 from cogex.oracle import CheckResult, check_structure_theorems
 from cogex.verification import (
     SELECTORS,
@@ -26,7 +26,7 @@ from cogex.verification import (
 def test_individual_checks_pass():
     assert verify_dp_vs_oracle(dp_series(2, 3, 8), dp_series(2, 3, 8, True)).passed
     assert verify_strict_bound(dp_series(2, 2, 20)).passed
-    assert verify_restriction_transport(3, 4).passed
+    assert verify_restriction_transport(4).passed
     assert verify_constructions_meet_optimum(8).passed
 
 
@@ -106,7 +106,7 @@ def test_regular_constructor_check_reads_degrees_past_16_vertices(monkeypatch):
              (30, 5): regular(28, 5)}
     monkeypatch.setattr(verification, "regular_cograph",
                         lambda n, d: wrong.get((n, d)) or regular(n, d))
-    result = verification.verify_regular_constructor(30, 4)
+    result = verification.verify_regular_constructor(4)
     assert not result.passed
     assert result.counterexamples == ["(20,4): output not 4-regular",
                                       "(24,4): output not 4-regular",
@@ -130,6 +130,22 @@ def test_constructions_optimum_checks_freeness(monkeypatch):
     assert not result.passed
     assert result.counterexamples == ["k2t(3,2): 0 != 1", "star(2,4): 2 != 2",
                                       "k33(6): 12 != 12"]
+
+
+def test_sequences_check_records_an_invariant_violation(monkeypatch):
+    # a sequence that the recursion and brute force agree on but that is not
+    # decreasing is a failed check, not a traceback
+    bad = (3, 1, 2, NEG_INF)
+    sequence, table = verification.biclique_sequence, verification._sequence_table
+    monkeypatch.setattr(verification, "biclique_sequence",
+                        lambda g, k: bad if g.n == 3 else sequence(g, k))
+    monkeypatch.setattr(verification, "_sequence_table", lambda n: table(n) if n != 3 else [
+        (bad, [g for _, graphs in table(3) for g in graphs])])
+    result = verification.verify_sequences(4)
+    assert not result.passed
+    assert len(result.counterexamples) == 4  # the cographs on 3 vertices
+    assert all(c.endswith(": not decreasing at 1: (3, 1, 2, -inf)")
+               for c in result.counterexamples)
 
 
 def test_pump_invariants_deterministic_seed():
@@ -234,11 +250,11 @@ def test_size_is_n_then_n_max_where_read_else_the_default(selector, monkeypatch)
     monkeypatch.setitem(SELECTORS, selector, (
         lambda size, **_: sizes.append(size) or [CheckResult("stub", {}, True)],
         reads, default))
-    for options in ({}, {"n_max": 5}, {"n": 4, "n_max": 5}):
+    for options in ({}, {"n_max": 5}):
         if set(options) <= set(reads):
             run_suite(selector, **options)
-    # --n and --n-max where it reads them; the rest is an unread option
-    assert sizes == [default] + [5] * ("n_max" in reads) + [4] * ("n" in reads)
+    # --n-max where it reads it; the rest is an unread option
+    assert sizes == [default] + [5] * ("n_max" in reads)
 
 
 UNREAD = [(k, o) for k in ("all", *SELECTORS)
@@ -255,6 +271,10 @@ def test_run_suite_rejects_an_option_its_selector_does_not_read(selector, option
 
     for k, (_, reads, sizes) in SELECTORS.items():
         monkeypatch.setitem(SELECTORS, k, (no_check, reads, sizes))
+    if option == "n":  # no selector has an --n: its size is --n-max, where read
+        with pytest.raises(TypeError, match="unexpected keyword argument 'n'"):
+            run_suite(selector, n=5)
+        return
     with pytest.raises(ValueError, match=f"^verify {selector} does not read "
                                          f"--{option.replace('_', '-')}$"):
         run_suite(selector, **{option: 5})
@@ -276,12 +296,11 @@ def _no_catalog_or_dp(monkeypatch):
     ("dp-vs-oracle", {"s": 2}, "verify dp-vs-oracle needs both --s and --t, or neither"),
     ("all", {"s": 3, "t": 2}, "need 1 <= s <= t, got (3, 2)"),
     ("bound-2t", {"t": 1}, "verify bound-2t needs --t >= 2"),
-    ("balanced-biclique", {"n": 0}, "--n must be >= 1"),
     ("sequences", {"n_max": 0}, "--n-max must be >= 1"),
     ("sequences", {"catalog_max": 0}, "--catalog-max must be >= 1"),
     # the limit comes before the unread-option rule
     ("pump", {"catalog_max": 0}, "--catalog-max must be >= 1"),
-], ids=["half-pair", "s-above-t", "bound-2t-t-1", "n-0", "n-max-0", "catalog-max-0",
+], ids=["half-pair", "s-above-t", "bound-2t-t-1", "n-max-0", "catalog-max-0",
         "unread-catalog-max-0"])
 def test_run_suite_applies_the_clis_option_rules(selector, options, message, monkeypatch,
                                                  capsys):
@@ -301,4 +320,4 @@ def test_run_suite_holds_catalogs_to_the_default_limit(monkeypatch):
     # as verify does without --catalog-max
     _no_catalog_or_dp(monkeypatch)
     with pytest.raises(CapacityError, match=r"^requested n up to 11 exceeds --catalog-max 10$"):
-        run_suite("balanced-biclique", n=11)
+        run_suite("balanced-biclique", n_max=11)
