@@ -373,8 +373,7 @@ def _validate(args: argparse.Namespace) -> None:
     if runs_dp and args.profile is None:
         if args.s is None or args.t is None:
             raise ValueError("need --s and --t, or --profile")
-        if not 1 <= args.s <= args.t:
-            raise ValueError(f"need 1 <= s <= t, got ({args.s}, {args.t})")
+        forbidden_biclique_profile(args.s, args.t)  # raises outside 1 <= s <= t
     if runs_dp and args.n_min > args.n_max:
         raise ValueError("--n-min exceeds --n-max")
     if opts.get("periods") and min(args.periods) < 1:

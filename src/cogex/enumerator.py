@@ -1,7 +1,8 @@
 """Dynamic program over vertex counts for extremal cograph enumeration.
 
 Level n holds a registry mapping truncated biclique sequences (the first
-``cap + 1`` entries) to the best edge count seen with that key, plus
+``cap + 1`` entries, ``cap`` worked out from the constraint profile as
+``binding_cap + 1``) to the best edge count seen with that key, plus
 witness cotrees.  Level n is generated from every split n = n1 + n2 by
 combining record keys under sum and product, pruning keys that violate
 the constraint profile, and reducing to the Pareto frontier over
@@ -21,12 +22,11 @@ Entry 0 is dropped, since every key of a level has the same n; entry
 j = 1..cap is stored as v + 1 low set bits of its own field, entry 1 in
 the most significant one.  Integer order is then tuple order, ``a | b`` is
 the pointwise maximum and ``not a & ~b`` is pointwise a <= b, against a
-key or a window: ``over`` is ``~`` the window's code (+inf entries when
-there is no ``prune``) and a code passes iff ``not code & over``, entry 0
-being tested once per level.  A sum's key is ``c1 | c2 | floor``, the
-floor being the code of the edgeless graph on n vertices (the 0 floor of
-``sum_entries``); as both parts passed the window, the sums of a level
-pass or fail it together, at the floor.  A join's entry j is at least
+key or a window: ``over`` is ``~`` the window's code and a code passes iff
+``not code & over``, entry 0 being tested once per level.  A sum's key is
+``c1 | c2 | floor``, the floor being the code of the edgeless graph on n
+vertices (the 0 floor of ``sum_entries``); as both parts passed the
+window, the sums of a level pass or fail it together, at the floor.  A join's entry j is at least
 k1[j] + n2 and at least k2[j] + n1, so each record stores once its join
 slack, the least window[j] - key[j] over the window's bounded entries.
 Each level's rows are sorted by slack once, so the rows that can be joined
@@ -289,24 +289,24 @@ def _join_slack(key: Entries, window: tuple[float, ...], bounded: list[int]) -> 
 
 def build_registries(
     n_max: int,
-    cap: int,
-    prune: BicliqueProfile | None = None,
+    prune: BicliqueProfile,
     exhaustive: bool = False,
     witness_limit: int | None = DEFAULT_WITNESS_LIMIT,
     max_records: int | None = None,
 ) -> list[Registry]:
     """Registries for n = 1 .. n_max (list index n-1).
 
-    ``prune`` drops every key exceeding the profile anywhere on the window,
-    which is sound because a part's sequence is a pointwise lower bound for
-    any graph containing it.  ``exhaustive`` skips Pareto filtering and
-    keeps every witness, at a significant memory cost.
+    Keys are truncated at ``cap = binding_cap(prune) + 1``, and ``prune``
+    drops every key exceeding the profile on that window, which is sound
+    because a part's sequence is a pointwise lower bound for any graph
+    containing it; so every kept record fits ``prune``, and
+    ``BicliqueProfile((), INF)`` prunes nothing.  ``exhaustive`` skips
+    Pareto filtering and keeps every witness, at a significant memory cost.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    window = prune.window(cap + 1) if prune is not None else (INF,) * (cap + 1)
+    cap = binding_cap(prune) + 1
+    window = prune.window(cap + 1)
     if exhaustive:
         witness_limit = None
     # window indices a join can exceed; a -inf entry forbids any finite one
@@ -440,23 +440,17 @@ def build_registries(
     return registries
 
 
-def _fitting(r: Registry, p: BicliqueProfile) -> list[ExtremalRecord]:
-    """Records whose key fits under the profile on the truncated window, in
-    key order."""
-    window = p.window(r.cap + 1)
-    return [r.records[key] for key in sorted(r.records) if _passes(key, window)]
+def query(r: Registry) -> ExtremalRecord | None:
+    """Best record of the level; the first in key order among equal edge
+    counts.  Every record fits the profile the registry was built under."""
+    return max((r.records[key] for key in sorted(r.records)),
+               key=attrgetter("edges"), default=None)
 
 
-def query(r: Registry, p: BicliqueProfile) -> ExtremalRecord | None:
-    """Best fitting record; the first in key order among equal edge counts."""
-    return max(_fitting(r, p), key=attrgetter("edges"), default=None)
-
-
-def query_witnesses(r: Registry, p: BicliqueProfile) -> tuple[int, tuple[Cotree, ...]]:
-    """Best edge count under the profile, with witnesses merged across keys."""
-    fitting = _fitting(r, p)
-    best = max((rec.edges for rec in fitting), default=-1)
-    wits = {w for rec in fitting if rec.edges == best for w in rec.witnesses}
+def query_witnesses(r: Registry) -> tuple[int, tuple[Cotree, ...]]:
+    """Best edge count of the level, with witnesses merged across keys."""
+    best = max((rec.edges for rec in r.records.values()), default=-1)
+    wits = {w for rec in r.records.values() if rec.edges == best for w in rec.witnesses}
     return best, tuple(sorted(wits))
 
 
@@ -508,14 +502,13 @@ def extremal_series_for_profile(
     s = start_index(p)
     start_value = p[s]
     alpha = profile_alpha(p)
-    cap = binding_cap(p) + 1
     registries = build_registries(
-        n_range.stop - 1, cap, prune=p, exhaustive=exhaustive,
+        n_range.stop - 1, p, exhaustive=exhaustive,
         witness_limit=witness_limit, max_records=max_records)
     values: dict[int, int] = {}
     witnesses: dict[int, tuple[Cotree, ...]] = {}
     for n in n_range:
-        edges, wits = query_witnesses(registries[n - 1], p)
+        edges, wits = query_witnesses(registries[n - 1])
         if edges < 0:
             continue  # no cograph on n vertices fulfills the profile
         values[n] = edges
@@ -526,7 +519,7 @@ def extremal_series_for_profile(
         values=values,
         witnesses=witnesses,
         s=s,
-        t=int(start_value) + 1 if start_value not in (INF, NEG_INF) else None,
+        t=int(start_value) + 1,
     )
 
 

@@ -395,8 +395,8 @@ def check_options(which: str, *, n_max: int | None = None, s: int | None = None,
     # dp-vs-oracle would otherwise drop the one given for its default pairs
     if "s" in reads and (s is None) != (t is None):
         raise ValueError(f"verify {which} needs both --s and --t, or neither")
-    if s is not None and not 1 <= s <= t:
-        raise ValueError(f"need 1 <= s <= t, got ({s}, {t})")
+    if s is not None:
+        forbidden_biclique_profile(s, t)  # raises outside 1 <= s <= t
     if which == "bound-2t" and t is not None and t < 2:
         raise ValueError("verify bound-2t needs --t >= 2")
 
@@ -414,7 +414,9 @@ def run_suite(
 
     The options break no rule of ``check_options``, which runs before any
     catalog or DP series is built.  The seed defaults to DEFAULT_SEED and
-    catalog_max, where a selector reads it, to DEFAULT_CATALOG_LIMIT."""
+    catalog_max, where a selector reads it, to DEFAULT_CATALOG_LIMIT.  A
+    selector that yields no check, as under an --n-max below its range,
+    raises ValueError, also inside ``all``."""
     check_options(which, n_max=n_max, s=s, t=t, seed=seed, catalog_max=catalog_max)
     selected = ALL if which == "all" else [which]
     sizes = {k: n_max if n_max is not None and "n_max" in SELECTORS[k][1] else SELECTORS[k][2]
@@ -425,10 +427,13 @@ def run_suite(
         raise CapacityError(f"requested n up to {catalog} exceeds --catalog-max {limit}")
 
     dp = cache(dp_series)  # one build per series and call, shared: runners only read it
-    results = [r for k in selected for r in SELECTORS[k][0](
-        seed=DEFAULT_SEED if seed is None else seed, s=s, t=t, size=sizes[k], dp=dp)]
-    if not results:  # only a given --n-max is below 2
-        raise ValueError(f"no {which} checks for --n-max {n_max}: its range starts at n = 2")
+    results = []
+    for k in selected:
+        checks = SELECTORS[k][0](
+            seed=DEFAULT_SEED if seed is None else seed, s=s, t=t, size=sizes[k], dp=dp)
+        if not checks:  # only a given --n-max is below 2
+            raise ValueError(f"no {k} checks for --n-max {n_max}: its range starts at n = 2")
+        results += checks
     return {
         "selector": which,
         "passed": all(r.passed for r in results),

@@ -42,7 +42,8 @@ def test_pareto_filter_runs_once_per_level(monkeypatch):
     result as a level's candidates and survivors: one call per level
     n >= 2, empty levels included, whose result is that level's registry."""
     from cogex import enumerator
-    from cogex.profile import forbidden_biclique_profile, parse_profile
+    from cogex.cotree import INF
+    from cogex.profile import BicliqueProfile, forbidden_biclique_profile, parse_profile
 
     results = []
     original = enumerator.pareto_filter
@@ -53,12 +54,12 @@ def test_pareto_filter_runs_once_per_level(monkeypatch):
         return result
 
     monkeypatch.setattr(enumerator, "pareto_filter", record)
-    for n_max, cap, prune in (
-            (16, 4, forbidden_biclique_profile(3, 3)),
-            (16, 4, parse_profile("3,1,0;-inf")),  # levels 4..16 lie past entry 0
-            (10, 3, None)):                         # no window
+    for n_max, prune in (
+            (16, forbidden_biclique_profile(3, 3)),
+            (16, parse_profile("3,1,0;-inf")),  # levels 4..16 lie past entry 0
+            (10, BicliqueProfile((), INF))):    # no window
         results.clear()
-        regs = enumerator.build_registries(n_max, cap, prune=prune)
+        regs = enumerator.build_registries(n_max, prune)
         assert len(results) == n_max - 1
         assert results == [len(r) for r in regs[1:]]
 

@@ -219,6 +219,8 @@ def test_analyze_alpha_zero_denominator(capsys):
     (["analyze", "--s", "2", "--t", "2", "--max-records", "0"], "--max-records must be >= 1"),
     (["verify", "all", "--catalog-max", "-3"], "--catalog-max must be >= 1"),
     (["verify", "pump", "--catalog-max", "0"], "--catalog-max must be >= 1"),
+    # all stops at its first selector without a check
+    (["verify", "all", "--n-max", "1"], "no balanced-biclique checks for --n-max 1"),
 ])
 def test_bounds_below_range_are_usage_errors(argv, named, capsys):
     code, out, err = run(argv, capsys)

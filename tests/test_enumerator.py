@@ -25,18 +25,23 @@ from cogex.enumerator import (
     ExtremalSeries,
     _encode,
     _join_slack,
+    _passes,
     analyze_periodicity,
     build_registries,
     extremal_function,
     extremal_series_for_profile,
     pareto_filter,
     query,
+    query_witnesses,
 )
 from cogex.oracle import extremal_bruteforce
 from cogex.profile import (BicliqueProfile, alpha_for, binding_cap,
-                           forbidden_biclique_profile, parse_profile)
+                           forbidden_biclique_profile, format_profile, parse_profile)
 from cogex.verification import dp_series, verify_pareto_safety
 from cogex.cotree import INF
+
+# the all-+inf profile: a window that prunes nothing, at cap 2
+NO_WINDOW = BicliqueProfile((), INF)
 
 # brute-force extremal values, frozen from the oracle (n = 1..9)
 ORACLE_EX = {
@@ -77,7 +82,7 @@ EX_TABLES = {
 
 
 def test_base_registry():
-    regs = build_registries(1, 2)
+    regs = build_registries(1, NO_WINDOW)
     rec = next(iter(regs[0].records.values()))
     assert rec.key == (1, 0, NEG_INF)
     assert rec.edges == 0
@@ -85,7 +90,7 @@ def test_base_registry():
 
 
 def test_level_two_keeps_both_records():
-    regs = build_registries(2, 2)
+    regs = build_registries(2, NO_WINDOW)
     records = regs[1].records
     assert set(records) == {(2, 0, 0), (2, 1, 0)}
     assert records[(2, 1, 0)].edges == 1
@@ -135,9 +140,8 @@ def test_pareto_filter_on_codes_matches_tuple_filter(st, monkeypatch):
         return original(candidates)
 
     monkeypatch.setattr(enumerator, "pareto_filter", record)
-    n_max, opts = 20, _kst(*st)
-    cap, width = opts["cap"], n_max + 2
-    build_registries(n_max, **opts)
+    n_max = 20
+    cap, width = build_registries(n_max, **_kst(*st))[0].cap, n_max + 2
     assert len(levels) == n_max - 1
     for n, candidates in enumerate(levels, start=2):
         decoded = [(_decode(c, n, cap, width), e) for c, e in candidates]
@@ -174,10 +178,11 @@ def test_join_slack_matches_the_per_split_test(st):
     """On every record of every level, at every split size, a stored slack
     covering the other part's size is the old join test."""
     n_max, opts = 20, _kst(*st)
-    window = opts["prune"].window(opts["cap"] + 1)
+    regs = build_registries(n_max, **opts)
+    window = opts["prune"].window(regs[0].cap + 1)
     bounded = [j for j, w in enumerate(window) if w < INF]
     unbounded_entries = 0  # -inf key entries on bounded window entries
-    for reg in build_registries(n_max, **opts):
+    for reg in regs:
         for key in reg.records:
             slack = _join_slack(key, window, bounded)
             for other_n in range(1, n_max - reg.n + 1):
@@ -187,20 +192,25 @@ def test_join_slack_matches_the_per_split_test(st):
 
 
 def test_query_examples():
-    f22 = forbidden_biclique_profile(2, 2)
-    regs = build_registries(5, 3, prune=f22)
-    rec = query(regs[4], f22)
+    regs = build_registries(5, forbidden_biclique_profile(2, 2))
+    rec = query(regs[4])
     assert rec.edges == 6
     assert make_product([clique(1), make_sum([clique(2), clique(2)])]) in rec.witnesses
 
-    r1 = build_registries(1, 2)[0]
-    assert query(r1, BicliqueProfile((INF, INF), 0)).edges == 0
+    r1 = build_registries(1, BicliqueProfile((INF, INF), 0))[0]
+    assert query(r1).edges == 0
 
     # forbidding every edge leaves only the edgeless class
-    regs = build_registries(4, 2)
-    rec = query(regs[3], BicliqueProfile((4, 0, 0, 0, 0), NEG_INF))
+    regs = build_registries(4, BicliqueProfile((4, 0, 0, 0, 0), NEG_INF))
+    rec = query(regs[3])
     assert rec.edges == 0
     assert rec.witnesses == (edgeless(4),)
+
+    # K_6 has 15 edges and contains K_{3,3}, which only entry 3 shows: the
+    # cap comes from the profile, so K_6 is pruned and ex(6) = 12
+    regs = build_registries(10, forbidden_biclique_profile(3, 3))
+    assert regs[5].cap == 4
+    assert query(regs[5]).edges == 12
 
 
 @pytest.mark.parametrize("st", sorted(ORACLE_EX))
@@ -218,16 +228,17 @@ def test_ex_table_pinned(st):
     assert [series.values[n] for n in range(1, len(want) + 1)] == want
 
 
-def _reference_registries(n_max, cap, prune=None, exhaustive=False,
+def _reference_registries(n_max, prune, exhaustive=False,
                           witness_limit=DEFAULT_WITNESS_LIMIT, max_records=None):
     """The DP without its fast path: every sum and join of every record pair
     through sum_entries and product_entries, then the window check, then an
     all-pairs dominance filter.  Levels are lists of (key, edges, witnesses)."""
-    window = prune.window(cap + 1) if prune is not None else None
+    cap = binding_cap(prune) + 1
+    window = prune.window(cap + 1)
     limit = None if exhaustive else witness_limit
 
     def fits(key):
-        return window is None or all(a <= b for a, b in zip(key, window))
+        return all(a <= b for a, b in zip(key, window))
 
     base = (1, 0) + (NEG_INF,) * (cap - 1)
     levels = [{base: (0, (make_leaf(),))} if fits(base) else {}]
@@ -277,13 +288,11 @@ def _as_levels(registries):
 
 
 def _kst(s, t):
-    p = forbidden_biclique_profile(s, t)
-    return dict(cap=binding_cap(p) + 1, prune=p)
+    return dict(prune=forbidden_biclique_profile(s, t))
 
 
 def _profile(text):
-    p = parse_profile(text)
-    return dict(cap=binding_cap(p) + 1, prune=p)
+    return dict(prune=parse_profile(text))
 
 
 REFERENCE_CASES = {
@@ -291,7 +300,7 @@ REFERENCE_CASES = {
         (1, 2), (1, 3), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 5))},
     "n-bounded": (8, _profile("3,1,0;-inf")),     # sums checked at entry 0
     "neg-inf-window": (8, _profile("inf,inf,1;-inf")),  # and at entry 3
-    "no-window": (9, dict(cap=2)),
+    "no-window": (9, dict(prune=NO_WINDOW)),
     "exhaustive": (10, dict(_kst(3, 3), exhaustive=True)),
     "all-witnesses": (14, dict(_kst(2, 3), witness_limit=None)),
     # the sum cutoff keeps every tied best source: every witness is compared.
@@ -330,6 +339,30 @@ def test_fast_dp_matches_reference(case):
             assert 1 <= len(wits) <= limit and set(wits) <= set(all_wits), key
 
 
+# one case per profile of REFERENCE_CASES
+PROFILE_CASES = {format_profile(opts["prune"]): (n_max, opts["prune"])
+                 for n_max, opts in REFERENCE_CASES.values()}
+
+
+@pytest.mark.parametrize("exhaustive", [False, True], ids=["filtered", "exhaustive"])
+@pytest.mark.parametrize("case", PROFILE_CASES)
+def test_every_record_fits_the_profile_it_was_built_under(case, exhaustive):
+    # query reads every record of a level, so each must pass the window; a
+    # series is then the queries of its levels
+    n_max, p = PROFILE_CASES[case]
+    regs = build_registries(n_max, p, exhaustive=exhaustive)
+    for reg in regs:
+        window = p.window(reg.cap + 1)
+        assert all(_passes(key, window) for key in reg.records), reg.n
+    if p == NO_WINDOW:
+        return  # no start index, so no series
+    series = extremal_series_for_profile(p, range(1, n_max + 1), exhaustive=exhaustive)
+    queried = {reg.n: query_witnesses(reg) for reg in regs if reg.records}
+    assert {n: edges for n, (edges, _) in queried.items()} == series.values
+    assert {n: wits[:DEFAULT_WITNESS_LIMIT] for n, (_, wits) in queried.items()} == \
+        series.witnesses
+
+
 @pytest.mark.parametrize("case", ["K33", "K45", "no-window", "exhaustive"])
 def test_every_sum_source_starts_with_a_connected_type_part(case):
     # connected-type: the leaf, or a record with a join source; the sources
@@ -350,7 +383,7 @@ def test_every_sum_source_starts_with_a_connected_type_part(case):
 
 def test_fast_dp_keeps_every_witness_without_a_limit():
     # exhaustive mode keeps all witnesses; at n <= 9 no key has more than two
-    opts = dict(cap=2, exhaustive=True)
+    opts = dict(prune=NO_WINDOW, exhaustive=True)
     ref = _reference_registries(11, **opts)
     assert max(len(wits) for level in ref for _, _, wits in level) > 2
     assert _as_levels(build_registries(11, **opts)) == ref

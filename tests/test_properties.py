@@ -24,7 +24,7 @@ from cogex.enumerator import (
     _passes,
     build_registries,
 )
-from cogex.profile import BicliqueProfile, binding_cap
+from cogex.profile import BicliqueProfile
 from test_enumerator import _as_levels, _decode, _reference_registries
 
 MAX_N = 12
@@ -152,6 +152,6 @@ def test_fast_dp_matches_reference_under_graph_profiles(g, n_max, exhaustive):
     """A graph's own sequence is a valid profile, so the fast DP meets
     windows with finite, -inf and small entry-0 bounds on joins and sums."""
     p = BicliqueProfile(biclique_sequence(g, g.n), NEG_INF)
-    opts = dict(cap=binding_cap(p) + 1, prune=p, exhaustive=exhaustive)
+    opts = dict(prune=p, exhaustive=exhaustive)
     assert _as_levels(build_registries(n_max, **opts)) == \
         _reference_registries(n_max, **opts)

@@ -23,6 +23,7 @@ from cogex.serialize import (
     series_to_obj,
     to_dot,
 )
+from test_enumerator import NO_WINDOW
 
 
 def test_json_round_trip_identity(k2_join_two_triangles):
@@ -93,7 +94,7 @@ def test_catalog_graph6_lines():
 
 def test_registry_snapshot_round_trip():
     p = forbidden_biclique_profile(2, 2)
-    regs = build_registries(5, 3, prune=p)
+    regs = build_registries(5, p)
     obj = json.loads(json.dumps(registry_to_obj(regs[4], p)))
     restored, prune = registry_from_obj(obj)
     assert prune == p
@@ -101,13 +102,11 @@ def test_registry_snapshot_round_trip():
     assert restored.records == regs[4].records
 
 
-@pytest.mark.parametrize("prune, cap, exhaustive", [
-    (forbidden_biclique_profile(3, 3), 2, True),
-    (None, 2, True),
-], ids=["k33-exhaustive", "no-prune"])
-def test_registry_snapshots_of_every_level_round_trip(prune, cap, exhaustive):
+@pytest.mark.parametrize("prune", [forbidden_biclique_profile(3, 3), NO_WINDOW],
+                         ids=["k33-exhaustive", "no-prune"])
+def test_registry_snapshots_of_every_level_round_trip(prune):
     # the record checks hold on every real DP level, -inf key entries included
-    for reg in build_registries(8, cap, prune=prune, exhaustive=exhaustive):
+    for reg in build_registries(8, prune, exhaustive=True):
         restored, p = registry_from_obj(json.loads(json.dumps(registry_to_obj(reg, prune))))
         assert (restored.n, restored.cap, p) == (reg.n, reg.cap, prune)
         assert restored.records == reg.records
@@ -115,16 +114,15 @@ def test_registry_snapshots_of_every_level_round_trip(prune, cap, exhaustive):
 
 def test_registry_snapshot_keys_are_ints_and_inf_text():
     p = forbidden_biclique_profile(2, 2)
-    obj = registry_to_obj(build_registries(1, 2, prune=p)[0], p)
-    assert obj["records"][0]["key"] == [1, 0, "-inf"]
+    obj = registry_to_obj(build_registries(1, p)[0], p)
+    assert obj["records"][0]["key"] == [1, 0, "-inf", "-inf"]
     obj["records"][0]["key"] = [1, 0.7, True]
     with pytest.raises(ValueError):
         registry_from_obj(obj)
 
 
 def _registry_snapshot(**fields):
-    p = forbidden_biclique_profile(2, 2)
-    obj = json.loads(json.dumps(registry_to_obj(build_registries(3, 2, prune=p)[2], p)))
+    obj = json.loads(json.dumps(registry_to_obj(build_registries(3, NO_WINDOW)[2], NO_WINDOW)))
     obj.update(fields)
     return obj
 
@@ -172,7 +170,7 @@ _RECORD = _registry_snapshot()["records"][0]
     (_registry_snapshot(records=[dict(_RECORD, key=[7], edges=-4,
                                       witnesses=[{"op": "leaf"}])]),
      "record 0 key has 1 entries, not cap + 1 = 3"),
-    # a repeated key: K_{2,2} level 3 has three records, the fourth repeats one
+    # a repeated key: level 3 has three records, the fourth repeats one
     (_registry_snapshot(records=_registry_snapshot()["records"] + [_RECORD]),
      "registry record 3 repeats the key of registry record 0"),
     (_registry_snapshot(records=[_RECORD, dict(_RECORD, edges=5)]),

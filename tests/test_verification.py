@@ -88,9 +88,9 @@ def test_run_suite_builds_each_dp_series_once(options, calls, monkeypatch):
     built = []
     original = enumerator.build_registries
 
-    def record(n_max, cap, prune=None, exhaustive=False, **kwargs):
+    def record(n_max, prune, exhaustive=False, **kwargs):
         built.append((prune, n_max, exhaustive))
-        return original(n_max, cap, prune=prune, exhaustive=exhaustive, **kwargs)
+        return original(n_max, prune, exhaustive=exhaustive, **kwargs)
 
     monkeypatch.setattr(enumerator, "build_registries", record)
     assert run_suite("all", **options)["passed"]
