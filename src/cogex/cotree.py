@@ -13,8 +13,9 @@ shared node (``make_leaf``).  ``_node`` builds an inner node from children
 that are already reduced: it sorts them, sums their sizes and edges in one
 loop and joins their encodings.  ``make_sum`` and ``make_product`` splice
 in the children of same-kind children first; ``clique`` and ``edgeless``
-build their node over k leaves directly, and the cotree JSON loader calls
-``_node`` itself, since it has already rejected same-kind children.
+build their node over k leaves directly.  ``complement``, the oracle's
+catalog and the cotree JSON loader call ``_node`` themselves, since their
+children are never of the node's own kind.
 
 No function that takes a Cotree recurses, so trees of any height work at
 the default recursion limit: traversals use ``fold``, a post-order fold
@@ -203,9 +204,10 @@ def summands(g: Cotree) -> Iterator[tuple[tuple[int, ...], Cotree, int, int]]:
 
 
 def complement(g: Cotree) -> Cotree:
-    """Cotree of the complement graph (sum and product labels swapped)."""
-    return fold(g, make_leaf(), lambda node, kids: (
-        make_sum(kids) if node.kind == PROD else make_product(kids)))
+    """Cotree of the complement graph: sum and product labels swapped.  The
+    relabelled tree is reduced too, so each node goes to ``_node`` without
+    splicing."""
+    return fold(g, _LEAF, lambda node, kids: _node(PROD if node.kind == SUM else SUM, kids))
 
 
 def height(g: Cotree) -> int:

@@ -6,6 +6,14 @@ limit, biclique containment by common-neighborhood search on the dense
 expansion, extremal values by scanning the catalog, and the structural
 spot checks used by the verification suite, on the witnesses they are given.
 
+The catalog is built directly by root kind: a sum-rooted tree is a sum
+over two or more parts that are K_1 or product-rooted, and a
+product-rooted tree, a connected cograph, is a product over two or more
+parts that are K_1 or sum-rooted.  Each n has one catalog, built on first
+use and kept for the process, and it carries the dense expansion of each
+of its graphs, built on first read, so every check shares one expansion
+per graph.
+
 Biclique sequences count every vertex set at once.  Each vertex's row
 becomes a 2^n-bit integer whose bit S is set iff the set S lies inside
 that vertex's neighborhood; these add up, bit-sliced, to the size of every
@@ -25,19 +33,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
 from .cotree import (
     DEFAULT_ADJACENCY_LIMIT,
     NEG_INF,
+    PROD,
+    SUM,
     AdjacencyGraph,
     CapacityError,
     Cotree,
     Entries,
+    _node,
     canonical_form,
-    complement,
     degree_counts,
     make_leaf,
     make_product,
@@ -55,37 +65,35 @@ DEFAULT_CATALOG_LIMIT = 10
 
 @dataclass(frozen=True)
 class CographCatalog:
+    """One reduced canonical cotree per isomorphism class of n-vertex
+    cographs, in canonical order, with the dense expansion of each."""
     n: int
     items: tuple[Cotree, ...]
 
     def __len__(self) -> int:
         return len(self.items)
 
+    @cached_property
+    def adjacency(self) -> tuple[AdjacencyGraph, ...]:
+        """``to_adjacency`` of each item, in item order; built on first read."""
+        return tuple(to_adjacency(g) for g in self.items)
+
 
 @lru_cache(maxsize=None)
-def _connected_cotrees(n: int) -> tuple[Cotree, ...]:
-    """All connected (product-rooted, or K_1) reduced cotrees on n leaves.
-
-    A cograph on >= 2 vertices is connected exactly when its complement is
-    not, so the connected trees are the complements of the sum-rooted ones.
-    """
+def _rooted_cotrees(n: int, kind: str) -> tuple[Cotree, ...]:
+    """All reduced cotrees on n leaves that are K_1 (n = 1) or ``kind``-rooted,
+    sorted: a ``kind`` node over each multiset of parts that are K_1 or rooted
+    at the other kind.  Connected cographs are the product-rooted trees."""
     if n == 1:
         return (make_leaf(),)
-    return tuple(sorted(complement(g) for g in _sum_rooted_cotrees(n)))
+    # parts of at most n - 1 leaves, so every multiset has two or more
+    return tuple(sorted(_node(kind, list(parts))
+                        for parts in _part_multisets(n, n - 1, None, kind)))
 
 
-@lru_cache(maxsize=None)
-def _sum_rooted_cotrees(n: int) -> tuple[Cotree, ...]:
-    """All sum-rooted reduced cotrees on n leaves (>= 2 connected parts)."""
-    out = []
-    for parts in _part_multisets(n, n - 1, None):
-        if len(parts) >= 2:
-            out.append(make_sum(parts))
-    return tuple(sorted(out))
-
-
-def _part_multisets(n_left: int, size_cap: int, idx_cap: int | None):
-    """Multisets of connected cotrees with sizes summing to n_left.
+def _part_multisets(n_left: int, size_cap: int, idx_cap: int | None, avoid: str):
+    """Multisets of cotrees that are K_1 or not ``avoid``-rooted, with sizes
+    summing to n_left.
 
     Parts are emitted in nonincreasing (size, catalog index) order, so each
     multiset appears exactly once.
@@ -94,10 +102,10 @@ def _part_multisets(n_left: int, size_cap: int, idx_cap: int | None):
         yield ()
         return
     for size in range(min(size_cap, n_left), 0, -1):
-        options = _connected_cotrees(size)
+        options = _rooted_cotrees(size, PROD if avoid == SUM else SUM)
         start = idx_cap if (idx_cap is not None and size == size_cap) else len(options) - 1
         for i in range(start, -1, -1):
-            for rest in _part_multisets(n_left - size, size, i):
+            for rest in _part_multisets(n_left - size, size, i, avoid):
                 yield (options[i],) + rest
 
 
@@ -108,19 +116,24 @@ def _check_catalog_size(n: int, limit: int) -> None:
         raise CapacityError(f"catalog for n={n} exceeds limit {limit}")
 
 
-def enumerate_cotrees(n: int, limit: int = DEFAULT_CATALOG_LIMIT) -> CographCatalog:
-    """One reduced canonical cotree per isomorphism class of n-vertex cographs."""
-    _check_catalog_size(n, limit)
-    if n == 1:
-        return CographCatalog(1, (make_leaf(),))
-    items = tuple(sorted(_connected_cotrees(n) + _sum_rooted_cotrees(n)))
+@lru_cache(maxsize=None)
+def _catalog(n: int) -> CographCatalog:
+    items = (make_leaf(),) if n == 1 else tuple(sorted(
+        _rooted_cotrees(n, SUM) + _rooted_cotrees(n, PROD)))
     return CographCatalog(n, items)
+
+
+def enumerate_cotrees(n: int, limit: int = DEFAULT_CATALOG_LIMIT) -> CographCatalog:
+    """One reduced canonical cotree per isomorphism class of n-vertex cographs:
+    the one catalog of n, built on first use and kept for the process."""
+    _check_catalog_size(n, limit)
+    return _catalog(n)
 
 
 def connected_cotrees(n: int, limit: int = DEFAULT_CATALOG_LIMIT) -> tuple[Cotree, ...]:
     """All connected unlabeled cographs on n vertices."""
     _check_catalog_size(n, limit)
-    return _connected_cotrees(n)
+    return _rooted_cotrees(n, PROD)
 
 
 def random_cotree(rng: random.Random, n: int) -> Cotree:
@@ -223,9 +236,9 @@ def _sequence_table(n: int) -> tuple[tuple[Entries, tuple[Cotree, ...]], ...]:
     graphs) pair per distinct sequence.  Built on first use; callers check
     their catalog limit before asking."""
     groups: dict[Entries, list[Cotree]] = {}
-    for g in enumerate_cotrees(n, limit=n).items:
-        seq = biclique_sequence_bruteforce(to_adjacency(g), g.n)
-        groups.setdefault(seq, []).append(g)
+    catalog = enumerate_cotrees(n, limit=n)
+    for g, a in zip(catalog.items, catalog.adjacency):
+        groups.setdefault(biclique_sequence_bruteforce(a, n), []).append(g)
     return tuple((seq, tuple(graphs)) for seq, graphs in groups.items())
 
 
@@ -285,16 +298,15 @@ def check_balanced_biclique(n: int, limit: int = DEFAULT_CATALOG_LIMIT) -> Check
     """
     t = n // 6 + 1
     bad = []
-    items = enumerate_cotrees(n, limit=limit).items
-    for g in items:
-        a = to_adjacency(g)
+    catalog = enumerate_cotrees(n, limit=limit)
+    for g, a in zip(catalog.items, catalog.adjacency):
         if not (contains_biclique(a, t, t) or contains_biclique(a.complement(), t, t)):
             bad.append(canonical_form(g).decode("ascii"))
     return CheckResult(
         name="balanced-biclique",
         params={"n": n, "t": t},
         passed=not bad,
-        detail=f"checked {len(items)} cographs",
+        detail=f"checked {len(catalog)} cographs",
         counterexamples=bad,
     )
 

@@ -29,8 +29,9 @@ from .cotree import (
     fold,
     to_adjacency,
 )
-from .enumerator import ExtremalRecord, ExtremalSeries, Registry
-from .profile import BicliqueProfile, _format_value, _parse_value, format_profile, parse_profile
+from .enumerator import ExtremalRecord, ExtremalSeries, Registry, _passes
+from .profile import (BicliqueProfile, _format_value, _parse_value, binding_cap, format_profile,
+                      parse_profile)
 
 COTREE_FORMAT = "cogex.cotree/1"
 REGISTRY_FORMAT = "cogex.registry/1"
@@ -288,15 +289,21 @@ def registry_to_obj(r: Registry, prune: BicliqueProfile | None = None) -> dict:
 
 def registry_from_obj(obj: dict) -> tuple[Registry, BicliqueProfile | None]:
     """The registry and prune profile of a ``cogex.registry/1`` snapshot;
-    ValueError names the first missing or mistyped field, the first record
-    whose key, edges or witnesses do not match the level's n and cap, the
-    first record that repeats a key, or the first witness whose biclique
-    sequence at the level's cap is not its record's key."""
+    ValueError names the first missing or mistyped field, a cap other than
+    the prune profile's ``binding_cap + 1``, the first record whose key,
+    edges or witnesses do not match the level's n and cap or whose key lies
+    outside the prune profile's window, the first record that repeats a
+    key, or the first witness whose biclique sequence at the level's cap is
+    not its record's key."""
     if not isinstance(obj, dict) or obj.get("format") != REGISTRY_FORMAT:
         raise ValueError(f"not a {REGISTRY_FORMAT} snapshot")
     where = "registry snapshot"
     r = Registry(_field(obj, "n", int, where, least=1),
                  _field(obj, "cap", int, where, least=1))
+    prune = None if obj.get("prune") is None else parse_profile(_field(obj, "prune", str, where))
+    if prune is not None and r.cap != (want := binding_cap(prune) + 1):
+        raise ValueError(f"{where} field 'cap' is {r.cap}, not binding_cap(prune) + 1 = {want}")
+    window = None if prune is None else prune.window(r.cap + 1)
     for i, rec in enumerate(_field(obj, "records", list, where)):
         at = f"registry record {i}"
         rec = _object(rec, at)
@@ -305,6 +312,9 @@ def registry_from_obj(obj: dict) -> tuple[Registry, BicliqueProfile | None]:
             raise ValueError(f"{at} key has {len(key)} entries, not cap + 1 = {r.cap + 1}")
         if key[0] != r.n:
             raise ValueError(f"{at} key entry 0 is {_value_to_json(key[0])}, not n = {r.n}")
+        if window is not None and not _passes(key, window):
+            raise ValueError(f"{at} key {json.dumps(_key_to_json(key))} lies outside the "
+                             f"prune window {json.dumps(_key_to_json(window))}")
         if key in r.records:
             raise ValueError(f"{at} repeats the key of registry record "
                              f"{list(r.records).index(key)}")
@@ -319,7 +329,6 @@ def registry_from_obj(obj: dict) -> tuple[Registry, BicliqueProfile | None]:
                                  f"{json.dumps(_key_to_json(seq))}, not its key "
                                  f"{json.dumps(_key_to_json(key))}")
         r.records[key] = ExtremalRecord(key, edges, witnesses)
-    prune = None if obj.get("prune") is None else parse_profile(_field(obj, "prune", str, where))
     return r, prune
 
 

@@ -89,8 +89,8 @@ def verify_fulfillment_agreement(n_max: int) -> CheckResult:
     """Profile fulfillment == absence of the biclique, by direct search."""
     bad = []
     for n in range(1, n_max + 1):
-        for g in enumerate_cotrees(n, limit=n_max).items:
-            a = to_adjacency(g)
+        catalog = enumerate_cotrees(n, limit=n_max)
+        for g, a in zip(catalog.items, catalog.adjacency):
             seq = biclique_sequence(g, g.n)
             for s, t in S2_PAIRS:
                 want = not contains_biclique(a, s, t)
@@ -197,8 +197,8 @@ def verify_regular_constructor(exhaustive_max: int) -> CheckResult:
         feasibility[n] = feasible_ds
     for n in range(1, exhaustive_max + 1):
         found = set()
-        for g in enumerate_cotrees(n, limit=exhaustive_max).items:
-            degs = set(to_adjacency(g).degree_sequence())
+        for a in enumerate_cotrees(n, limit=exhaustive_max).adjacency:
+            degs = set(a.degree_sequence())
             if len(degs) == 1:
                 found.add(next(iter(degs)))
         if sorted(found) != feasibility[n]:

@@ -87,3 +87,29 @@ def test_bruteforce_sequence_runs_once_per_catalog_graph(monkeypatch):
     assert len(calls) == 2341
     assert calls == [(n, n) for n in range(1, 10)
                      for _ in oracle.enumerate_cotrees(n).items]
+
+
+def test_verify_all_expands_each_catalog_graph_once(monkeypatch):
+    """The benchmark reads the calls to to_adjacency on verify: with the
+    oracle's tables cleared, verify all expands each of the 2,341 catalog
+    graphs (n = 1..9) once, through the oracle's name, into its catalog."""
+    from cogex import oracle
+    from cogex.verification import run_suite
+
+    calls = []
+    original = oracle.to_adjacency
+
+    def record(g):
+        calls.append(g.n)
+        return original(g)
+
+    monkeypatch.setattr(oracle, "to_adjacency", record)
+    for table in (oracle._catalog, oracle._sequence_table):
+        table.cache_clear()
+    try:
+        assert run_suite("all")["passed"]
+    finally:
+        for table in (oracle._catalog, oracle._sequence_table):
+            table.cache_clear()
+    assert len(calls) == 2341
+    assert sorted(calls) == [n for n in range(1, 10) for _ in oracle.enumerate_cotrees(n).items]

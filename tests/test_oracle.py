@@ -16,12 +16,15 @@ from cogex.cotree import (
     clique,
     edgeless,
     is_induced_p4_free,
+    make_leaf,
+    make_sum,
     to_adjacency,
 )
 from cogex.oracle import (
     biclique_sequence_bruteforce,
     check_balanced_biclique,
     check_structure_theorems,
+    connected_cotrees,
     contains_biclique,
     enumerate_cotrees,
     extremal_bruteforce,
@@ -32,13 +35,66 @@ from cogex.cotree import NEG_INF
 from cogex.verification import SMALL_PAIRS
 
 from census import count_p4_free_classes_bruteforce, labeled_p4_free_count, orbit_count_identity
+from test_traversal import old_complement
 
-# unlabeled cograph counts, cross-checked against the labeled census below
-CATALOG_SIZES = [1, 2, 4, 10, 24, 66, 180, 522, 1532]
+# unlabeled cograph counts, cross-checked against the labeled census below,
+# and the connected ones among them
+CATALOG_SIZES = [1, 2, 4, 10, 24, 66, 180, 522, 1532, 4624]
+CONNECTED_SIZES = [1, 1, 2, 5, 12, 33, 90, 261, 766, 2312]
 
 
 def test_catalog_sizes():
-    assert [len(enumerate_cotrees(n)) for n in range(1, 10)] == CATALOG_SIZES
+    assert [len(enumerate_cotrees(n)) for n in range(1, 11)] == CATALOG_SIZES
+    assert [len(connected_cotrees(n)) for n in range(1, 11)] == CONNECTED_SIZES
+
+
+def _complement_built_catalogs(n_max):
+    """The catalogs as they were built before the direct build: each
+    connected tree is the complement of a sum-rooted one, through
+    make_sum and make_product."""
+    connected = {1: (make_leaf(),)}
+    catalogs = {1: (make_leaf(),)}
+
+    def multisets(n_left, size_cap, idx_cap):
+        if n_left == 0:
+            yield ()
+            return
+        for size in range(min(size_cap, n_left), 0, -1):
+            options = connected[size]
+            start = idx_cap if (idx_cap is not None and size == size_cap) else len(options) - 1
+            for i in range(start, -1, -1):
+                for rest in multisets(n_left - size, size, i):
+                    yield (options[i],) + rest
+
+    for n in range(2, n_max + 1):
+        sum_rooted = tuple(sorted(make_sum(parts) for parts in multisets(n, n - 1, None)
+                                  if len(parts) >= 2))
+        connected[n] = tuple(sorted(old_complement(g) for g in sum_rooted))
+        catalogs[n] = tuple(sorted(connected[n] + sum_rooted))
+    return catalogs, connected
+
+
+def test_direct_catalog_equals_the_complement_built_one():
+    catalogs, connected = _complement_built_catalogs(10)
+    for n in range(1, 11):
+        assert enumerate_cotrees(n).items == catalogs[n]
+        assert connected_cotrees(n) == connected[n]
+
+
+def test_one_catalog_per_n_whatever_the_limit():
+    for n in range(1, 8):
+        catalog = enumerate_cotrees(n)
+        assert enumerate_cotrees(n, limit=n) is catalog
+        assert enumerate_cotrees(n, limit=12) is catalog
+
+
+def test_catalog_adjacency_expands_each_item_in_order():
+    for n in range(1, 10):
+        catalog = enumerate_cotrees(n)
+        assert len(catalog.adjacency) == len(catalog.items)
+        assert catalog.adjacency is catalog.adjacency
+        for g, a in zip(catalog.items, catalog.adjacency):
+            assert a == to_adjacency(g)
 
 
 def test_catalog_no_duplicates():
@@ -247,13 +303,15 @@ def test_bruteforce_sequence_empty_graph_and_bad_cap():
 
 
 def test_sequence_table_not_built_at_import():
-    # neither the per-n sequence tables nor the k-set masks
+    # neither the per-n sequence tables, the k-set masks nor the catalogs
     code = ("import cogex.cli, cogex.oracle as o; "
             "print(o._sequence_table.cache_info().currsize, "
-            "o._k_set_masks.cache_info().currsize)")
+            "o._k_set_masks.cache_info().currsize, "
+            "o._catalog.cache_info().currsize, "
+            "o._rooted_cotrees.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
-    assert out.split() == ["0", "0"]
+    assert out.split() == ["0", "0", "0", "0"]
 
 
 def test_sequence_table_groups_the_catalog():

@@ -112,6 +112,21 @@ def test_registry_snapshots_of_every_level_round_trip(prune):
         assert restored.records == reg.records
 
 
+@pytest.mark.parametrize("prune, named", [
+    # loaded as written, the K_6 record would answer a K_{3,3} query with
+    # 15 edges at n = 6, where ex = 12
+    (forbidden_biclique_profile(3, 3),
+     "registry snapshot field 'cap' is 2, not binding_cap(prune) + 1 = 4"),
+    # K_{1,3} has the no-window cap, but not its window
+    (forbidden_biclique_profile(1, 3),
+     'registry record 3 key [6, 3, 2] lies outside the prune window ["inf", 2, 2]'),
+], ids=["k33-cap", "k13-window"])
+def test_registry_snapshot_window_follows_its_prune(prune, named):
+    obj = registry_to_obj(build_registries(6, NO_WINDOW)[5], prune)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        registry_from_obj(json.loads(json.dumps(obj)))
+
+
 def test_registry_snapshot_keys_are_ints_and_inf_text():
     p = forbidden_biclique_profile(2, 2)
     obj = registry_to_obj(build_registries(1, p)[0], p)

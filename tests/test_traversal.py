@@ -6,6 +6,7 @@ recursion limit."""
 import ast
 import json
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -466,6 +467,17 @@ def test_deep_fold(deep):
     while obj["op"] != "leaf":
         obj, depth = obj["children"][-1], depth + 1
     assert depth == HEIGHT
+
+
+def test_deep_complement_matches_recursion(deep):
+    relabelled = complement(deep)  # at the default recursion limit
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 3 * HEIGHT))  # a comprehension frame per level
+    try:
+        spliced = old_complement(deep)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert relabelled == spliced
 
 
 def test_deep_degree_counts(deep):
