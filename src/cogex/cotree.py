@@ -20,11 +20,18 @@ children are never of the node's own kind.
 No function that takes a Cotree recurses, so trees of any height work at
 the default recursion limit: traversals use ``fold``, a post-order fold
 over an explicit stack, or ``summands``, a pre-order walk over the
-children of sum nodes; pre-order writers keep their own explicit stacks.
+children of sum nodes; pre-order writers and ``degree_counts`` keep their
+own explicit stacks.
 
-A biclique sequence is a plain tuple of entries 0..cap (``Entries``),
-folded over the cotree by ``biclique_sequence``; the DP's keys, the
-oracle's sequence table and registry snapshots hold the same tuple.
+A biclique sequence is a plain tuple of entries 0..cap (``Entries``); the
+DP's keys, the oracle's sequence table and registry snapshots hold the same
+tuple.  ``biclique_sequence`` folds each subtree's finite prefix, its
+entries 0..min(n, cap), all ints, and pads -inf once, at the root: a sum is
+the pointwise maximum with a 0 floor, a join the max-plus convolution over
+finite entries only.  A join's work is the product of its parts' prefix
+lengths, so by the size-bounded merge argument for tree DPs (Johnson and
+Niemi, 1983) a sequence costs O(n * min(n, cap)).  ``sum_entries`` and
+``product_entries`` run the same two kernels on padded tuples.
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -32,10 +39,9 @@ threads.
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import combinations
-from operator import attrgetter
-from typing import Callable, Iterable, Iterator
+from operator import add, attrgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 NEG_INF = float("-inf")
 INF = float("inf")
@@ -227,17 +233,23 @@ def max_degree(g: Cotree) -> int:
 
 
 def degree_counts(g: Cotree) -> dict[int, int]:
-    """Degree -> number of vertices of that degree, computed on the cotree:
-    a sum merges its children's counts, a product raises each child's
-    degrees by the vertices outside it.  ``max_degree`` is cheaper."""
-    def inner(node, counts):
-        out: dict[int, int] = {}
-        for c, child in zip(node.children, counts):
-            shift = node.n - c.n if node.kind == PROD else 0
-            for d, k in child.items():
-                out[d + shift] = out.get(d + shift, 0) + k
-        return out
-    return fold(g, {0: 1}, inner)
+    """Degree -> number of vertices of that degree, computed on the cotree in
+    one pre-order walk: a vertex's degree is the number of vertices outside
+    each product child on its path, summed."""
+    if g.kind == LEAF:
+        return {0: 1}
+    counts: dict[int, int] = {}
+    stack = [(g, 0)]  # inner node, degree offset of its vertices
+    while stack:
+        node, offset = stack.pop()
+        joined = node.kind == PROD
+        for c in node.children:
+            d = offset + node.n - c.n if joined else offset
+            if c.kind == LEAF:
+                counts[d] = counts.get(d, 0) + 1
+            else:
+                stack.append((c, d))
+    return counts
 
 
 def to_formula(g: Cotree) -> str:
@@ -367,46 +379,81 @@ def _leaf_entries(cap: int) -> Entries:
     return (1, 0) + (NEG_INF,) * (cap - 1) if cap >= 1 else (1,)
 
 
-def sum_entries(e1: Entries, e2: Entries, cap: int) -> Entries:
-    """Entries 0..cap of the sequence of a disjoint union.
+def _sum_prefix(p1: Sequence[int], p2: Sequence[int], cap: int) -> list[int]:
+    """Finite prefix of a disjoint union's sequence from its parts' prefixes.
 
     For s >= 1 a biclique with both parts nonempty is connected, so the
     pointwise maximum applies; the t=0 level (edgeless bicliques) spans
-    summands, hence the clamp to 0 up to the combined vertex count.
+    summands, hence the 0 floor up to the combined vertex count.
     """
-    n = int(e1[0]) + int(e2[0])
-    out: list[float] = [n]
-    for s in range(1, cap + 1):
-        m = e1[s] if e1[s] >= e2[s] else e2[s]
-        if m < 0:
-            m = 0 if s <= n else NEG_INF
-        out.append(m)
-    return tuple(out)
+    if len(p1) < len(p2):
+        p1, p2 = p2, p1
+    n = p1[0] + p2[0]
+    k = len(p2)
+    return [n, *[a if a >= b else b for a, b in zip(p1[1:k], p2[1:])], *p1[k:],
+            *[0] * (min(n, cap) + 1 - len(p1))]
+
+
+def _join_prefix(p1: Sequence[int], p2: Sequence[int], cap: int) -> list[int]:
+    """Finite prefix of a join's sequence: entry s is the max-plus
+    convolution max(p1[a] + p2[s - a]) over the a with both entries in their
+    prefixes, read from the longer prefix against the shorter one reversed."""
+    if len(p1) < len(p2):
+        p1, p2 = p2, p1
+    m = len(p2) - 1
+    r2 = p2[::-1]
+    return [max(map(add, p1[s - m if s > m else 0:s + 1], r2[m - s if s < m else 0:]))
+            for s in range(min(len(p1) + m - 1, cap) + 1)]
+
+
+def _finite(e: Entries, cap: int) -> Entries:
+    """The finite prefix of entries 0..cap: entries 0..min(n, cap)."""
+    return e[:min(int(e[0]), cap) + 1]
+
+
+def _padded(p: Sequence[int], cap: int) -> Entries:
+    """Entries 0..cap from the finite prefix ``p``: -inf past n."""
+    return (*p, *(NEG_INF,) * (cap + 1 - len(p)))
+
+
+def sum_entries(e1: Entries, e2: Entries, cap: int) -> Entries:
+    """Entries 0..cap of the sequence of a disjoint union (``_sum_prefix``)."""
+    return _padded(_sum_prefix(_finite(e1, cap), _finite(e2, cap), cap), cap)
 
 
 def product_entries(e1: Entries, e2: Entries, cap: int) -> Entries:
-    """Entries 0..cap of the sequence of a join: max-plus convolution."""
-    out: list[float] = []
-    for s in range(cap + 1):
-        best = NEG_INF
-        for a in range(s + 1):
-            x, y = e1[a], e2[s - a]
-            if x == NEG_INF or y == NEG_INF:
-                continue
-            v = x + y
-            if v > best:
-                best = v
-        out.append(best)
-    return tuple(out)
+    """Entries 0..cap of the sequence of a join: max-plus convolution over the
+    finite prefixes (``_join_prefix``)."""
+    return _padded(_join_prefix(_finite(e1, cap), _finite(e2, cap), cap), cap)
 
 
 def biclique_sequence(g: Cotree, cap: int) -> Entries:
-    """Entries 0..cap of the biclique sequence, folded over the cotree."""
+    """Entries 0..cap of the biclique sequence.
+
+    Each subtree's finite prefix, its entries 0..min(n, cap), all ints, is
+    folded over the cotree, and -inf pads once, at the root.  Leaf children
+    sort first, so a node's k of them start its fold as the prefix of E_k
+    (n, then zeros) or K_k (entry s is k - s).  A join's work is the product
+    of its parts' prefix lengths, so a sequence costs O(n * min(n, cap)).
+    """
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    combine = {SUM: sum_entries, PROD: product_entries}
-    return fold(g, _leaf_entries(cap), lambda node, parts: reduce(
-        lambda acc, p: combine[node.kind](acc, p, cap), parts))
+    leaf = _finite(_leaf_entries(cap), cap)
+
+    def inner(node: Cotree, parts: list) -> list[int]:
+        k = parts.count(leaf)
+        if k < 2:
+            acc, k = parts[0], 1
+        elif node.kind == SUM:
+            acc = [k, *[0] * min(k, cap)]
+        else:
+            acc = list(range(k, max(k - cap, 0) - 1, -1))
+        combine = _sum_prefix if node.kind == SUM else _join_prefix
+        for p in parts[k:]:
+            acc = combine(acc, p, cap)
+        return acc
+
+    return _padded(fold(g, leaf, inner), cap)
 
 
 def check_sequence_invariants(e: Entries) -> None:

@@ -88,13 +88,14 @@ def verify_sequences(n_max: int) -> CheckResult:
 def verify_fulfillment_agreement(n_max: int) -> CheckResult:
     """Profile fulfillment == absence of the biclique, by direct search."""
     bad = []
+    profiles = [(s, t, forbidden_biclique_profile(s, t)) for s, t in S2_PAIRS]
     for n in range(1, n_max + 1):
         catalog = enumerate_cotrees(n, limit=n_max)
         for g, a in zip(catalog.items, catalog.adjacency):
             seq = biclique_sequence(g, g.n)
-            for s, t in S2_PAIRS:
+            for s, t, p in profiles:
                 want = not contains_biclique(a, s, t)
-                if want != fulfills(seq, forbidden_biclique_profile(s, t)):
+                if want != fulfills(seq, p):
                     bad.append(f"({s},{t}) {canonical_form(g).decode('ascii')}")
                     break
     return CheckResult("fulfillment-agreement",
@@ -228,6 +229,7 @@ def verify_constructions_meet_optimum(n_max: int) -> CheckResult:
     """star/k2t/k33 families have n vertices, reach the brute-force optimum
     and avoid their K_{s,t} at every n."""
     bad = []
+    profiles = {(s, t): forbidden_biclique_profile(s, t) for s, t in SMALL_PAIRS}
     for n in range(1, n_max + 1):
         # (s, t, name, builder, its arguments); k2t and k33 start at n = 2
         cases = [(1, t, f"star({t},{n})", star_extremal, (t, n)) for t in (2, 3)]
@@ -235,7 +237,7 @@ def verify_constructions_meet_optimum(n_max: int) -> CheckResult:
             cases += [(2, t, f"k2t({t},{n})", k2t_extremal, (t, n)) for t in (2, 3)]
             cases.append((3, 3, f"k33({n})", k33_extremal, (n,)))
         for s, t, name, build, args in cases:
-            profile = forbidden_biclique_profile(s, t)
+            profile = profiles[s, t]
             want, _ = extremal_bruteforce(n, profile, limit=n_max)
             g = build(*args)
             if (g.edges != want or g.n != n
@@ -249,6 +251,7 @@ def verify_clique_product_formula() -> CheckResult:
     max_r = 6
     bad = []
     for s, t in ((2, 2), (2, 3), (3, 3), (3, 4), (4, 5)):
+        profile = forbidden_biclique_profile(s, t)
         for r in range(0, max_r + 1):
             if s == 1 and r == 0:
                 continue
@@ -258,8 +261,7 @@ def verify_clique_product_formula() -> CheckResult:
                 + alpha_for(s, t) * (nv - s + 1)
             if g.n != nv or Fraction(g.edges) != expected:
                 bad.append(f"({s},{t},{r}): n={g.n} edges={g.edges} expected {expected}")
-            if not fulfills(biclique_sequence(g, g.n),
-                            forbidden_biclique_profile(s, t)):
+            if not fulfills(biclique_sequence(g, g.n), profile):
                 bad.append(f"({s},{t},{r}): family not K_{{{s},{t}}}-free")
     return CheckResult("clique-product-formula", {"max_r": max_r}, not bad, "", bad)
 
@@ -272,6 +274,7 @@ def verify_pump_invariants(seed: int, trials: int) -> CheckResult:
     neighborhood has fewer than s vertices preserves K_{s,t}-freeness.
     """
     rng = random.Random(seed)
+    profiles = [(s, t, forbidden_biclique_profile(s, t)) for s, t in S2_PAIRS]
     bad = []
     tried = 0
     while tried < trials:
@@ -289,10 +292,9 @@ def verify_pump_invariants(seed: int, trials: int) -> CheckResult:
         if pumped.edges != g.edges + k * (child.edges + child.n * w):
             bad.append(f"edge growth {to_formula(g)} at {path}")
             continue
-        for s, t in S2_PAIRS:
+        for s, t, p in profiles:
             if w >= s:
                 continue
-            p = forbidden_biclique_profile(s, t)
             if fulfills(biclique_sequence(g, g.n), p) and not fulfills(
                     biclique_sequence(pumped, pumped.n), p):
                 bad.append(f"({s},{t}) fulfillment lost: {to_formula(g)} at {path}")

@@ -26,6 +26,7 @@ from cogex.enumerator import (
 )
 from cogex.profile import BicliqueProfile
 from test_enumerator import _as_levels, _decode, _reference_registries
+from test_traversal import old_product_entries, old_sum_entries
 
 MAX_N = 12
 
@@ -47,11 +48,15 @@ caps = st.integers(1, 6)
 
 
 @settings(max_examples=200, deadline=None)
-@given(cotrees(), cotrees(), caps)
+@given(cotrees(), cotrees(), st.integers(0, 6))
+@example(make_leaf(), edgeless(3), 0)
+@example(make_leaf(), make_product([make_leaf(), edgeless(2)]), 6)  # both parts below cap
 def test_join_entry_lower_bound(g1, g2, cap):
     k1 = biclique_sequence(g1, cap)
     k2 = biclique_sequence(g2, cap)
     joined = product_entries(k1, k2, cap)
+    assert (sum_entries(k1, k2, cap), joined) == \
+        (old_sum_entries(k1, k2, cap), old_product_entries(k1, k2, cap))
     for j in range(cap + 1):
         if k1[j] != NEG_INF:
             assert joined[j] >= k1[j] + k2[0]

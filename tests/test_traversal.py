@@ -1,7 +1,8 @@
 """Cotree traversals: the explicit-stack fold, walk and JSON loader against
-the recursive versions they replaced, the one-pass node constructors
-against the multi-pass one, and all of them on cotrees far deeper than the
-recursion limit."""
+the recursive versions they replaced, the prefix sequence kernels and the
+degree walk against the loops and the fold they replaced, the one-pass node
+constructors against the multi-pass one, and all of them on cotrees far
+deeper than the recursion limit."""
 
 import ast
 import json
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import cogex
 from cogex.constructions import (
+    k33_extremal,
     pump,
     pump_subset,
     regular_cograph,
@@ -23,6 +25,7 @@ from cogex.constructions import (
 )
 from cogex.cotree import (
     LEAF,
+    NEG_INF,
     PROD,
     SUM,
     Cotree,
@@ -33,17 +36,17 @@ from cogex.cotree import (
     complement,
     degree_counts,
     edgeless,
+    fold,
     height,
     make_leaf,
     make_product,
     make_sum,
     max_degree,
-    product_entries,
-    sum_entries,
     summands,
     to_formula,
 )
 from cogex.oracle import enumerate_cotrees, random_cotree
+from cogex.profile import forbidden_biclique_profile, fulfills
 from cogex.serialize import (
     COTREE_FORMAT,
     CotreeFormatError,
@@ -57,7 +60,7 @@ from cogex.serialize import (
 
 # =============================================================================
 # The recursive and multi-pass versions, as they were before the fold, the
-# walk, the loader loop and one-pass nodes
+# walk, the loader loop, one-pass nodes, the prefix kernels and the degree walk
 # =============================================================================
 
 
@@ -101,6 +104,32 @@ def old_to_formula(g):
     return "(" + sep.join(old_to_formula(c) for c in g.children) + ")"
 
 
+def old_sum_entries(e1, e2, cap):
+    n = int(e1[0]) + int(e2[0])
+    out = [n]
+    for s in range(1, cap + 1):
+        m = e1[s] if e1[s] >= e2[s] else e2[s]
+        if m < 0:
+            m = 0 if s <= n else NEG_INF
+        out.append(m)
+    return tuple(out)
+
+
+def old_product_entries(e1, e2, cap):
+    out = []
+    for s in range(cap + 1):
+        best = NEG_INF
+        for a in range(s + 1):
+            x, y = e1[a], e2[s - a]
+            if x == NEG_INF or y == NEG_INF:
+                continue
+            v = x + y
+            if v > best:
+                best = v
+        out.append(best)
+    return tuple(out)
+
+
 def old_biclique_entries(g, cap):
     def rec(node):
         if node.kind == LEAF:
@@ -108,10 +137,21 @@ def old_biclique_entries(g, cap):
         parts = [rec(c) for c in node.children]
         acc = parts[0]
         for p in parts[1:]:
-            acc = (sum_entries if node.kind == SUM else product_entries)(acc, p, cap)
+            acc = (old_sum_entries if node.kind == SUM else old_product_entries)(acc, p, cap)
         return acc
 
     return rec(g)
+
+
+def old_degree_counts(g):
+    def inner(node, counts):
+        out = {}
+        for c, child in zip(node.children, counts):
+            shift = node.n - c.n if node.kind == PROD else 0
+            for d, k in child.items():
+                out[d + shift] = out.get(d + shift, 0) + k
+        return out
+    return fold(g, {0: 1}, inner)
 
 
 def old_cotree_to_obj(g):
@@ -251,6 +291,11 @@ def old_cotree_from_obj(obj, path=""):
 # =============================================================================
 
 
+def _same_entries(a, b):
+    """Equal entry for entry, and of equal type: int, or float -inf."""
+    return a == b and list(map(type, a)) == list(map(type, b))
+
+
 def _assert_traversals_match(g):
     assert height(g) == old_height(g)
     assert clique_number(g) == old_clique_number(g)
@@ -258,7 +303,8 @@ def _assert_traversals_match(g):
     assert complement(g) == old_complement(g)
     assert to_formula(g) == old_to_formula(g)
     for cap in {0, 1, 3, min(g.n, 24)}:
-        assert biclique_sequence(g, cap) == old_biclique_entries(g, cap)
+        assert _same_entries(biclique_sequence(g, cap), old_biclique_entries(g, cap))
+    assert degree_counts(g) == old_degree_counts(g)
     assert cotree_to_obj(g) == old_cotree_to_obj(g)
     assert dumps_cotree(g) == old_dumps_cotree(g)
     assert to_dot(g) == old_to_dot(g)
@@ -272,12 +318,32 @@ def test_traversals_match_recursion_on_the_catalog():
     for n in range(1, 10):
         for g in enumerate_cotrees(n).items:
             _assert_traversals_match(g)
+            for cap in range(n + 3):
+                assert _same_entries(biclique_sequence(g, cap), old_biclique_entries(g, cap))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32), st.integers(1, 150))
 def test_traversals_match_recursion_on_random_cotrees(seed, n):
     _assert_traversals_match(random_cotree(random.Random(seed), n))
+
+
+def test_kernels_match_the_old_loops_on_random_cotrees():
+    rng = random.Random(26)
+    for n in (1, 2, 3, 5, 8, 13, 21, 40, 75, 120, 200, 300):
+        g = random_cotree(rng, n)
+        for cap in (4, n):
+            assert _same_entries(biclique_sequence(g, cap), old_biclique_entries(g, cap))
+        assert degree_counts(g) == old_degree_counts(g)
+
+
+def test_sequence_at_scale():
+    g = k33_extremal(1000)
+    full = biclique_sequence(g, 1000)
+    assert full[:5] == biclique_sequence(g, 4)
+    assert fulfills(full, forbidden_biclique_profile(3, 3))
+    g = k33_extremal(300)
+    assert _same_entries(biclique_sequence(g, 300), old_biclique_entries(g, 300))
 
 
 def _assert_same_tree(a, b):
@@ -493,6 +559,7 @@ def test_deep_degree_counts(deep):
             below[-joins] += 1
         n += 1
     assert degree_counts(deep) == {d + joins: k for d, k in below.items()}
+    assert degree_counts(deep) == old_degree_counts(deep)
 
 
 def test_deep_writers(deep):
