@@ -286,8 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-records", type=int, default=None,
                    help="most candidate keys one DP level may make before the "
                         "Pareto filter (capacity guard); without --exhaustive, sums "
-                        "that a sum with the same first part strictly dominates are "
-                        "not made, so not counted")
+                        "whose first part is not a smallest component, and sums "
+                        "that a sum with the same first part strictly dominates, "
+                        "are not made, so not counted")
     _add_common(p)
 
     p = sub.add_parser("construct", allow_abbrev=False,

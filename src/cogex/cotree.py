@@ -228,8 +228,7 @@ def clique_number(g: Cotree) -> int:
 
 def max_degree(g: Cotree) -> int:
     """Maximum vertex degree, computed on the cotree."""
-    return fold(g, 0, lambda node, degrees: max(degrees) if node.kind == SUM else max(
-        d + node.n - c.n for d, c in zip(degrees, node.children)))
+    return max(degree_counts(g))
 
 
 def degree_counts(g: Cotree) -> dict[int, int]:

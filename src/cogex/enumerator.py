@@ -37,30 +37,35 @@ over shifted codes (``_join_code``), and is tested like a sum's; when n1
 and n2 are both at least s, no K_{s,t} join survives and none is computed.
 The Pareto filter keeps its kept codes sorted: a code that dominates
 another is a bitwise subset of it, so not larger, and a candidate is tested
-against the kept codes below it only.
+against the kept codes below it only, after the kept code that dominated
+the candidate before it.
 Survivors are decoded once, so registries and everything after the DP see
 tuple keys.
 The loop stays pure Python: importing numpy would raise the CLI's peak
 resident set from about 18 MB to 30 MB.
 
-Sums start with a connected part.  Every disconnected cograph is one
-connected component plus the rest (its cotree's root is a sum).  A record
-is connected-type if it is the leaf or one of its tied best sources is a
-join, and sum-only otherwise; a sum's first part is connected-type, its
-second part any record, and two connected-type parts of different sizes
-are summed once, the smaller first (of one size, in both orders).
-This keeps every (key, edges) of every level, by induction on n.  A
-sum-only record A has a sum source (A1, A2): its code is a1 | a2 | floor
-and its edges e1 + e2.  So A + B has the code and edges of A1 + (A2 + B),
-whose second part is a sum at a lower level and so matched by a kept
-record, or, past the Pareto filter, dominated by one; A1 + that record
-matches or dominates A + B, with a first part of fewer vertices, down to
-a connected-type one.  A mirrored pair of connected-type parts has the
-same code and edges.  Every level's frontier, and in exhaustive mode its
-every candidate code with its best edges, is as with all pairs summed, and
-so is every exhaustive witness set: each extremal sum is a component plus
-an extremal rest.  A record under a binding witness limit keeps the first
-graphs of its (fewer) sources.
+Sums start with a smallest component.  A disconnected cograph is one of
+its smallest components plus the rest, whose components are no smaller.
+A record is connected-type if it is the leaf or has a join among its tied
+best sources, and sum-only otherwise.  Its largest first part is n if it
+is connected-type, else the most vertices of a first part over its tied
+sum sources, at most n // 2.  Level n sums a connected-type first part of
+n1 <= n // 2 vertices with a second part whose largest first part is at
+least n1 (two connected-type parts of one size in both orders).
+By induction on n and on the first part's size, this keeps every level's
+frontier.  Take a sum A + B of kept records.  If A is sum-only, a tied
+source (A1, A2) has its code and edges, so A + B has those of
+A1 + (A2 + B), and a kept record matches or dominates A2 + B.  If B is
+connected-type and smaller than A, B + A is the same sum.  If B's largest
+first part is below |A|, its tied sum sources (B1, B2) have |B1| < |A|,
+and B1 + (A + B2) matches or dominates A + B likewise.  Each step shrinks
+the first part, down to a pair that level n makes.  In exhaustive mode
+every lower candidate is kept, so that pair has the code of A + B, and
+every witness is made: an extremal sum is a smallest component C, whose
+record is connected-type, plus an extremal rest R, whose record's largest
+first part is at least |C| (by induction, R's own smallest component
+starts one of its tied sources).  A record under a binding witness limit
+keeps the first graphs of its (fewer) sources.
 
 Sums of a first part stop early.  Each level's rows are sorted by edges,
 most first.  For a connected-type first part c1 (floor included), let the
@@ -70,9 +75,12 @@ with fewer edges makes code c1 | c2, which contains c1, with fewer edges:
 a candidate that (c1, e1 + e*) strictly dominates, or a pair that is not
 a best source of its code.  Either way it changes no frontier code and no
 source of one, so the loop stops at the first row below e*; rows with e*
-edges are still summed, as they may be tied best sources.  Exhaustive mode
-keeps every candidate and never stops.  Without it, ``max_records`` counts
-the fewer candidate keys that are made.
+edges are still summed, as they may be tied best sources.  A row whose
+largest first part is below n1 is tested against e* before it is skipped,
+and may set e*: a pair that is made matches or dominates its (code,
+edges), and so strictly dominates every later sum with fewer edges.
+Exhaustive mode keeps every candidate and never stops.
+Without it, ``max_records`` counts the fewer candidate keys that are made.
 """
 
 from __future__ import annotations
@@ -209,18 +217,27 @@ def pareto_filter(candidates: Iterable[tuple[int, int]]) -> set[tuple[int, int]]
 
     Kept codes are kept sorted.  A code that is a bitwise subset of another
     is at most the other, so only kept codes below a candidate can dominate
-    it (for non-negative codes), and only those are tested.
+    it (for non-negative codes), and only those are tested.  The kept code
+    that dominated the previous candidate is tested first: runs of
+    candidates under one kept code are common, and it ends them without a
+    bisection.
     """
     # in code order, each code's last pair has its most edges
     best = dict(sorted(candidates))
     kept: list[int] = []
+    # the kept code that dominated the previous candidate; -1 & ~code is
+    # ~code, never 0 for a non-negative code, so it dominates none
+    last = -1
     # most edges first, so every kept code has at least as many edges;
     # among equal edges the smaller code first
     for code, _ in sorted(best.items(), key=itemgetter(1), reverse=True):
-        below = bisect_right(kept, code)
         over = ~code
+        if not last & over:
+            continue
+        below = bisect_right(kept, code)
         for i in range(below - 1, -1, -1):
             if not kept[i] & over:
+                last = kept[i]
                 break
         else:
             kept.insert(below, code)
@@ -321,24 +338,22 @@ def build_registries(
 
     registries = [Registry(n, cap) for n in range(1, n_max + 1)]
     # each completed level is indexed once.  For sums: rows (code, record,
-    # edges), most edges first, of its connected-type records (the leaf and
-    # the records with a join source), of its sum-only ones and of all.
+    # edges, largest first part), most edges first, of its connected-type
+    # records (the leaf and the records with a join source) and of all.
     # For joins: rows (-join slack, finite key prefix, code with entry 0,
     # record, edges) of its records with slack >= 1, most slack first
-    firsts: list[list[tuple[int, ExtremalRecord, int]]] = []
-    sum_only: list[list[tuple[int, ExtremalRecord, int]]] = []
-    every: list[list[tuple[int, ExtremalRecord, int]]] = []
+    firsts: list[list[tuple[int, ExtremalRecord, int, int]]] = []
+    every: list[list[tuple[int, ExtremalRecord, int, int]]] = []
     joinable: list[list[tuple[float, tuple[int, ...], int, ExtremalRecord, int]]] = []
 
-    def index(n: int, level: list[tuple[int, ExtremalRecord, bool]]) -> None:
-        """Index level n from its (code, record, connected-type) in key order."""
+    def index(n: int, level: list[tuple[int, ExtremalRecord, int]]) -> None:
+        """Index level n from its (code, record, largest first part) in key
+        order."""
         m = min(n, cap)
         top = (2 << n) - 1 << cap * width  # entry 0 of a code with entry 0
-        firsts.append(sorted([(code, rec, rec.edges) for code, rec, joined in level if joined],
-                             key=_EDGES, reverse=True))
-        sum_only.append(sorted([(code, rec, rec.edges) for code, rec, joined in level
-                                if not joined], key=_EDGES, reverse=True))
-        every.append(sorted(firsts[-1] + sum_only[-1], key=_EDGES, reverse=True))
+        every.append(sorted([(code, rec, rec.edges, largest) for code, rec, largest in level],
+                            key=_EDGES, reverse=True))
+        firsts.append([row for row in every[-1] if row[3] == n])
         joins = []
         for code, rec, _ in level:
             slack = _join_slack(rec.key, window, bounded)
@@ -351,7 +366,7 @@ def build_registries(
     level = []
     if 1 <= window[0] and not leaf & over:
         rec = registries[0].records[key] = ExtremalRecord(key, 0, (make_leaf(),))
-        level.append((leaf, rec, True))
+        level.append((leaf, rec, 1))
     index(1, level)
 
     for n in range(2, n_max + 1):
@@ -366,25 +381,30 @@ def build_registries(
         # it fails it for every sum of the level; entry 0 is n for every key
         # of the level
         sums = not floor & over and n <= window[0]
-        for n1 in range(1, n) if sums else ():
+        for n1 in range(1, n // 2 + 1) if sums else ():
             n2 = n - n1
-            # the first part is connected-type, and two connected-type parts
-            # of different sizes are summed once, the smaller first
-            right = sum_only[n2 - 1] if n1 > n2 else every[n2 - 1]
-            for c1, r1, e1 in firsts[n1 - 1]:
+            # the first part is a smallest component: connected-type, and a
+            # second part's largest first part is at least n1.  A sum-only
+            # row's is at most n2 // 2, so below n1 when 2 * n1 > n2
+            right = every[n2 - 1] if 2 * n1 <= n2 else firsts[n2 - 1]
+            for c1, r1, e1, _ in firsts[n1 - 1]:
                 c1 |= floor
                 # once a second part inside c1 gave c1 itself with e1 + e*
                 # edges, every later one has at most e* edges, and one with
                 # fewer makes a sum that c1's strictly dominates; no code is
-                # -1, so exhaustive mode never stops
+                # -1, so exhaustive mode never stops.  A row skipped for its
+                # first parts still sets the stop: a sum that is made
+                # matches or dominates its (code, edges)
                 inside = -1 if exhaustive else c1
                 stop = -1
-                for c2, r2, e2 in right:
+                for c2, r2, e2, largest in right:
                     if e2 < stop:
                         break
                     code = c1 | c2
                     if code == inside:
                         stop = e2
+                    if largest < n1:
+                        continue
                     edges = e1 + e2
                     cur = get(code)
                     if cur is None or edges > cur[0]:
@@ -433,8 +453,10 @@ def build_registries(
             edges, sources = candidates[code]
             key = (n, *[(code >> shift & mask).bit_length() - 1 for shift in shifts], *tail)
             rec = records[key] = ExtremalRecord._lazy(key, edges, sources, witness_limit)
-            # joins come after sums, so a record with a join source ends with one
-            level.append((code, rec, sources[-1][0] is make_product))
+            # joins come after sums, so a record with a join source ends
+            # with one, and its largest first part is n
+            level.append((code, rec, n if sources[-1][0] is make_product
+                          else max(r1.key[0] for _, r1, _ in sources)))
         index(n, level)
 
     return registries

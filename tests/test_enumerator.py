@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies
 
 from cogex.cotree import (
@@ -156,6 +156,10 @@ _codes = strategies.one_of(strategies.integers(0, 63),
 
 @given(strategies.lists(strategies.tuples(_codes, strategies.integers(0, 3)),
                         max_size=40))
+# the zero code is a subset of every code
+@example([(0, 1), (0, 0), (4, 1), (4, 2), (7, 0)])
+# kept code 1 dominates 3 and 5, not 6, then 9 again; 6 dominates 14
+@example([(1, 3), (3, 2), (5, 2), (6, 2), (9, 2), (14, 1)])
 def test_pareto_filter_matches_all_pairs_subset_filter(pairs):
     """On any non-negative codes, with repeated codes and tied edges, the
     filter keeps each code's best edges unless another code that is a
@@ -305,12 +309,17 @@ REFERENCE_CASES = {
     "all-witnesses": (14, dict(_kst(2, 3), witness_limit=None)),
     # the sum cutoff keeps every tied best source: every witness is compared.
     # Past n = 15 a filtered record can have fewer witnesses than the
-    # reference's, as its sums start with a connected-type part
+    # reference's, as its sums start with a smallest component
     **{f"K{s}{t}-all-witnesses": (15, dict(_kst(s, t), witness_limit=None))
        for s, t in ((3, 3), (4, 5), (2, 7))},
     # wide windows, where most sums of two parts have a sum-only first part
     **{f"K{s}{t}{mode}": (18, dict(_kst(s, t), exhaustive=mode == "-exhaustive"))
        for s, t in ((2, 7), (3, 5)) for mode in ("", "-exhaustive")},
+    # series whose filtered witness lists move when sums start with a
+    # smallest component: K_{1,4} from n = 17, and K_{2,6}, whose list at
+    # n = 32 lies past the reference's reach, for its window
+    **{f"K{s}{t}{mode}": (n_max, dict(_kst(s, t), exhaustive=mode == "-exhaustive"))
+       for s, t, n_max in ((1, 4, 24), (2, 6, 20)) for mode in ("", "-exhaustive")},
 }
 
 
@@ -321,7 +330,7 @@ def _keys_and_edges(levels):
 @pytest.mark.parametrize("case", REFERENCE_CASES)
 def test_fast_dp_matches_reference(case):
     # the reference sums every pair of records; the fast DP sums only those
-    # whose first part is connected-type, so a record under a binding
+    # whose first part is a smallest component, so a record under a binding
     # witness limit keeps the first graphs of fewer sources.  Its (key,
     # edges) match on every level, and its witnesses are extremal graphs of
     # its key that the reference builds without a limit
@@ -378,6 +387,37 @@ def test_every_sum_source_starts_with_a_connected_type_part(case):
                     sums += 1
                     assert r1.key[0] == 1 or any(
                         m is make_product for m, _, _ in r1._pending[0]), (rec.key, r1.key)
+    assert sums
+
+
+def _largest_first_part(rec):
+    """n for the leaf and a record with a join source, else the most
+    vertices of a first part over its sum sources."""
+    if rec._pending is None:  # the leaf
+        return rec.key[0]
+    sources = rec._pending[0]
+    if any(maker is make_product for maker, _, _ in sources):
+        return rec.key[0]
+    return max(r1.key[0] for _, r1, _ in sources)
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_every_sum_source_starts_with_a_smallest_component(case):
+    # a sum's first part is connected-type, has at most as many vertices as
+    # its second part, and is no larger than any first part the second part
+    # starts with; the sources are read before any witness is built
+    n_max, opts = REFERENCE_CASES[case]
+    sums = 0
+    for reg in build_registries(n_max, **opts):
+        for rec in reg.records.values():
+            if rec._pending is None:  # the leaf
+                continue
+            for maker, r1, r2 in rec._pending[0]:
+                if maker is make_sum:
+                    sums += 1
+                    n1 = r1.key[0]
+                    assert _largest_first_part(r1) == n1 <= r2.key[0], (rec.key, r1.key)
+                    assert _largest_first_part(r2) >= n1, (rec.key, r1.key, r2.key)
     assert sums
 
 
@@ -507,10 +547,12 @@ def test_registries_build_no_witness(monkeypatch):
 def test_series_builds_the_witnesses_it_reads(monkeypatch):
     # building every record's witnesses would take 9,009 calls.  It took
     # 681 when sums of every pair were sources; with a connected-type first
-    # part, the records read have fewer sum sources, and so fewer parts
+    # part, the records read have fewer sum sources, and so fewer parts.
+    # It took 148 then; a first part that is a smallest component drops the
+    # sum sources whose second part starts with a smaller one
     calls = _count_witness_builds(monkeypatch)
     extremal_function(3, 3, range(1, 49))
-    assert calls[0] == 148
+    assert calls[0] == 123
 
 
 def test_lazy_record_keeps_the_first_witnesses_of_every_pair():
