@@ -288,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "Pareto filter (capacity guard); without --exhaustive, sums "
                         "whose first part is not a smallest component, and sums "
                         "that a sum with the same first part strictly dominates, "
-                        "are not made, so not counted")
+                        "are not made, so not counted; two parts of one size are "
+                        "summed in one order only, as both orders make one key")
     _add_common(p)
 
     p = sub.add_parser("construct", allow_abbrev=False,

@@ -23,15 +23,15 @@ over an explicit stack, or ``summands``, a pre-order walk over the
 children of sum nodes; pre-order writers and ``degree_counts`` keep their
 own explicit stacks.
 
-A biclique sequence is a plain tuple of entries 0..cap (``Entries``); the
-DP's keys, the oracle's sequence table and registry snapshots hold the same
-tuple.  ``biclique_sequence`` folds each subtree's finite prefix, its
-entries 0..min(n, cap), all ints, and pads -inf once, at the root: a sum is
-the pointwise maximum with a 0 floor, a join the max-plus convolution over
-finite entries only.  A join's work is the product of its parts' prefix
-lengths, so by the size-bounded merge argument for tree DPs (Johnson and
-Niemi, 1983) a sequence costs O(n * min(n, cap)).  ``sum_entries`` and
-``product_entries`` run the same two kernels on padded tuples.
+A biclique sequence at cap is the tuple of its entries 0..min(n, cap), all
+ints (``Entries``); entries past n are -inf by definition and are not
+stored.  The DP's keys, the oracle's sequence table and registry snapshots
+hold the same tuple.  ``biclique_sequence`` folds it over the cotree: a sum
+is the pointwise maximum with a 0 floor, a join the max-plus convolution.
+A join's work is the product of its parts' lengths, so by the size-bounded
+merge argument for tree DPs (Johnson and Niemi, 1983) a sequence costs
+O(n * min(n, cap)).  ``sum_entries`` and ``product_entries`` are the two
+kernels on tuples.
 
 Everything here is immutable after construction and safe to share between
 threads.
@@ -42,9 +42,6 @@ from __future__ import annotations
 from itertools import combinations
 from operator import add, attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
-
-NEG_INF = float("-inf")
-INF = float("inf")
 
 LEAF = "leaf"
 SUM = "sum"
@@ -366,20 +363,20 @@ def is_induced_p4_free(a: AdjacencyGraph) -> bool:
 # Biclique sequences
 # =============================================================================
 
-# Entries 0..cap of a biclique sequence: entry s is the largest t such that
-# the complete bipartite graph with part sizes s and t is a subgraph.  The
-# empty part convention makes entry 0 the vertex count n and gives a floor
-# of 0 whenever s <= n.  Entries past n are minus infinity, so a sequence
-# with len(seq) > seq[0] is complete: it holds every finite entry.
-Entries = tuple[float, ...]
+# Entries 0..min(n, cap) of a biclique sequence: entry s is the largest t
+# such that the complete bipartite graph with part sizes s and t is a
+# subgraph.  The empty part convention makes entry 0 the vertex count n and
+# gives a floor of 0 whenever s <= n.  Entries past n are -inf and are not
+# stored, so a sequence with len(seq) > seq[0] is complete.
+Entries = tuple[int, ...]
 
 
 def _leaf_entries(cap: int) -> Entries:
-    return (1, 0) + (NEG_INF,) * (cap - 1) if cap >= 1 else (1,)
+    return (1, 0)[:cap + 1]
 
 
 def _sum_prefix(p1: Sequence[int], p2: Sequence[int], cap: int) -> list[int]:
-    """Finite prefix of a disjoint union's sequence from its parts' prefixes.
+    """Entries 0..min(n, cap) of a disjoint union's sequence from its parts'.
 
     For s >= 1 a biclique with both parts nonempty is connected, so the
     pointwise maximum applies; the t=0 level (edgeless bicliques) spans
@@ -394,9 +391,9 @@ def _sum_prefix(p1: Sequence[int], p2: Sequence[int], cap: int) -> list[int]:
 
 
 def _join_prefix(p1: Sequence[int], p2: Sequence[int], cap: int) -> list[int]:
-    """Finite prefix of a join's sequence: entry s is the max-plus
-    convolution max(p1[a] + p2[s - a]) over the a with both entries in their
-    prefixes, read from the longer prefix against the shorter one reversed."""
+    """Entries 0..min(n, cap) of a join's sequence: entry s is the max-plus
+    convolution max(p1[a] + p2[s - a]) over the a with both entries stored,
+    read from the longer sequence against the shorter one reversed."""
     if len(p1) < len(p2):
         p1, p2 = p2, p1
     m = len(p2) - 1
@@ -405,39 +402,29 @@ def _join_prefix(p1: Sequence[int], p2: Sequence[int], cap: int) -> list[int]:
             for s in range(min(len(p1) + m - 1, cap) + 1)]
 
 
-def _finite(e: Entries, cap: int) -> Entries:
-    """The finite prefix of entries 0..cap: entries 0..min(n, cap)."""
-    return e[:min(int(e[0]), cap) + 1]
-
-
-def _padded(p: Sequence[int], cap: int) -> Entries:
-    """Entries 0..cap from the finite prefix ``p``: -inf past n."""
-    return (*p, *(NEG_INF,) * (cap + 1 - len(p)))
-
-
 def sum_entries(e1: Entries, e2: Entries, cap: int) -> Entries:
-    """Entries 0..cap of the sequence of a disjoint union (``_sum_prefix``)."""
-    return _padded(_sum_prefix(_finite(e1, cap), _finite(e2, cap), cap), cap)
+    """The sequence at cap of a disjoint union, from its parts' sequences at
+    cap (``_sum_prefix``)."""
+    return tuple(_sum_prefix(e1, e2, cap))
 
 
 def product_entries(e1: Entries, e2: Entries, cap: int) -> Entries:
-    """Entries 0..cap of the sequence of a join: max-plus convolution over the
-    finite prefixes (``_join_prefix``)."""
-    return _padded(_join_prefix(_finite(e1, cap), _finite(e2, cap), cap), cap)
+    """The sequence at cap of a join, from its parts' sequences at cap:
+    max-plus convolution (``_join_prefix``)."""
+    return tuple(_join_prefix(e1, e2, cap))
 
 
 def biclique_sequence(g: Cotree, cap: int) -> Entries:
-    """Entries 0..cap of the biclique sequence.
+    """Entries 0..min(n, cap) of the biclique sequence, all ints.
 
-    Each subtree's finite prefix, its entries 0..min(n, cap), all ints, is
-    folded over the cotree, and -inf pads once, at the root.  Leaf children
-    sort first, so a node's k of them start its fold as the prefix of E_k
-    (n, then zeros) or K_k (entry s is k - s).  A join's work is the product
-    of its parts' prefix lengths, so a sequence costs O(n * min(n, cap)).
+    Each subtree's sequence is folded over the cotree.  Leaf children sort
+    first, so a node's k of them start its fold as the sequence of E_k (n,
+    then zeros) or K_k (entry s is k - s).  A join's work is the product of
+    its parts' lengths, so a sequence costs O(n * min(n, cap)).
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    leaf = _finite(_leaf_entries(cap), cap)
+    leaf = _leaf_entries(cap)
 
     def inner(node: Cotree, parts: list) -> list[int]:
         k = parts.count(leaf)
@@ -452,24 +439,22 @@ def biclique_sequence(g: Cotree, cap: int) -> Entries:
             acc = combine(acc, p, cap)
         return acc
 
-    return _padded(fold(g, leaf, inner), cap)
+    return tuple(fold(g, leaf, inner))
 
 
 def check_sequence_invariants(e: Entries) -> None:
     """Raise ValueError if a computed sequence violates its invariants."""
     n = e[0]
+    if len(e) > n + 1:
+        raise ValueError(f"entry {n + 1} lies past n={n}: {e}")
     for i in range(len(e) - 1):
         if e[i] < e[i + 1]:
             raise ValueError(f"not decreasing at {i}: {e}")
     for i, v in enumerate(e):
-        if i > n and v != NEG_INF:
-            raise ValueError(f"entry {i} should be -inf for n={n}: {e}")
-        if i <= n and v < 0:
+        if v < 0:
             raise ValueError(f"entry {i} should be >= 0 for n={n}: {e}")
-    # subdiagonality between finite entries: e[j] < l forces e[l] < j
+    # subdiagonality: e[j] < l forces e[l] < j
     for j, vj in enumerate(e):
-        if vj == NEG_INF:
-            continue
-        l = int(vj) + 1
-        if l < len(e) and e[l] != NEG_INF and e[l] >= j:
+        l = vj + 1
+        if l < len(e) and e[l] >= j:
             raise ValueError(f"not subdiagonal at ({j}, {l}): {e}")

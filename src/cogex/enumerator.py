@@ -1,7 +1,7 @@
 """Dynamic program over vertex counts for extremal cograph enumeration.
 
-Level n holds a registry mapping truncated biclique sequences (the first
-``cap + 1`` entries, ``cap`` worked out from the constraint profile as
+Level n holds a registry mapping biclique sequences at ``cap`` (entries
+0..min(n, cap), ``cap`` worked out from the constraint profile as
 ``binding_cap + 1``) to the best edge count seen with that key, plus
 witness cotrees.  Level n is generated from every split n = n1 + n2 by
 combining record keys under sum and product, pruning keys that violate
@@ -20,27 +20,28 @@ Pair combination is the hot loop.  Passes 1 and 2 (combination and
 Pareto reduction) key each candidate by one Python int (``_encode``).
 Entry 0 is dropped, since every key of a level has the same n; entry
 j = 1..cap is stored as v + 1 low set bits of its own field, entry 1 in
-the most significant one.  Integer order is then tuple order, ``a | b`` is
-the pointwise maximum and ``not a & ~b`` is pointwise a <= b, against a
-key or a window: ``over`` is ``~`` the window's code and a code passes iff
+the most significant one; an entry past n (-inf, not stored) sets no
+bits.  Integer order is then tuple order, ``a | b`` is the pointwise
+maximum and ``not a & ~b`` is pointwise a <= b, against a key or a
+window: ``over`` is ``~`` the window's code and a code passes iff
 ``not code & over``, entry 0 being tested once per level.  A sum's key is
 ``c1 | c2 | floor``, the floor being the code of the edgeless graph on n
 vertices (the 0 floor of ``sum_entries``); as both parts passed the
 window, the sums of a level pass or fail it together, at the floor.  A join's entry j is at least
 k1[j] + n2 and at least k2[j] + n1, so each record stores once its join
-slack, the least window[j] - key[j] over the window's bounded entries.
+slack, the least window[j] - key[j] over its key's entries.
 Each level's rows are sorted by slack once, so the rows that can be joined
 with a part of n2 vertices are a prefix, found by bisection.  A join's code
-comes from one part's finite key prefix (entries 0..min(n, cap), all
-integers) and the other part's code with entry 0, in one max-plus loop
-over shifted codes (``_join_code``), and is tested like a sum's; when n1
-and n2 are both at least s, no K_{s,t} join survives and none is computed.
+comes from one part's key and the other part's code with entry 0, in one
+max-plus loop over shifted codes (``_join_code``), and is tested like a
+sum's; when n1 and n2 are both at least s, no K_{s,t} join survives and
+none is computed.
 The Pareto filter keeps its kept codes sorted: a code that dominates
 another is a bitwise subset of it, so not larger, and a candidate is tested
 against the kept codes below it only, after the kept code that dominated
 the candidate before it.
 Survivors are decoded once, so registries and everything after the DP see
-tuple keys.
+int tuple keys.
 The loop stays pure Python: importing numpy would raise the CLI's peak
 resident set from about 18 MB to 30 MB.
 
@@ -51,12 +52,13 @@ best sources, and sum-only otherwise.  Its largest first part is n if it
 is connected-type, else the most vertices of a first part over its tied
 sum sources, at most n // 2.  Level n sums a connected-type first part of
 n1 <= n // 2 vertices with a second part whose largest first part is at
-least n1 (two connected-type parts of one size in both orders).
+least n1; two connected-type parts of one size are summed in one order
+only, as a sum's code, edges and cotree do not depend on the order.
 By induction on n and on the first part's size, this keeps every level's
 frontier.  Take a sum A + B of kept records.  If A is sum-only, a tied
 source (A1, A2) has its code and edges, so A + B has those of
 A1 + (A2 + B), and a kept record matches or dominates A2 + B.  If B is
-connected-type and smaller than A, B + A is the same sum.  If B's largest
+connected-type and no larger than A, B + A is the same sum.  If B's largest
 first part is below |A|, its tied sum sources (B1, B2) have |B1| < |A|,
 and B1 + (A + B2) matches or dominates A + B likewise.  Each step shrinks
 the first part, down to a pair that level n makes.  In exhaustive mode
@@ -88,12 +90,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter, itemgetter, le
+from operator import attrgetter, itemgetter, le, sub
 from typing import Iterable, Sequence
 
 from .cotree import (
-    INF,
-    NEG_INF,
     CapacityError,
     Cotree,
     Entries,
@@ -244,44 +244,46 @@ def pareto_filter(candidates: Iterable[tuple[int, int]]) -> set[tuple[int, int]]
     return {(code, best[code]) for code in kept}
 
 
-def _encode(entries: Sequence[float], width: int) -> int:
-    """Code of entries 1.. of a key or window (entry 0 is dropped).
+def _encode(entries: Sequence[float], cap: int, width: int) -> int:
+    """Code of entries 1..cap of a key or window (entry 0 is dropped).
 
     Entry v takes v + 1 low set bits of its own field of ``width`` bits,
-    entry 1 in the most significant field.  -inf (or any negative value)
-    sets no bits and +inf (or any value of at least ``width``) fills its
-    field.  For keys whose entries lie in 0..width - 2 or are -inf, integer
-    order is tuple order, ``a | b`` is the pointwise maximum and
-    ``not a & ~b`` is pointwise a <= b, against a key or a window.
+    entry 1 in the most significant field.  A key shorter than cap + 1
+    entries is shifted into place: its entries past n are -inf and set no
+    bits, as does -inf (or any negative value) in a window, and +inf (or any
+    value of at least ``width``) fills its field.  For keys whose entries
+    lie in 0..width - 2, integer order is tuple order, ``a | b`` is the
+    pointwise maximum and ``not a & ~b`` is pointwise a <= b, against a key
+    or a window.
     """
     code = 0
     for v in entries[1:]:
         bits = 0 if v < 0 else width if v >= width else int(v) + 1
         code = code << width | ((1 << bits) - 1)
-    return code
+    return code << (cap + 1 - len(entries)) * width
 
 
 def _join_units(cap: int, width: int) -> list[list[int]]:
     """``units[l2][a]``: one low bit in each field of entries a..min(a + l2,
-    cap) of a code with entry 0 (``_encode((0,) + key, width)``)."""
+    cap) of a code with entry 0 (``_encode((0, *key), cap + 1, width)``)."""
     field = [1 << (cap - j) * width for j in range(cap + 1)]
     return [[sum(field[a:a + l2 + 1]) for a in range(cap + 1)] for l2 in range(cap + 1)]
 
 
-def _join_code(p1: Sequence[int], x2: int, units: Sequence[int], width: int) -> int:
-    """The join's code with entry 0, ``_encode((0,) + product_entries(k1,
-    k2, cap), width)``, from the finite prefix ``p1 = k1[:min(n1, cap) + 1]``
-    and ``x2 = _encode((0,) + k2, width)``, with ``units =
-    _join_units(cap, width)[min(n2, cap)]``.
+def _join_code(k1: Sequence[int], x2: int, units: Sequence[int], width: int) -> int:
+    """The join's code with entry 0, ``_encode((0, *product_entries(k1, k2,
+    cap)), cap + 1, width)``, from the key ``k1`` and ``x2 = _encode((0,
+    *k2), cap + 1, width)``, with ``units = _join_units(cap,
+    width)[min(n2, cap)]``.
 
-    Entry j of a join is the max-plus convolution max(p1[a] + k2[j - a]).
+    Entry j of a join is the max-plus convolution max(k1[a] + k2[j - a]).
     For each a, ``x2`` moved a fields down puts k2[j - a] in field j, and
-    shifting by p1[a] with p1[a] low bits set in each field where k2[j - a]
-    is finite adds p1[a] to every entry at once; ``|`` takes the maximum.
+    shifting by k1[a] with k1[a] low bits set in each field where k2[j - a]
+    is stored adds k1[a] to every entry at once; ``|`` takes the maximum.
     Join entries at level n are below n, so no field overflows its width.
     """
     code = 0
-    for v, unit in zip(p1, units):
+    for v, unit in zip(k1, units):
         code |= x2 << v | ((1 << v) - 1) * unit
         x2 >>= width
     return code
@@ -291,17 +293,12 @@ def _passes(key: Entries, window: tuple[float, ...]) -> bool:
     return all(map(le, key, window))
 
 
-def _join_slack(key: Entries, window: tuple[float, ...], bounded: list[int]) -> float:
+def _join_slack(key: Entries, window: tuple[float, ...]) -> float:
     """The most vertices a part with this key can be joined with and still
     pass the window: the join's entry j is at least key[j] + other_n, so
-    the least window[j] - key[j] over the bounded entries.  A -inf key
-    entry bounds nothing (and -inf - -inf would be NaN)."""
-    slack = INF
-    for j in bounded:
-        v = key[j]
-        if v != NEG_INF and window[j] - v < slack:
-            slack = window[j] - v
-    return slack
+    the least window[j] - key[j] over the key's entries (+inf if the window
+    bounds none of them)."""
+    return min(map(sub, window, key))
 
 
 def build_registries(
@@ -326,12 +323,10 @@ def build_registries(
     window = prune.window(cap + 1)
     if exhaustive:
         witness_limit = None
-    # window indices a join can exceed; a -inf entry forbids any finite one
-    bounded = [j for j, w in enumerate(window) if w < INF]
     # entries are at most n_max - 1, so a field has room for every one and +inf
     width = n_max + 2
     # a code passes the window iff it sets none of these bits
-    over = ~_encode(window, width)
+    over = ~_encode(window, cap, width)
     mask = (1 << width) - 1  # one field
     low = (1 << cap * width) - 1  # drops entry 0 from a join's code
     units = _join_units(cap, width)
@@ -340,8 +335,8 @@ def build_registries(
     # each completed level is indexed once.  For sums: rows (code, record,
     # edges, largest first part), most edges first, of its connected-type
     # records (the leaf and the records with a join source) and of all.
-    # For joins: rows (-join slack, finite key prefix, code with entry 0,
-    # record, edges) of its records with slack >= 1, most slack first
+    # For joins: rows (-join slack, key, code with entry 0, record, edges)
+    # of its records with slack >= 1, most slack first
     firsts: list[list[tuple[int, ExtremalRecord, int, int]]] = []
     every: list[list[tuple[int, ExtremalRecord, int, int]]] = []
     joinable: list[list[tuple[float, tuple[int, ...], int, ExtremalRecord, int]]] = []
@@ -349,20 +344,19 @@ def build_registries(
     def index(n: int, level: list[tuple[int, ExtremalRecord, int]]) -> None:
         """Index level n from its (code, record, largest first part) in key
         order."""
-        m = min(n, cap)
         top = (2 << n) - 1 << cap * width  # entry 0 of a code with entry 0
         every.append(sorted([(code, rec, rec.edges, largest) for code, rec, largest in level],
                             key=_EDGES, reverse=True))
         firsts.append([row for row in every[-1] if row[3] == n])
         joins = []
         for code, rec, _ in level:
-            slack = _join_slack(rec.key, window, bounded)
+            slack = _join_slack(rec.key, window)
             if slack >= 1:  # else it joins with nothing
-                joins.append((-slack, rec.key[:m + 1], top | code, rec, rec.edges))
+                joins.append((-slack, rec.key, top | code, rec, rec.edges))
         joinable.append(sorted(joins, key=_NEG_SLACK))
 
     key = _leaf_entries(cap)
-    leaf = _encode(key, width)
+    leaf = _encode(key, cap, width)
     level = []
     if 1 <= window[0] and not leaf & over:
         rec = registries[0].records[key] = ExtremalRecord(key, 0, (make_leaf(),))
@@ -376,7 +370,7 @@ def build_registries(
         get = candidates.get
         # a sum's key is the pointwise maximum of its parts' keys and the
         # edgeless graph's: the 0 floor of sum_entries up to entry n
-        floor = _encode((n,) + (0,) * min(n, cap) + (NEG_INF,) * (cap - n), width)
+        floor = _encode((n, *[0] * min(n, cap)), cap, width)
         # parts passed the window, so only the floor can fail it, and then
         # it fails it for every sum of the level; entry 0 is n for every key
         # of the level
@@ -387,7 +381,8 @@ def build_registries(
             # second part's largest first part is at least n1.  A sum-only
             # row's is at most n2 // 2, so below n1 when 2 * n1 > n2
             right = every[n2 - 1] if 2 * n1 <= n2 else firsts[n2 - 1]
-            for c1, r1, e1, _ in firsts[n1 - 1]:
+            # two first parts of one size are summed once, in list order
+            for i, (c1, r1, e1, _) in enumerate(firsts[n1 - 1]):
                 c1 |= floor
                 # once a second part inside c1 gave c1 itself with e1 + e*
                 # edges, every later one has at most e* edges, and one with
@@ -397,7 +392,7 @@ def build_registries(
                 # matches or dominates its (code, edges)
                 inside = -1 if exhaustive else c1
                 stop = -1
-                for c2, r2, e2, largest in right:
+                for c2, r2, e2, largest in right[i:] if n1 == n2 else right:
                     if e2 < stop:
                         break
                     code = c1 | c2
@@ -419,9 +414,9 @@ def build_registries(
                 joinable[n2 - 1][:bisect_right(joinable[n2 - 1], -n1, key=_NEG_SLACK)]
             units2 = units[min(n2, cap)]
             cross = n1 * n2
-            for i, (_, p1, _, r1, e1) in enumerate(left):
+            for i, (_, k1, _, r1, e1) in enumerate(left):
                 for _, _, x2, r2, e2 in right[i:] if n1 == n2 else right:
-                    code = _join_code(p1, x2, units2, width) & low
+                    code = _join_code(k1, x2, units2, width) & low
                     if code & over:
                         continue
                     edges = e1 + e2 + cross
@@ -443,15 +438,15 @@ def build_registries(
                 (c, e) for c, (e, _) in candidates.items())]
 
         # survivors keep their sources, in key order; witnesses are built
-        # when first read.  Entries 1..m are finite, the rest -inf
+        # when first read.  A key holds entries 0..m, read from the top m
+        # fields of its code
         m = min(n, cap)
         shifts = range((cap - 1) * width, (cap - m - 1) * width, -width)
-        tail = (NEG_INF,) * (cap - m)
         records = registries[n - 1].records
         level = []
         for code in sorted(surviving):
             edges, sources = candidates[code]
-            key = (n, *[(code >> shift & mask).bit_length() - 1 for shift in shifts], *tail)
+            key = (n, *[(code >> shift & mask).bit_length() - 1 for shift in shifts])
             rec = records[key] = ExtremalRecord._lazy(key, edges, sources, witness_limit)
             # joins come after sums, so a record with a join source ends
             # with one, and its largest first part is n

@@ -39,7 +39,6 @@ from typing import Callable, Mapping, Sequence
 
 from .cotree import (
     DEFAULT_ADJACENCY_LIMIT,
-    NEG_INF,
     PROD,
     SUM,
     AdjacencyGraph,
@@ -189,8 +188,8 @@ def _k_set_masks(n: int) -> tuple[int, ...]:
 
 
 def biclique_sequence_bruteforce(a: AdjacencyGraph, cap: int) -> Entries:
-    """Entries 0..cap of the biclique sequence, counted for every vertex set
-    at once.
+    """Entries 0..min(n, cap) of the biclique sequence, counted for every
+    vertex set at once.
 
     Bit S of a vertex's inside-mask is set iff the set S lies inside the
     vertex's row.  Adding the masks of all vertices into bit-planes (plane b
@@ -205,7 +204,6 @@ def biclique_sequence_bruteforce(a: AdjacencyGraph, cap: int) -> Entries:
     if a.n > DEFAULT_ADJACENCY_LIMIT:
         raise CapacityError(f"brute-force sequence of {a.n} vertices exceeds "
                             f"limit {DEFAULT_ADJACENCY_LIMIT}")
-    top = min(cap, a.n)
     planes = [0] * a.n.bit_length()
     for row in a.rows:
         inside = 1
@@ -220,14 +218,14 @@ def biclique_sequence_bruteforce(a: AdjacencyGraph, cap: int) -> Entries:
                 break
     masks = _k_set_masks(a.n)
     best = []
-    for k in range(1, top + 1):
+    for k in range(1, min(cap, a.n) + 1):
         sets, count = masks[k], 0
         for b in range(len(planes) - 1, -1, -1):
             if hit := sets & planes[b]:
                 sets = hit
                 count |= 1 << b
         best.append(count)
-    return (a.n, *best) + (NEG_INF,) * (cap - top)
+    return (a.n, *best)
 
 
 @lru_cache(maxsize=None)

@@ -9,8 +9,10 @@ Subdiagonality mirrors the part-swap symmetry of bicliques: whenever two
 finite entries satisfy P_j < l, the entry P_l must be < j.  The check is
 applied to pairs of finite entries; see ``BicliqueProfile``.
 
-``fulfills`` and ``restrict`` take a graph's sequence as the plain tuple
-``cotree.Entries`` and read its vertex count n as entry 0.
+``fulfills`` and ``restrict`` take a graph's sequence as the int tuple
+``cotree.Entries``, its entries 0..min(n, cap), and read its vertex count n
+as entry 0.  Infinite values live here only: in profile entries, windows
+and profile text.
 """
 
 from __future__ import annotations
@@ -18,9 +20,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .cotree import INF, NEG_INF, Entries
+from .cotree import Entries
 
-Value = float  # int, or float("inf") / float("-inf")
+NEG_INF = float("-inf")
+INF = float("inf")
+
+Value = float  # int, or INF / NEG_INF
 
 
 class ProfileError(ValueError):
@@ -166,7 +171,7 @@ def fulfills(s: Entries, p: BicliqueProfile) -> bool:
     sides are decreasing and constant beyond that window, so a sequence
     truncated at a cap that reaches it (or reaches n) serves.
     """
-    needed = min(p.prefix_len, int(s[0]))
+    needed = min(p.prefix_len, s[0])
     if len(s) <= needed:
         raise ValueError(
             f"sequence computed to cap {len(s) - 1} but comparison needs entry {needed}")
@@ -244,14 +249,14 @@ def binding_cap(p: BicliqueProfile) -> int:
 def restrict(p: BicliqueProfile, p1: Entries) -> BicliqueProfile:
     """Profile a graph G2 must fulfill so that G1 x G2 fulfills ``p``.
 
-    ``p1`` is the exact sequence of the concrete factor G1; the minimum
-    ranges over its finite entries only.  Finite negative results are
+    ``p1`` is the exact sequence of the concrete factor G1, entries 0..n;
+    the minimum ranges over those entries.  Finite negative results are
     clamped to -inf (no graph sequence entry lies strictly between -inf
     and 0, so fulfillment is unchanged).
     """
     if len(p1) <= p1[0]:  # entries 0..n are needed
         raise ValueError("restriction needs the complete sequence of the factor")
-    finite = [(a, int(p1[a])) for a in range(int(p1[0]) + 1)]
+    finite = list(enumerate(p1[:p1[0] + 1]))
 
     def entry(c: int) -> Value:
         best = INF

@@ -15,9 +15,7 @@ import json
 from fractions import Fraction
 
 from .cotree import (
-    INF,
     LEAF,
-    NEG_INF,
     PROD,
     SUM,
     _LEAF,
@@ -30,11 +28,11 @@ from .cotree import (
     to_adjacency,
 )
 from .enumerator import ExtremalRecord, ExtremalSeries, Registry, _passes
-from .profile import (BicliqueProfile, _format_value, _parse_value, binding_cap, format_profile,
+from .profile import (INF, NEG_INF, BicliqueProfile, _format_value, binding_cap, format_profile,
                       parse_profile)
 
 COTREE_FORMAT = "cogex.cotree/1"
-REGISTRY_FORMAT = "cogex.registry/1"
+REGISTRY_FORMAT = "cogex.registry/2"
 SERIES_FORMAT = "cogex.series/1"
 
 
@@ -255,19 +253,10 @@ def to_dot(g: Cotree) -> str:
 # Registry and series snapshots
 # =============================================================================
 
-def _value_to_json(v: float) -> int | str:
-    """A key entry: finite entries stay JSON ints, infinite ones use the
-    profile text form."""
-    return _format_value(v) if v in (INF, NEG_INF) else int(v)
-
-
-def _key_to_json(key: tuple) -> list:
-    return [_value_to_json(v) for v in key]
-
-
-def _value_from_json(v) -> float:
-    """Inverse of ``_value_to_json``; a non-integer entry raises ValueError."""
-    return _parse_value(str(v))
+def _window_to_json(window: tuple) -> list:
+    """A prune window's entries: finite ones as JSON ints, infinite ones in
+    the profile text form."""
+    return [_format_value(v) if v in (INF, NEG_INF) else int(v) for v in window]
 
 
 def registry_to_obj(r: Registry, prune: BicliqueProfile | None = None) -> dict:
@@ -278,7 +267,7 @@ def registry_to_obj(r: Registry, prune: BicliqueProfile | None = None) -> dict:
         "prune": None if prune is None else format_profile(prune),
         "records": [
             {
-                "key": _key_to_json(key),
+                "key": list(key),
                 "edges": rec.edges,
                 "witnesses": [cotree_to_obj(w) for w in rec.witnesses],
             }
@@ -288,13 +277,14 @@ def registry_to_obj(r: Registry, prune: BicliqueProfile | None = None) -> dict:
 
 
 def registry_from_obj(obj: dict) -> tuple[Registry, BicliqueProfile | None]:
-    """The registry and prune profile of a ``cogex.registry/1`` snapshot;
-    ValueError names the first missing or mistyped field, a cap other than
-    the prune profile's ``binding_cap + 1``, the first record whose key,
-    edges or witnesses do not match the level's n and cap or whose key lies
-    outside the prune profile's window, the first record that repeats a
-    key, or the first witness whose biclique sequence at the level's cap is
-    not its record's key."""
+    """The registry and prune profile of a ``cogex.registry/2`` snapshot,
+    whose keys are JSON int lists of entries 0..min(n, cap); ValueError
+    names the first missing or mistyped field or key entry, a cap other
+    than the prune profile's ``binding_cap + 1``, the first record whose
+    key, edges or witnesses do not match the level's n and cap or whose key
+    lies outside the prune profile's window, the first record that repeats
+    a key, or the first witness whose biclique sequence at the level's cap
+    is not its record's key."""
     if not isinstance(obj, dict) or obj.get("format") != REGISTRY_FORMAT:
         raise ValueError(f"not a {REGISTRY_FORMAT} snapshot")
     where = "registry snapshot"
@@ -307,14 +297,17 @@ def registry_from_obj(obj: dict) -> tuple[Registry, BicliqueProfile | None]:
     for i, rec in enumerate(_field(obj, "records", list, where)):
         at = f"registry record {i}"
         rec = _object(rec, at)
-        key = tuple(map(_value_from_json, _field(rec, "key", list, at)))
-        if len(key) != r.cap + 1:
-            raise ValueError(f"{at} key has {len(key)} entries, not cap + 1 = {r.cap + 1}")
+        key = tuple(_field(rec, "key", list, at))
+        for j, v in enumerate(key):
+            if v.__class__ is not int:
+                raise ValueError(f"{at} key entry {j} is {json.dumps(v)}, not an int")
+        if len(key) != (length := min(r.n, r.cap) + 1):
+            raise ValueError(f"{at} key has {len(key)} entries, not min(n, cap) + 1 = {length}")
         if key[0] != r.n:
-            raise ValueError(f"{at} key entry 0 is {_value_to_json(key[0])}, not n = {r.n}")
+            raise ValueError(f"{at} key entry 0 is {key[0]}, not n = {r.n}")
         if window is not None and not _passes(key, window):
-            raise ValueError(f"{at} key {json.dumps(_key_to_json(key))} lies outside the "
-                             f"prune window {json.dumps(_key_to_json(window))}")
+            raise ValueError(f"{at} key {json.dumps(list(key))} lies outside the "
+                             f"prune window {json.dumps(_window_to_json(window))}")
         if key in r.records:
             raise ValueError(f"{at} repeats the key of registry record "
                              f"{list(r.records).index(key)}")
@@ -326,8 +319,8 @@ def registry_from_obj(obj: dict) -> tuple[Registry, BicliqueProfile | None]:
                                  f"edges, not {r.n} and {edges}")
             if (seq := biclique_sequence(w, r.cap)) != key:
                 raise ValueError(f"{at} witness {j} has biclique sequence "
-                                 f"{json.dumps(_key_to_json(seq))}, not its key "
-                                 f"{json.dumps(_key_to_json(key))}")
+                                 f"{json.dumps(list(seq))}, not its key "
+                                 f"{json.dumps(list(key))}")
         r.records[key] = ExtremalRecord(key, edges, witnesses)
     return r, prune
 

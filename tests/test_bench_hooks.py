@@ -42,8 +42,7 @@ def test_pareto_filter_runs_once_per_level(monkeypatch):
     result as a level's candidates and survivors: one call per level
     n >= 2, empty levels included, whose result is that level's registry."""
     from cogex import enumerator
-    from cogex.cotree import INF
-    from cogex.profile import BicliqueProfile, forbidden_biclique_profile, parse_profile
+    from cogex.profile import INF, BicliqueProfile, forbidden_biclique_profile, parse_profile
 
     results = []
     original = enumerator.pareto_filter

@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -11,7 +12,6 @@ import pytest
 
 import cogex
 from cogex.cotree import (
-    NEG_INF,
     AdjacencyGraph,
     CapacityError,
     biclique_sequence,
@@ -180,7 +180,8 @@ def test_p4_detected():
 
 
 def test_biclique_sequence_examples(c4, p3, k1):
-    assert biclique_sequence(k1, 2) == (1, 0, NEG_INF)
+    # entries past n are -inf and not stored
+    assert biclique_sequence(k1, 2) == (1, 0)
     assert biclique_sequence(c4, 4) == (4, 2, 2, 0, 0)
     assert biclique_sequence(p3, 3) == (3, 2, 1, 0)
 
@@ -192,15 +193,27 @@ def test_biclique_sequence_invariants():
         seq = biclique_sequence(g, g.n + 2)
         check_sequence_invariants(seq)
         assert seq[0] == g.n
-        assert all(seq[i] == NEG_INF for i in range(g.n + 1, g.n + 3))
+        # at a cap past n, exactly the n + 1 entries 0..n, all ints
+        assert len(seq) == g.n + 1 and all(type(v) is int for v in seq)
+
+
+@pytest.mark.parametrize("seq, named", [
+    ((2, 1, 0, 0), "entry 3 lies past n=2: (2, 1, 0, 0)"),
+    ((2, 1, -1), "entry 2 should be >= 0 for n=2: (2, 1, -1)"),
+    ((3, 0, 1), "not decreasing at 1: (3, 0, 1)"),
+    ((3, 1, 1), "not subdiagonal at (1, 2): (3, 1, 1)"),
+])
+def test_sequence_invariants_reject_each_violation(seq, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        check_sequence_invariants(seq)
 
 
 def test_sequence_invariants_are_checked_under_python_O():
     # an assert would be stripped by -O and let the sequence pass
     code = """
-from cogex.cotree import NEG_INF, check_sequence_invariants
+from cogex.cotree import check_sequence_invariants
 try:
-    check_sequence_invariants((3, 1, 2, NEG_INF))
+    check_sequence_invariants((3, 1, 2))
 except ValueError as exc:
     print(exc)
 """
@@ -208,7 +221,7 @@ except ValueError as exc:
         [str(Path(cogex.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out == "not decreasing at 1: (3, 1, 2, -inf)\n"
+    assert out == "not decreasing at 1: (3, 1, 2)\n"
 
 
 def test_formula_rendering(k2_join_two_triangles):

@@ -8,7 +8,6 @@ from hypothesis import example, given
 from hypothesis import strategies
 
 from cogex.cotree import (
-    NEG_INF,
     CapacityError,
     clique,
     edgeless,
@@ -35,10 +34,10 @@ from cogex.enumerator import (
     query_witnesses,
 )
 from cogex.oracle import extremal_bruteforce
-from cogex.profile import (BicliqueProfile, alpha_for, binding_cap,
+from cogex.profile import (INF, NEG_INF, BicliqueProfile, alpha_for, binding_cap,
                            forbidden_biclique_profile, format_profile, parse_profile)
 from cogex.verification import dp_series, verify_pareto_safety
-from cogex.cotree import INF
+from test_traversal import padded
 
 # the all-+inf profile: a window that prunes nothing, at cap 2
 NO_WINDOW = BicliqueProfile((), INF)
@@ -84,7 +83,8 @@ EX_TABLES = {
 def test_base_registry():
     regs = build_registries(1, NO_WINDOW)
     rec = next(iter(regs[0].records.values()))
-    assert rec.key == (1, 0, NEG_INF)
+    # cap 2: the entries past n = 1 are -inf and not stored
+    assert rec.key == (1, 0)
     assert rec.edges == 0
     assert rec.witnesses[0].n == 1
 
@@ -100,14 +100,17 @@ def test_level_two_keeps_both_records():
 
 
 def _decode(code, n, cap, width):
-    """The key (n, entries 1..cap) whose ``_encode`` is ``code``."""
+    """The key (n, entries 1..min(n, cap)) whose ``_encode`` is ``code``;
+    the fields of the entries past n must be empty."""
     mask = (1 << width) - 1
     fields = [code >> (cap - j) * width & mask for j in range(1, cap + 1)]
-    return (n, *(f.bit_length() - 1 if f else NEG_INF for f in fields))
+    m = min(n, cap)
+    assert not any(fields[m:]), (code, n, cap)
+    return (n, *(f.bit_length() - 1 for f in fields[:m]))
 
 
 def _coded(pairs, width=5):
-    return {(_encode(key, width), edges) for key, edges in pairs}
+    return {(_encode(key, len(key) - 1, width), edges) for key, edges in pairs}
 
 
 def test_pareto_filter_examples():
@@ -115,7 +118,7 @@ def test_pareto_filter_examples():
         _coded({((3, 1, 0), 2)})
     both = _coded({((3, 1, 0), 2), ((3, 2, 1), 3)})
     assert pareto_filter(both) == both
-    assert pareto_filter([(_encode((3, 1, 0), 5), 2)] * 2) == _coded({((3, 1, 0), 2)})
+    assert pareto_filter([(_encode((3, 1, 0), 2, 5), 2)] * 2) == _coded({((3, 1, 0), 2)})
 
 
 def _tuple_frontier(pairs):
@@ -173,25 +176,29 @@ def test_pareto_filter_matches_all_pairs_subset_filter(pairs):
 
 
 def old_joinable(key, other_n, window, bounded):
-    """The per-split join test the stored slack replaced."""
+    """The per-split join test the stored slack replaced, on a key padded
+    with -inf to the window's length."""
     return all(key[j] + other_n <= window[j] for j in bounded)
 
 
 @pytest.mark.parametrize("st", [(3, 3), (4, 4), (4, 5)])
 def test_join_slack_matches_the_per_split_test(st):
     """On every record of every level, at every split size, a stored slack
-    covering the other part's size is the old join test."""
+    covering the other part's size is the old join test on the padded key."""
     n_max, opts = 20, _kst(*st)
     regs = build_registries(n_max, **opts)
-    window = opts["prune"].window(regs[0].cap + 1)
+    cap = regs[0].cap
+    window = opts["prune"].window(cap + 1)
     bounded = [j for j, w in enumerate(window) if w < INF]
-    unbounded_entries = 0  # -inf key entries on bounded window entries
+    unbounded_entries = 0  # bounded window entries past a key's n
     for reg in regs:
         for key in reg.records:
-            slack = _join_slack(key, window, bounded)
+            assert len(key) == min(reg.n, cap) + 1
+            slack = _join_slack(key, window)
             for other_n in range(1, n_max - reg.n + 1):
-                assert (slack >= other_n) == old_joinable(key, other_n, window, bounded)
-            unbounded_entries += sum(key[j] == NEG_INF for j in bounded)
+                assert (slack >= other_n) == old_joinable(padded(key, cap), other_n, window,
+                                                          bounded)
+            unbounded_entries += sum(j >= len(key) for j in bounded)
     assert unbounded_entries
 
 
@@ -236,7 +243,8 @@ def _reference_registries(n_max, prune, exhaustive=False,
                           witness_limit=DEFAULT_WITNESS_LIMIT, max_records=None):
     """The DP without its fast path: every sum and join of every record pair
     through sum_entries and product_entries, then the window check, then an
-    all-pairs dominance filter.  Levels are lists of (key, edges, witnesses)."""
+    all-pairs dominance filter.  Levels are lists of (key, edges, witnesses);
+    keys are sequences at cap, entries 0..min(n, cap), as the DP's are."""
     cap = binding_cap(prune) + 1
     window = prune.window(cap + 1)
     limit = None if exhaustive else witness_limit
@@ -244,7 +252,7 @@ def _reference_registries(n_max, prune, exhaustive=False,
     def fits(key):
         return all(a <= b for a, b in zip(key, window))
 
-    base = (1, 0) + (NEG_INF,) * (cap - 1)
+    base = (1, 0)[:cap + 1]
     levels = [{base: (0, (make_leaf(),))} if fits(base) else {}]
     for n in range(2, n_max + 1):
         cands = {}
@@ -419,6 +427,31 @@ def test_every_sum_source_starts_with_a_smallest_component(case):
                     assert _largest_first_part(r1) == n1 <= r2.key[0], (rec.key, r1.key)
                     assert _largest_first_part(r2) >= n1, (rec.key, r1.key, r2.key)
     assert sums
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_no_sum_is_made_in_both_orders(case):
+    # two first parts of one size are summed once: no record has both
+    # (A, B) and (B, A) among its sum sources
+    n_max, opts = REFERENCE_CASES[case]
+    for reg in build_registries(n_max, **opts):
+        for rec in reg.records.values():
+            if rec._pending is None:  # the leaf
+                continue
+            pairs = {(id(r1), id(r2)) for maker, r1, r2 in rec._pending[0] if maker is make_sum}
+            assert not any(a != b and (b, a) in pairs for a, b in pairs), rec.key
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_registry_keys_are_int_tuples_up_to_n(case):
+    # a key is the sequence at cap: min(n, cap) + 1 int entries, n first
+    n_max, opts = REFERENCE_CASES[case]
+    regs = build_registries(n_max, **opts)
+    assert any(reg.records and reg.n < reg.cap for reg in regs)
+    for reg in regs:
+        for key in reg.records:
+            assert type(key) is tuple and len(key) == min(reg.n, reg.cap) + 1, key
+            assert key[0] == reg.n and all(type(v) is int for v in key), key
 
 
 def test_fast_dp_keeps_every_witness_without_a_limit():

@@ -18,6 +18,8 @@ from cogex.cotree import (
     is_induced_p4_free,
     make_leaf,
     make_sum,
+    product_entries,
+    sum_entries,
     to_adjacency,
 )
 from cogex.oracle import (
@@ -28,10 +30,10 @@ from cogex.oracle import (
     contains_biclique,
     enumerate_cotrees,
     extremal_bruteforce,
+    random_cotree,
     _sequence_table,
 )
-from cogex.profile import BicliqueProfile, forbidden_biclique_profile, fulfills
-from cogex.cotree import NEG_INF
+from cogex.profile import NEG_INF, BicliqueProfile, forbidden_biclique_profile, fulfills
 from cogex.verification import SMALL_PAIRS
 
 from census import count_p4_free_classes_bruteforce, labeled_p4_free_count, orbit_count_identity
@@ -144,8 +146,39 @@ def test_contains_biclique(c4, k3):
 
 def test_bruteforce_sequence_examples(c4, k1):
     assert biclique_sequence_bruteforce(to_adjacency(c4), 4) == (4, 2, 2, 0, 0)
-    assert biclique_sequence_bruteforce(to_adjacency(k1), 2) == (1, 0, NEG_INF)
+    # entries past n are -inf and not stored
+    assert biclique_sequence_bruteforce(to_adjacency(k1), 2) == (1, 0)
     assert biclique_sequence_bruteforce(to_adjacency(edgeless(3)), 3) == (3, 0, 0, 0)
+
+
+def _is_sequence_at(seq, n, cap):
+    """An int tuple of the entries 0..min(n, cap), entry 0 being n."""
+    return (type(seq) is tuple and len(seq) == min(n, cap) + 1 and seq[0] == n
+            and all(type(v) is int for v in seq))
+
+
+def test_sequences_are_int_tuples_up_to_n():
+    # the cotree fold and brute force store entries 0..min(n, cap) only, at
+    # caps below, at and past n, on the catalog and on seeded random cotrees
+    graphs = [g for n in range(1, 10) for g in enumerate_cotrees(n).items]
+    rng = random.Random(28)
+    graphs += [random_cotree(rng, rng.randint(1, 14)) for _ in range(60)]
+    for g in graphs:
+        a = to_adjacency(g)
+        for cap in range(g.n + 3):
+            assert _is_sequence_at(biclique_sequence(g, cap), g.n, cap), (g, cap)
+            assert _is_sequence_at(biclique_sequence_bruteforce(a, cap), g.n, cap), (g, cap)
+
+
+def test_combined_sequences_are_int_tuples_up_to_n():
+    pool = [g for n in range(1, 5) for g in enumerate_cotrees(n).items]
+    for a in pool:
+        for b in pool:
+            n = a.n + b.n
+            for cap in range(n + 2):
+                sa, sb = biclique_sequence(a, cap), biclique_sequence(b, cap)
+                assert _is_sequence_at(sum_entries(sa, sb, cap), n, cap), (a, b, cap)
+                assert _is_sequence_at(product_entries(sa, sb, cap), n, cap), (a, b, cap)
 
 
 def test_sequence_recursion_agrees_with_bruteforce():
@@ -232,6 +265,15 @@ def _lattice_sequence(a, cap):
     return (a.n, *best[1:]) + (NEG_INF,) * (cap - top)
 
 
+def _assert_unpadded(seq, ref):
+    """``seq`` is the padded reference ``ref`` (entries 0..cap, -inf past n)
+    with its -inf tail stripped: the min(n, cap) + 1 entries 0..min(n, cap),
+    equal to the reference's, and every reference entry past them -inf."""
+    m = min(ref[0], len(ref) - 1) + 1
+    assert len(seq) == m and seq == ref[:m], (seq, ref)
+    assert all(v == NEG_INF for v in ref[m:]), ref
+
+
 def _reference_extremal(n, p):
     """Max edges and witnesses by a scan of every catalog graph, no table."""
     best = -1
@@ -254,8 +296,7 @@ def test_bruteforce_sequence_matches_reference_on_catalog():
             a = to_adjacency(g)
             want = _reference_sequence(a, n + 1)
             for cap in range(n + 2):
-                assert biclique_sequence_bruteforce(a, cap) == \
-                    want[:cap + 1], (n, cap)
+                _assert_unpadded(biclique_sequence_bruteforce(a, cap), want[:cap + 1])
 
 
 @st.composite
@@ -271,13 +312,13 @@ def non_cographs(draw):
 @settings(max_examples=200, deadline=None)
 @given(non_cographs(), st.integers(0, 11))
 def test_bruteforce_sequence_matches_reference_off_cographs(a, cap):
-    assert biclique_sequence_bruteforce(a, cap) == _reference_sequence(a, cap)
+    _assert_unpadded(biclique_sequence_bruteforce(a, cap), _reference_sequence(a, cap))
 
 
 def test_bruteforce_sequence_matches_lattice_at_n10():
     for g in enumerate_cotrees(10).items:
         a = to_adjacency(g)
-        assert biclique_sequence_bruteforce(a, 10) == _lattice_sequence(a, 10)
+        _assert_unpadded(biclique_sequence_bruteforce(a, 10), _lattice_sequence(a, 10))
 
 
 @settings(max_examples=40, deadline=None)
@@ -287,7 +328,7 @@ def test_bruteforce_sequence_matches_lattice_up_to_16(n, density, seed, cap):
     rng = random.Random(seed)
     a = AdjacencyGraph.from_edges(n, [e for e in combinations(range(n), 2)
                                       if rng.random() < density])
-    assert biclique_sequence_bruteforce(a, cap) == _lattice_sequence(a, cap)
+    _assert_unpadded(biclique_sequence_bruteforce(a, cap), _lattice_sequence(a, cap))
 
 
 def test_bruteforce_sequence_capacity():
@@ -296,8 +337,7 @@ def test_bruteforce_sequence_capacity():
 
 
 def test_bruteforce_sequence_empty_graph_and_bad_cap():
-    assert biclique_sequence_bruteforce(AdjacencyGraph(0, ()), 2) == \
-        (0, NEG_INF, NEG_INF)
+    assert biclique_sequence_bruteforce(AdjacencyGraph(0, ()), 2) == (0,)
     with pytest.raises(ValueError):
         biclique_sequence_bruteforce(AdjacencyGraph(0, ()), -1)
 

@@ -5,8 +5,6 @@ import random
 import pytest
 
 from cogex.cotree import (
-    INF,
-    NEG_INF,
     biclique_sequence,
     clique,
     edgeless,
@@ -14,6 +12,7 @@ from cogex.cotree import (
     product_entries,
     sum_entries,
 )
+from cogex.profile import INF, NEG_INF
 from cogex.profile import (
     BicliqueProfile,
     ProfileError,

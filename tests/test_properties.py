@@ -6,8 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cogex.cotree import (
-    INF,
-    NEG_INF,
     biclique_sequence,
     edgeless,
     make_leaf,
@@ -24,9 +22,9 @@ from cogex.enumerator import (
     _passes,
     build_registries,
 )
-from cogex.profile import BicliqueProfile
+from cogex.profile import INF, NEG_INF, BicliqueProfile
 from test_enumerator import _as_levels, _decode, _reference_registries
-from test_traversal import old_product_entries, old_sum_entries
+from test_traversal import _same_entries, old_product_entries, old_sum_entries, padded
 
 MAX_N = 12
 
@@ -55,13 +53,16 @@ def test_join_entry_lower_bound(g1, g2, cap):
     k1 = biclique_sequence(g1, cap)
     k2 = biclique_sequence(g2, cap)
     joined = product_entries(k1, k2, cap)
-    assert (sum_entries(k1, k2, cap), joined) == \
-        (old_sum_entries(k1, k2, cap), old_product_entries(k1, k2, cap))
-    for j in range(cap + 1):
-        if k1[j] != NEG_INF:
-            assert joined[j] >= k1[j] + k2[0]
-        if k2[j] != NEG_INF:
-            assert joined[j] >= k2[j] + k1[0]
+    # the old loops run on padded sequences; the kernels' results are theirs
+    # with the -inf tail stripped, of min(n, cap) + 1 int entries
+    p1, p2 = padded(k1, cap), padded(k2, cap)
+    assert _same_entries(sum_entries(k1, k2, cap), old_sum_entries(p1, p2, cap))
+    assert _same_entries(joined, old_product_entries(p1, p2, cap))
+    # every stored entry of a part bounds the join's entry from below
+    for j, v in enumerate(k1):
+        assert joined[j] >= v + k2[0]
+    for j, v in enumerate(k2):
+        assert joined[j] >= v + k1[0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -70,12 +71,17 @@ def test_sum_key_is_pointwise_max_above_cap(g1, g2, cap):
     k1 = biclique_sequence(g1, cap)
     k2 = biclique_sequence(g2, cap)
     n = g1.n + g2.n
-    key = (n, *map(max, k1[1:], k2[1:]))
+    # the pointwise maximum of the padded parts, entries 0..cap
+    key = (n, *map(max, padded(k1, cap)[1:], padded(k2, cap)[1:]))
+    summed = sum_entries(k1, k2, cap)
+    m = len(summed)
+    assert m == min(n, cap) + 1 and all(v == NEG_INF for v in key[m:])
     if max(g1.n, g2.n) >= cap:
-        assert key == sum_entries(k1, k2, cap)
+        assert key == summed
     else:
         # below cap the floor lifts the -inf entries both parts share
-        assert key != sum_entries(k1, k2, cap)
+        assert key[:m] != summed
+        assert summed == tuple(max(v, 0) for v in key[:m])
 
 
 # build_registries' field width for n_max = 2 * MAX_N, the largest sum of
@@ -93,18 +99,20 @@ def _key(g, cap):
 @given(cotrees(), caps)
 def test_codec_round_trip(g, cap):
     key = _key(g, cap)
-    assert _decode(_encode(key, WIDTH), g.n, cap, WIDTH) == key
+    assert _decode(_encode(key, cap, WIDTH), g.n, cap, WIDTH) == key
 
 
 @settings(max_examples=300, deadline=None)
 @given(cotrees(), cotrees(), caps)
 def test_code_order_and_dominance_are_tuple_order_and_pointwise_le(g1, g2, cap):
     k1, k2 = _key(g1, cap), _key(g2, cap)
-    c1, c2 = _encode(k1, WIDTH), _encode(k2, WIDTH)
-    assert (c1 < c2) == (k1[1:] < k2[1:])
-    assert (c1 == c2) == (k1[1:] == k2[1:])
-    assert (not c1 & ~c2) == all(map(le, k1[1:], k2[1:]))
-    assert (not c2 & ~c1) == all(map(le, k2[1:], k1[1:]))
+    c1, c2 = _encode(k1, cap, WIDTH), _encode(k2, cap, WIDTH)
+    # against the padded keys, entries 1..cap with -inf past n
+    t1, t2 = padded(k1, cap)[1:], padded(k2, cap)[1:]
+    assert (c1 < c2) == (t1 < t2) == (k1[1:] < k2[1:])
+    assert (c1 == c2) == (t1 == t2)
+    assert (not c1 & ~c2) == all(map(le, t1, t2))
+    assert (not c2 & ~c1) == all(map(le, t2, t1))
 
 
 @settings(max_examples=300, deadline=None)
@@ -113,42 +121,46 @@ def test_sum_code_is_or_with_the_edgeless_floor(g1, g2, cap):
     """For every split size, sum_entries is the pointwise maximum of both
     parts' keys and the edgeless graph's key on as many vertices."""
     k1, k2 = _key(g1, cap), _key(g2, cap)
-    floor = _encode(_key(edgeless(g1.n + g2.n), cap), WIDTH)
-    code = _encode(k1, WIDTH) | _encode(k2, WIDTH) | floor
-    assert code == _encode(sum_entries(k1, k2, cap), WIDTH)
+    floor = _encode(_key(edgeless(g1.n + g2.n), cap), cap, WIDTH)
+    code = _encode(k1, cap, WIDTH) | _encode(k2, cap, WIDTH) | floor
+    assert code == _encode(sum_entries(k1, k2, cap), cap, WIDTH)
 
 
 @settings(max_examples=300, deadline=None)
 @given(cotrees(), cotrees(), caps)
 def test_join_code_is_the_coded_product(g1, g2, cap):
-    """The DP's join kernel, on a part's finite prefix and the other's code
-    with entry 0, is the code of product_entries, parts below cap included."""
+    """The DP's join kernel, on a part's key and the other's code with
+    entry 0, is the code of product_entries, parts below cap included."""
     k1, k2 = _key(g1, cap), _key(g2, cap)
     units = _join_units(cap, WIDTH)[min(g2.n, cap)]
-    assert _join_code(k1[:min(g1.n, cap) + 1], _encode((0,) + k2, WIDTH), units, WIDTH) == \
-        _encode((0,) + product_entries(k1, k2, cap), WIDTH)
+    assert _join_code(k1, _encode((0, *k2), cap + 1, WIDTH), units, WIDTH) == \
+        _encode((0, *product_entries(k1, k2, cap)), cap + 1, WIDTH)
 
 
 @settings(max_examples=300, deadline=None)
 @given(cotrees(), caps, windows)
 def test_coded_window_test_is_passes(g, cap, window):
     key, window = _key(g, cap), tuple(window[:cap + 1])
-    coded = key[0] <= window[0] and not _encode(key, WIDTH) & ~_encode(window, WIDTH)
-    assert coded == _passes(key, window)
+    coded = key[0] <= window[0] and not _encode(key, cap, WIDTH) & ~_encode(window, cap, WIDTH)
+    # -inf past n passes every window entry, so the stored entries decide
+    assert coded == _passes(key, window) == _passes(padded(key, cap), window)
 
 
 @settings(max_examples=300, deadline=None)
 @given(cotrees(), caps, windows)
-# the first bounded entry is -inf in both, where a NaN would come first
+# the window's first bounded entries are -inf past the key's n, where the
+# padded key is -inf too
 @example(edgeless(2), 4, [INF, INF, INF, NEG_INF, NEG_INF, NEG_INF, NEG_INF])
 def test_join_slack_is_the_per_split_join_test(g, cap, window):
-    """Against windows with -inf entries, where -inf - -inf is NaN, and
-    keys that pass the window or not."""
+    """Against windows with -inf entries, keys shorter than the window, and
+    keys that pass the window or not; the per-split test reads the key
+    padded with -inf to the window's length."""
     key, window = _key(g, cap), tuple(window[:cap + 1])
     bounded = [j for j, w in enumerate(window) if w < INF]
-    slack = _join_slack(key, window, bounded)
+    slack = _join_slack(key, window)
+    full = padded(key, cap)
     for other_n in range(1, 2 * MAX_N + 1):
-        assert (slack >= other_n) == all(key[j] + other_n <= window[j] for j in bounded)
+        assert (slack >= other_n) == all(full[j] + other_n <= window[j] for j in bounded)
 
 
 @settings(max_examples=100, deadline=None)

@@ -105,7 +105,8 @@ def test_registry_snapshot_round_trip():
 @pytest.mark.parametrize("prune", [forbidden_biclique_profile(3, 3), NO_WINDOW],
                          ids=["k33-exhaustive", "no-prune"])
 def test_registry_snapshots_of_every_level_round_trip(prune):
-    # the record checks hold on every real DP level, -inf key entries included
+    # the record checks hold on every real DP level, keys of levels below
+    # the cap (shorter than cap + 1 entries) included
     for reg in build_registries(8, prune, exhaustive=True):
         restored, p = registry_from_obj(json.loads(json.dumps(registry_to_obj(reg, prune))))
         assert (restored.n, restored.cap, p) == (reg.n, reg.cap, prune)
@@ -128,12 +129,17 @@ def test_registry_snapshot_window_follows_its_prune(prune, named):
 
 
 def test_registry_snapshot_keys_are_ints_and_inf_text():
+    # a key is a JSON int list of entries 0..min(n, cap); the -inf text of
+    # registry/1 keys, a float and a bool are refused, each by name
     p = forbidden_biclique_profile(2, 2)
     obj = registry_to_obj(build_registries(1, p)[0], p)
-    assert obj["records"][0]["key"] == [1, 0, "-inf", "-inf"]
-    obj["records"][0]["key"] = [1, 0.7, True]
-    with pytest.raises(ValueError):
-        registry_from_obj(obj)
+    assert obj["cap"] == 3 and obj["records"][0]["key"] == [1, 0]
+    for key, named in (([1, 0, "-inf", "-inf"], 'key entry 2 is "-inf", not an int'),
+                       ([1, 0.7], "key entry 1 is 0.7, not an int"),
+                       ([1, True], "key entry 1 is true, not an int")):
+        obj["records"][0]["key"] = key
+        with pytest.raises(ValueError, match=re.escape(named)):
+            registry_from_obj(obj)
 
 
 def _registry_snapshot(**fields):
@@ -150,7 +156,7 @@ _RECORD = _registry_snapshot()["records"][0]
 
 
 @pytest.mark.parametrize("obj, named", [
-    ({"format": "cogex.registry/1"}, "registry snapshot has no 'n' field"),
+    ({"format": "cogex.registry/2"}, "registry snapshot has no 'n' field"),
     (_without(_registry_snapshot(), "cap"), "registry snapshot has no 'cap' field"),
     (_without(_registry_snapshot(), "records"), "registry snapshot has no 'records' field"),
     (_registry_snapshot(n="3"), "field 'n' must be of type int, got str"),
@@ -164,18 +170,18 @@ _RECORD = _registry_snapshot()["records"][0]
     (_registry_snapshot(records=[dict(_RECORD, witnesses={})]),
      "field 'witnesses' must be of type list, got dict"),
     (_registry_snapshot(prune=3), "field 'prune' must be of type str, got int"),
-    ([1, 2], "not a cogex.registry/1 snapshot"),
+    ([1, 2], "not a cogex.registry/2 snapshot"),
     (_registry_snapshot(n=0), "field 'n' must be >= 1, got 0"),
     (_registry_snapshot(cap=0, records=[dict(_RECORD, key=[])]),
      "field 'cap' must be >= 1, got 0"),
     (_registry_snapshot(records=[dict(_RECORD, key=[7])]),
-     "record 0 key has 1 entries, not cap + 1 = 3"),
+     "record 0 key has 1 entries, not min(n, cap) + 1 = 3"),
     (_registry_snapshot(records=[_RECORD, dict(_RECORD, key=[3, 0, 0, 0])]),
-     "record 1 key has 4 entries, not cap + 1 = 3"),
+     "record 1 key has 4 entries, not min(n, cap) + 1 = 3"),
     (_registry_snapshot(records=[dict(_RECORD, key=[7, 0, 0])]),
      "record 0 key entry 0 is 7, not n = 3"),
     (_registry_snapshot(records=[dict(_RECORD, key=["-inf", 0, 0])]),
-     "record 0 key entry 0 is -inf, not n = 3"),
+     'record 0 key entry 0 is "-inf", not an int'),
     (_registry_snapshot(records=[dict(_RECORD, edges=-4)]),
      "record 0 field 'edges' must be >= 0, got -4"),
     (_registry_snapshot(records=[dict(_RECORD, witnesses=[{"op": "leaf"}])]),
@@ -184,7 +190,7 @@ _RECORD = _registry_snapshot()["records"][0]
      "record 0 witness 0 has 3 vertices and 0 edges, not 3 and 2"),
     (_registry_snapshot(records=[dict(_RECORD, key=[7], edges=-4,
                                       witnesses=[{"op": "leaf"}])]),
-     "record 0 key has 1 entries, not cap + 1 = 3"),
+     "record 0 key has 1 entries, not min(n, cap) + 1 = 3"),
     # a repeated key: level 3 has three records, the fourth repeats one
     (_registry_snapshot(records=_registry_snapshot()["records"] + [_RECORD]),
      "registry record 3 repeats the key of registry record 0"),
@@ -196,9 +202,16 @@ _RECORD = _registry_snapshot()["records"][0]
     (_registry_snapshot(records=[dict(_RECORD, witnesses=[_RECORD["witnesses"][0]] * 2),
                                  dict(_RECORD, key=[3, 1, 1], edges=0)]),
      "record 1 witness 0 has biclique sequence [3, 0, 0], not its key [3, 1, 1]"),
+    # level 1 at cap 2 stores entries 0..1: a witness whose entry 1 is not
+    # the key's, then a key with an entry past n
+    (_registry_snapshot(n=1, records=[{"key": [1, 1], "edges": 0,
+                                       "witnesses": [{"op": "leaf"}]}]),
+     "record 0 witness 0 has biclique sequence [1, 0], not its key [1, 1]"),
     (_registry_snapshot(n=1, records=[{"key": [1, 0, 0], "edges": 0,
                                        "witnesses": [{"op": "leaf"}]}]),
-     'record 0 witness 0 has biclique sequence [1, 0, "-inf"], not its key [1, 0, 0]'),
+     "record 0 key has 3 entries, not min(n, cap) + 1 = 2"),
+    # a registry/1 snapshot, whose keys pad -inf up to cap + 1 entries
+    (_registry_snapshot(format="cogex.registry/1"), "not a cogex.registry/2 snapshot"),
 ])
 def test_registry_snapshot_malformed_fields_are_named(obj, named):
     with pytest.raises(ValueError, match=re.escape(named)):

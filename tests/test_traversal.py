@@ -25,7 +25,6 @@ from cogex.constructions import (
 )
 from cogex.cotree import (
     LEAF,
-    NEG_INF,
     PROD,
     SUM,
     Cotree,
@@ -45,6 +44,7 @@ from cogex.cotree import (
     summands,
     to_formula,
 )
+from cogex.profile import NEG_INF
 from cogex.oracle import enumerate_cotrees, random_cotree
 from cogex.profile import forbidden_biclique_profile, fulfills
 from cogex.serialize import (
@@ -291,9 +291,18 @@ def old_cotree_from_obj(obj, path=""):
 # =============================================================================
 
 
-def _same_entries(a, b):
-    """Equal entry for entry, and of equal type: int, or float -inf."""
-    return a == b and list(map(type, a)) == list(map(type, b))
+def padded(seq, cap):
+    """The padded form of the old loops: entries 0..cap, -inf past n."""
+    return (*seq, *(NEG_INF,) * (cap + 1 - len(seq)))
+
+
+def _same_entries(seq, ref):
+    """``seq`` is the padded reference ``ref`` (entries 0..cap, -inf past n)
+    with its -inf tail stripped: min(n, cap) + 1 int entries equal to the
+    reference's, every reference entry past them -inf."""
+    m = min(ref[0], len(ref) - 1) + 1
+    return (len(seq) == m and all(type(v) is int for v in seq) and seq == ref[:m]
+            and all(v == NEG_INF for v in ref[m:]))
 
 
 def _assert_traversals_match(g):

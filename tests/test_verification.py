@@ -6,7 +6,7 @@ import pytest
 
 import cogex.verification as verification
 from cogex.cli import main
-from cogex.cotree import NEG_INF, CapacityError, clique, edgeless, make_product, make_sum
+from cogex.cotree import CapacityError, clique, edgeless, make_product, make_sum
 from cogex.oracle import CheckResult, check_structure_theorems
 from cogex.verification import (
     SELECTORS,
@@ -135,7 +135,7 @@ def test_constructions_optimum_checks_freeness(monkeypatch):
 def test_sequences_check_records_an_invariant_violation(monkeypatch):
     # a sequence that the recursion and brute force agree on but that is not
     # decreasing is a failed check, not a traceback
-    bad = (3, 1, 2, NEG_INF)
+    bad = (3, 1, 2)
     sequence, table = verification.biclique_sequence, verification._sequence_table
     monkeypatch.setattr(verification, "biclique_sequence",
                         lambda g, k: bad if g.n == 3 else sequence(g, k))
@@ -144,8 +144,30 @@ def test_sequences_check_records_an_invariant_violation(monkeypatch):
     result = verification.verify_sequences(4)
     assert not result.passed
     assert len(result.counterexamples) == 4  # the cographs on 3 vertices
-    assert all(c.endswith(": not decreasing at 1: (3, 1, 2, -inf)")
+    assert all(c.endswith(": not decreasing at 1: (3, 1, 2)")
                for c in result.counterexamples)
+
+
+def test_pump_invariants_compute_each_sequence_at_most_once(monkeypatch):
+    # per trial: the core's sequence once, then the pumped graph's at most
+    # once, and only when the core fulfills a pair whose s exceeds w
+    events = []
+    sequence, pump = verification.biclique_sequence, verification.pump
+    monkeypatch.setattr(verification, "pump", lambda g, path, k: events.append(
+        ("pump", g, out := pump(g, path, k))) or out)
+    monkeypatch.setattr(verification, "biclique_sequence",
+                        lambda g, k: events.append(("seq", g)) or sequence(g, k))
+    assert verify_pump_invariants(seed=7, trials=40).passed
+    trials = []
+    for event in events:
+        if event[0] == "pump":
+            trials.append((event[1], event[2], []))
+        else:
+            trials[-1][2].append(event[1])
+    assert len(trials) == 40
+    assert all(seqs in ([g], [g, pumped]) for g, pumped, seqs in trials)
+    pumped_read = sum(len(seqs) == 2 for _, _, seqs in trials)
+    assert 0 < pumped_read < 40
 
 
 def test_pump_invariants_deterministic_seed():
