@@ -58,7 +58,6 @@ from .oracle import (
     CographCatalog,
     biclique_sequence_bruteforce,
     check_balanced_biclique,
-    check_structure_theorems,
     contains_biclique,
     enumerate_cotrees,
     extremal_bruteforce,

@@ -25,8 +25,8 @@ own explicit stacks.
 
 A biclique sequence at cap is the tuple of its entries 0..min(n, cap), all
 ints (``Entries``); entries past n are -inf by definition and are not
-stored.  The DP's keys, the oracle's sequence table and registry snapshots
-hold the same tuple.  ``biclique_sequence`` folds it over the cotree: a sum
+stored.  The DP's keys, the oracle's catalog grouping by sequence and
+registry snapshots hold the same tuple.  ``biclique_sequence`` folds it over the cotree: a sum
 is the pointwise maximum with a 0 floor, a join the max-plus convolution.
 A join's work is the product of its parts' lengths, so by the size-bounded
 merge argument for tree DPs (Johnson and Niemi, 1983) a sequence costs

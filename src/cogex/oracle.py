@@ -3,30 +3,30 @@
 Everything the dynamic program or the constructions claim is re-derivable
 here by exhaustion: the catalog of all unlabeled cographs up to the size
 limit, biclique containment by common-neighborhood search on the dense
-expansion, extremal values by scanning the catalog, and the structural
-spot checks used by the verification suite, on the witnesses they are given.
+expansion, extremal values by scanning the catalog, and the balanced
+biclique check, a search over the catalog.  The checks on the DP's witness
+sets live in ``cogex.verification``.
 
 The catalog is built directly by root kind: a sum-rooted tree is a sum
 over two or more parts that are K_1 or product-rooted, and a
 product-rooted tree, a connected cograph, is a product over two or more
 parts that are K_1 or sum-rooted.  Each n has one catalog, built on first
-use and kept for the process, and it carries the dense expansion of each
-of its graphs, built on first read, so every check shares one expansion
-per graph.
+use and kept for the process.  It carries two things, each built on first
+read: the dense expansion of each of its graphs, which every check shares,
+and its graphs grouped by brute-force sequence.
 
 Biclique sequences count every vertex set at once.  Each vertex's row
 becomes a 2^n-bit integer whose bit S is set iff the set S lies inside
 that vertex's neighborhood; these add up, bit-sliced, to the size of every
 set's common neighborhood, and entry k is the largest count among the
 k-sets.  A sequence is the same entries tuple that ``cotree.biclique_sequence``
-returns, so the two compare directly.  Extremal values read a per-n table,
-built on first use and kept for the process, that groups the catalog by
-brute-force sequence, so each distinct sequence is tested against a profile
+returns, so the two compare directly.  Extremal values read the catalog's
+grouping by sequence, so each distinct sequence is tested against a profile
 once rather than each graph.
 
 The biclique computations here deliberately avoid the cotree recursion:
 they work on adjacency bitmasks only, so they can serve as an independent
-oracle for it.  The structural spot checks read degrees from the cotree.
+oracle for it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Callable, Mapping, Sequence
 
 from .cotree import (
     DEFAULT_ADJACENCY_LIMIT,
@@ -47,7 +46,6 @@ from .cotree import (
     Entries,
     _node,
     canonical_form,
-    degree_counts,
     make_leaf,
     make_product,
     make_sum,
@@ -65,7 +63,8 @@ DEFAULT_CATALOG_LIMIT = 10
 @dataclass(frozen=True)
 class CographCatalog:
     """One reduced canonical cotree per isomorphism class of n-vertex
-    cographs, in canonical order, with the dense expansion of each."""
+    cographs, in canonical order, with the dense expansion of each and the
+    items grouped by brute-force sequence."""
     n: int
     items: tuple[Cotree, ...]
 
@@ -76,6 +75,15 @@ class CographCatalog:
     def adjacency(self) -> tuple[AdjacencyGraph, ...]:
         """``to_adjacency`` of each item, in item order; built on first read."""
         return tuple(to_adjacency(g) for g in self.items)
+
+    @cached_property
+    def by_sequence(self) -> tuple[tuple[Entries, tuple[Cotree, ...]], ...]:
+        """The items grouped by brute-force sequence at cap n, one (sequence,
+        graphs) pair per distinct sequence; built on first read."""
+        groups: dict[Entries, list[Cotree]] = {}
+        for g, a in zip(self.items, self.adjacency):
+            groups.setdefault(biclique_sequence_bruteforce(a, self.n), []).append(g)
+        return tuple((seq, tuple(graphs)) for seq, graphs in groups.items())
 
 
 @lru_cache(maxsize=None)
@@ -228,18 +236,6 @@ def biclique_sequence_bruteforce(a: AdjacencyGraph, cap: int) -> Entries:
     return (a.n, *best)
 
 
-@lru_cache(maxsize=None)
-def _sequence_table(n: int) -> tuple[tuple[Entries, tuple[Cotree, ...]], ...]:
-    """The n-vertex catalog grouped by brute-force sequence, one (sequence,
-    graphs) pair per distinct sequence.  Built on first use; callers check
-    their catalog limit before asking."""
-    groups: dict[Entries, list[Cotree]] = {}
-    catalog = enumerate_cotrees(n, limit=n)
-    for g, a in zip(catalog.items, catalog.adjacency):
-        groups.setdefault(biclique_sequence_bruteforce(a, n), []).append(g)
-    return tuple((seq, tuple(graphs)) for seq, graphs in groups.items())
-
-
 def extremal_bruteforce(
     n: int,
     p: BicliqueProfile,
@@ -248,12 +244,11 @@ def extremal_bruteforce(
     """Max edge count and all witnesses among n-vertex cographs fulfilling p.
 
     Fulfillment is decided once per distinct brute-force sequence of the
-    catalog (``_sequence_table``), not once per graph.
+    catalog (``CographCatalog.by_sequence``), not once per graph.
     """
-    _check_catalog_size(n, limit)
     best = -1
     witnesses: list[Cotree] = []
-    for seq, graphs in _sequence_table(n):
+    for seq, graphs in enumerate_cotrees(n, limit).by_sequence:
         if not fulfills(seq, p):
             continue
         for g in graphs:
@@ -268,7 +263,7 @@ def extremal_bruteforce(
 
 
 # =============================================================================
-# Theorem spot checks
+# Check results, and the balanced biclique check on the catalog
 # =============================================================================
 
 @dataclass
@@ -307,151 +302,3 @@ def check_balanced_biclique(n: int, limit: int = DEFAULT_CATALOG_LIMIT) -> Check
         detail=f"checked {len(catalog)} cographs",
         counterexamples=bad,
     )
-
-
-def _is_sum_of_cliques(g: Cotree) -> bool:
-    for comp in (g.children if g.kind == "sum" else (g,)):
-        if comp.kind == "leaf":
-            continue
-        if comp.kind != "prod" or any(c.kind != "leaf" for c in comp.children):
-            return False
-    return True
-
-
-def _has_edge_times_cliques_shape(g: Cotree) -> bool:
-    """Product of an edge with a sum of cliques (cliques themselves count)."""
-    if g.kind != "prod":
-        return False
-    leaves = [c for c in g.children if c.kind == "leaf"]
-    rest = [c for c in g.children if c.kind != "leaf"]
-    if len(leaves) < 2:
-        return False
-    if not rest:
-        return True  # a clique
-    return len(rest) == 1 and _is_sum_of_cliques(rest[0])
-
-
-def check_star_extremal_regular(witnesses: Sequence[Cotree], n: int, t: int) -> CheckResult:
-    """Shape of K_{1,t}-extremal cographs: (t-1)-regular, or regular plus one
-    connected remainder of at most 2t-3 vertices."""
-    bad = []
-    even_all_regular = True
-    for g in witnesses:
-        # g is (t-1)-regular exactly when each of its components is
-        comps = g.children if g.kind == "sum" else (g,)
-        irregular = [c for c in comps if degree_counts(c) != {t - 1: c.n}]
-        even_all_regular = even_all_regular and not irregular
-        if len(irregular) > 1 or any(c.n > 2 * t - 3 for c in irregular):
-            bad.append(canonical_form(g).decode("ascii"))
-    if n % 2 == 0 and n >= t and not even_all_regular:
-        bad.append(f"non-regular witness on even n={n}")
-    return CheckResult(
-        name="star-extremal-shape",
-        params={"n": n, "t": t},
-        passed=not bad,
-        detail=f"{len(witnesses)} extremal witnesses",
-        counterexamples=bad,
-    )
-
-
-def check_universal_vertex(witnesses: Sequence[Cotree], n: int, t: int) -> CheckResult:
-    """Every K_{2,t}-extremal cograph (t in {2,3}) has a universal vertex."""
-    bad = [canonical_form(g).decode("ascii") for g in witnesses
-           if g.n - 1 not in degree_counts(g)]
-    return CheckResult(
-        name="universal-vertex",
-        params={"n": n, "t": t},
-        passed=not bad,
-        detail=f"{len(witnesses)} extremal witnesses",
-        counterexamples=bad,
-    )
-
-
-def check_k33_shape(witnesses: Sequence[Cotree], n: int) -> CheckResult:
-    """Some K_{3,3}-extremal cograph is an edge joined to a sum of cliques."""
-    shaped = [g for g in witnesses if _has_edge_times_cliques_shape(g)]
-    two_universal = [g for g in witnesses
-                     if degree_counts(g).get(g.n - 1, 0) >= 2]
-    ok = bool(shaped) and bool(two_universal)
-    return CheckResult(
-        name="k33-extremal-shape",
-        params={"n": n},
-        passed=ok,
-        detail=(f"{len(witnesses)} witnesses, {len(shaped)} edge-x-cliques shaped, "
-                f"{len(two_universal)} with two universal vertices"),
-        counterexamples=[] if ok else [canonical_form(g).decode("ascii") for g in witnesses],
-    )
-
-
-def _min_factor_size(comp: Cotree) -> int:
-    """Smallest join-factor size of a connected cograph (1 for a vertex)."""
-    if comp.kind == "leaf":
-        return 1
-    return min(c.n for c in comp.children)
-
-
-def check_lifting_decomposition(witnesses: Sequence[Cotree], n: int, s: int,
-                                t: int) -> CheckResult:
-    """Extremal witnesses decompose into products with small minimal factors.
-
-    For each witness: every component's minimal factor size is < t; for each
-    j in 1..s-1, at most one component has minimal factor size j; components
-    splittable into two factors of >= s vertices each have <= 2(t-1) vertices.
-    """
-    bad = []
-    for g in witnesses:
-        comps = g.children if g.kind == "sum" else (g,)
-        sigma = [_min_factor_size(c) for c in comps]
-        if any(x >= t for x in sigma):
-            bad.append("factor>=t: " + canonical_form(g).decode("ascii"))
-            continue
-        for j in range(1, s):
-            if sigma.count(j) > 1:
-                bad.append(f"fiber {j} repeated: " + canonical_form(g).decode("ascii"))
-                break
-        for c in comps:
-            if c.kind != "prod":
-                continue
-            sizes = [ch.n for ch in c.children]
-            if _balanced_split_exists(sizes, s) and c.n > 2 * (t - 1):
-                bad.append("oversized product component: "
-                           + canonical_form(g).decode("ascii"))
-                break
-    return CheckResult(
-        name="lifting-decomposition",
-        params={"n": n, "s": s, "t": t},
-        passed=not bad,
-        detail=f"{len(witnesses)} extremal witnesses",
-        counterexamples=bad,
-    )
-
-
-def _balanced_split_exists(sizes: list[int], s: int) -> bool:
-    """Can the factor sizes split into two groups of at least s vertices each?"""
-    total = sum(sizes)
-    if total < 2 * s:
-        return False
-    reachable = {0}
-    for x in sizes:
-        reachable |= {r + x for r in reachable}
-    return any(s <= r <= total - s for r in reachable)
-
-
-def check_structure_theorems(
-    n_range: range,
-    witnesses: Callable[[int, int], Mapping[int, Sequence[Cotree]]],
-) -> list[CheckResult]:
-    """Run the structural checks over a range of vertex counts on
-    ``witnesses(s, t)``: vertex count -> every K_{s,t}-extremal cograph."""
-    w = {st: witnesses(*st) for st in ((1, 3), (2, 2), (2, 3), (3, 3))}
-    results: list[CheckResult] = []
-    for n in n_range:
-        if n >= 3:
-            results.append(check_star_extremal_regular(w[1, 3][n], n, 3))
-        for t in (2, 3):
-            results.append(check_universal_vertex(w[2, t][n], n, t))
-        if n >= 2:
-            results.append(check_k33_shape(w[3, 3][n], n))
-        for s, t in ((2, 2), (2, 3), (3, 3)):
-            results.append(check_lifting_decomposition(w[s, t][n], n, s, t))
-    return results

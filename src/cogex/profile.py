@@ -222,13 +222,18 @@ def binding_cap(p: BicliqueProfile) -> int:
     Decreasing graph sequences make an index constraint redundant when a
     smaller tracked index carries the same value, or when the part-swap
     symmetry covers it (P_j < j and the entry at P_j + 1, already inside
-    the window, is at most j - 1).  For the K_{s,t} profile this returns s.
+    the window, is at most j - 1).  A -inf entry at index j admits no graph
+    on j or more vertices, whose entry j is at least 0, so the window
+    (entries 0..binding_cap + 1) reaches the first such j, and no later
+    index matters.  For the K_{s,t} profile this returns s.
     """
     last = 1
     prev_value: Value | None = None
     for j in range(p.prefix_len + 1):
         v = p[j]
-        if v in (INF, NEG_INF):
+        if v == NEG_INF:
+            return max(last, j - 1)
+        if v == INF:
             continue
         covered = (
             # monotonicity through an earlier enforced-or-covered index

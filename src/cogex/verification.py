@@ -1,7 +1,8 @@
 """Cross-checks wiring the DP, the constructions, and the brute-force oracle.
 
 Each check returns a CheckResult; the CLI ``verify`` subcommand and the
-acceptance tests both run these.
+acceptance tests both run these.  The structural checks live here too: they
+read the exhaustive DP's witness sets, which are given to them as data.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .constructions import (
     clique_product_family,
@@ -22,6 +23,7 @@ from .constructions import (
 )
 from .cotree import (
     CapacityError,
+    Cotree,
     biclique_sequence,
     canonical_form,
     check_sequence_invariants,
@@ -39,9 +41,7 @@ from .enumerator import DEFAULT_WITNESS_LIMIT, ExtremalSeries, extremal_function
 from .oracle import (
     DEFAULT_CATALOG_LIMIT,
     CheckResult,
-    _sequence_table,
     check_balanced_biclique,
-    check_structure_theorems,
     contains_biclique,
     enumerate_cotrees,
     extremal_bruteforce,
@@ -57,22 +57,24 @@ from .profile import (
 # the pairs with s >= 2 that the checks without a pair option read
 S2_PAIRS = ((2, 2), (2, 3), (3, 3))
 SMALL_PAIRS = ((1, 2), (1, 3), *S2_PAIRS)
+# the pairs whose exhaustive witness sets the structural checks read
+STRUCTURE_PAIRS = ((1, 3), *S2_PAIRS)
 DEFAULT_SEED = 20240817
 
 
 def verify_sequences(n_max: int) -> CheckResult:
     """Cotree sequence recursion == brute-force search, all cographs <= n_max.
 
-    The brute-force sequences are read from the oracle's per-n table, which
-    the DP-against-oracle checks share.
+    The brute-force sequences are read from each catalog's grouping by
+    sequence, which the DP-against-oracle checks share.
     """
     bad = []
     total = 0
     for n in range(1, n_max + 1):
-        items = enumerate_cotrees(n, limit=n_max).items
-        brute = {g: seq for seq, graphs in _sequence_table(n) for g in graphs}
-        total += len(items)
-        for g in items:
+        catalog = enumerate_cotrees(n, limit=n_max)
+        brute = {g: seq for seq, graphs in catalog.by_sequence for g in graphs}
+        total += len(catalog)
+        for g in catalog.items:
             rec = biclique_sequence(g, g.n)
             if rec != brute[g]:
                 bad.append(canonical_form(g).decode("ascii"))
@@ -101,6 +103,135 @@ def verify_fulfillment_agreement(n_max: int) -> CheckResult:
     return CheckResult("fulfillment-agreement",
                        {"n_max": n_max, "pairs": list(map(list, S2_PAIRS))},
                        not bad, "", bad)
+
+
+def _is_sum_of_cliques(g: Cotree) -> bool:
+    for comp in (g.children if g.kind == "sum" else (g,)):
+        if comp.kind == "leaf":
+            continue
+        if comp.kind != "prod" or any(c.kind != "leaf" for c in comp.children):
+            return False
+    return True
+
+
+def _has_edge_times_cliques_shape(g: Cotree) -> bool:
+    """Product of an edge with a sum of cliques (cliques themselves count)."""
+    if g.kind != "prod":
+        return False
+    leaves = [c for c in g.children if c.kind == "leaf"]
+    rest = [c for c in g.children if c.kind != "leaf"]
+    if len(leaves) < 2:
+        return False
+    if not rest:
+        return True  # a clique
+    return len(rest) == 1 and _is_sum_of_cliques(rest[0])
+
+
+def verify_star_extremal_regular(witnesses: Sequence[Cotree], n: int, t: int) -> CheckResult:
+    """Shape of K_{1,t}-extremal cographs: (t-1)-regular, or regular plus one
+    connected remainder of at most 2t-3 vertices."""
+    bad = []
+    even_all_regular = True
+    for g in witnesses:
+        # g is (t-1)-regular exactly when each of its components is
+        comps = g.children if g.kind == "sum" else (g,)
+        irregular = [c for c in comps if degree_counts(c) != {t - 1: c.n}]
+        even_all_regular = even_all_regular and not irregular
+        if len(irregular) > 1 or any(c.n > 2 * t - 3 for c in irregular):
+            bad.append(canonical_form(g).decode("ascii"))
+    if n % 2 == 0 and n >= t and not even_all_regular:
+        bad.append(f"non-regular witness on even n={n}")
+    return CheckResult("star-extremal-shape", {"n": n, "t": t}, not bad,
+                       f"{len(witnesses)} extremal witnesses", bad)
+
+
+def verify_universal_vertex(witnesses: Sequence[Cotree], n: int, t: int) -> CheckResult:
+    """Every K_{2,t}-extremal cograph (t in {2,3}) has a universal vertex."""
+    bad = [canonical_form(g).decode("ascii") for g in witnesses
+           if g.n - 1 not in degree_counts(g)]
+    return CheckResult("universal-vertex", {"n": n, "t": t}, not bad,
+                       f"{len(witnesses)} extremal witnesses", bad)
+
+
+def verify_k33_shape(witnesses: Sequence[Cotree], n: int) -> CheckResult:
+    """Some K_{3,3}-extremal cograph is an edge joined to a sum of cliques."""
+    shaped = [g for g in witnesses if _has_edge_times_cliques_shape(g)]
+    two_universal = [g for g in witnesses
+                     if degree_counts(g).get(g.n - 1, 0) >= 2]
+    ok = bool(shaped) and bool(two_universal)
+    return CheckResult("k33-extremal-shape", {"n": n}, ok,
+                       f"{len(witnesses)} witnesses, {len(shaped)} edge-x-cliques shaped, "
+                       f"{len(two_universal)} with two universal vertices",
+                       [] if ok else [canonical_form(g).decode("ascii") for g in witnesses])
+
+
+def _min_factor_size(comp: Cotree) -> int:
+    """Smallest join-factor size of a connected cograph (1 for a vertex)."""
+    if comp.kind == "leaf":
+        return 1
+    return min(c.n for c in comp.children)
+
+
+def verify_lifting_decomposition(witnesses: Sequence[Cotree], n: int, s: int,
+                                t: int) -> CheckResult:
+    """Extremal witnesses decompose into products with small minimal factors.
+
+    For each witness: every component's minimal factor size is < t; for each
+    j in 1..s-1, at most one component has minimal factor size j; components
+    splittable into two factors of >= s vertices each have <= 2(t-1) vertices.
+    """
+    bad = []
+    for g in witnesses:
+        comps = g.children if g.kind == "sum" else (g,)
+        sigma = [_min_factor_size(c) for c in comps]
+        if any(x >= t for x in sigma):
+            bad.append("factor>=t: " + canonical_form(g).decode("ascii"))
+            continue
+        for j in range(1, s):
+            if sigma.count(j) > 1:
+                bad.append(f"fiber {j} repeated: " + canonical_form(g).decode("ascii"))
+                break
+        for c in comps:
+            if c.kind != "prod":
+                continue
+            sizes = [ch.n for ch in c.children]
+            if _balanced_split_exists(sizes, s) and c.n > 2 * (t - 1):
+                bad.append("oversized product component: "
+                           + canonical_form(g).decode("ascii"))
+                break
+    return CheckResult("lifting-decomposition", {"n": n, "s": s, "t": t}, not bad,
+                       f"{len(witnesses)} extremal witnesses", bad)
+
+
+def _balanced_split_exists(sizes: list[int], s: int) -> bool:
+    """Can the factor sizes split into two groups of at least s vertices each?"""
+    total = sum(sizes)
+    if total < 2 * s:
+        return False
+    reachable = {0}
+    for x in sizes:
+        reachable |= {r + x for r in reachable}
+    return any(s <= r <= total - s for r in reachable)
+
+
+def verify_structure_theorems(
+    n_range: range,
+    w: Mapping[tuple[int, int], Mapping[int, Sequence[Cotree]]],
+) -> list[CheckResult]:
+    """Run the structural checks over a range of vertex counts on ``w``:
+    (s, t) -> vertex count -> every K_{s,t}-extremal cograph, for each pair
+    of STRUCTURE_PAIRS."""
+    results: list[CheckResult] = []
+    for n in n_range:
+        if n >= 3:
+            results.append(verify_star_extremal_regular(w[1, 3][n], n, 3))
+        for t in (2, 3):
+            results.append(verify_universal_vertex(w[2, t][n], n, t))
+        if n >= 2:
+            results.append(verify_k33_shape(w[3, 3][n], n))
+        for s, t in S2_PAIRS:
+            results.append(verify_lifting_decomposition(w[s, t][n], n, s, t))
+    return results
 
 
 def dp_series(s: int, t: int, n_max: int, exhaustive: bool = False) -> ExtremalSeries:
@@ -354,8 +485,9 @@ SELECTORS: dict[str, tuple[Callable[..., list[CheckResult]], tuple[str, ...], in
                  ("n_max", "t"), 20),
     "bounds": (lambda dp, size, **_: [verify_strict_bound(dp(s, t, size)) for s, t in S2_PAIRS],
                ("n_max",), 30),
-    "structure": (lambda dp, size, **_: check_structure_theorems(
-        range(2, size + 1), lambda s, t: dp(s, t, size, True).witnesses), ("n_max",), 8),
+    "structure": (lambda dp, size, **_: verify_structure_theorems(
+        range(2, size + 1), {st: dp(*st, size, True).witnesses for st in STRUCTURE_PAIRS}),
+        ("n_max",), 8),
     "restriction": (lambda size, **_: [verify_restriction_transport(size)],
                     ("catalog_max",), 5),
     "regular": (lambda size, **_: [verify_regular_constructor(size)], ("catalog_max",), 9),

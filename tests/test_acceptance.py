@@ -19,12 +19,11 @@ from cogex.enumerator import analyze_periodicity, extremal_function
 from cogex.oracle import (
     biclique_sequence_bruteforce,
     check_balanced_biclique,
-    check_k33_shape,
-    check_universal_vertex,
     enumerate_cotrees,
     extremal_bruteforce,
 )
 from cogex.profile import alpha_for, forbidden_biclique_profile, fulfills, restrict
+from cogex.verification import verify_k33_shape, verify_universal_vertex
 
 SMALL_PAIRS = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
 BOUND_PAIRS = ((2, 2), (2, 3), (3, 3), (3, 4))
@@ -110,10 +109,10 @@ def test_criterion_06_classification_checks():
     for n in range(1, 10):
         for t in (2, 3):
             _, wits = extremal_bruteforce(n, forbidden_biclique_profile(2, t))
-            assert check_universal_vertex(wits, n, t).passed, (n, t)
+            assert verify_universal_vertex(wits, n, t).passed, (n, t)
         if n >= 2:
             _, wits = extremal_bruteforce(n, forbidden_biclique_profile(3, 3))
-            assert check_k33_shape(wits, n).passed, n
+            assert verify_k33_shape(wits, n).passed, n
     p13 = forbidden_biclique_profile(1, 3)
     for n in (4, 6, 8):  # even n at least t
         _, wits = extremal_bruteforce(n, p13)

@@ -55,7 +55,7 @@ def test_pareto_filter_runs_once_per_level(monkeypatch):
     monkeypatch.setattr(enumerator, "pareto_filter", record)
     for n_max, prune in (
             (16, forbidden_biclique_profile(3, 3)),
-            (16, parse_profile("3,1,0;-inf")),  # levels 4..16 lie past entry 0
+            (16, parse_profile("3,1,0;-inf")),  # levels 3..16 are empty
             (10, BicliqueProfile((), INF))):    # no window
         results.clear()
         regs = enumerator.build_registries(n_max, prune)
@@ -65,8 +65,8 @@ def test_pareto_filter_runs_once_per_level(monkeypatch):
 
 def test_bruteforce_sequence_runs_once_per_catalog_graph(monkeypatch):
     """The benchmark reads the calls to biclique_sequence_bruteforce as one
-    per catalog graph: building the sequence tables for n = 1..9 calls it
-    once for each of the 2,341 graphs, at cap n, through its module name."""
+    per catalog graph: grouping the catalogs for n = 1..9 by sequence calls
+    it once for each of the 2,341 graphs, at cap n, through its module name."""
     from cogex import oracle
 
     calls = []
@@ -77,12 +77,12 @@ def test_bruteforce_sequence_runs_once_per_catalog_graph(monkeypatch):
         return original(a, cap)
 
     monkeypatch.setattr(oracle, "biclique_sequence_bruteforce", record)
-    oracle._sequence_table.cache_clear()
+    oracle._catalog.cache_clear()
     try:
         for n in range(1, 10):
-            oracle._sequence_table(n)
+            oracle.enumerate_cotrees(n).by_sequence
     finally:
-        oracle._sequence_table.cache_clear()
+        oracle._catalog.cache_clear()
     assert len(calls) == 2341
     assert calls == [(n, n) for n in range(1, 10)
                      for _ in oracle.enumerate_cotrees(n).items]
@@ -90,7 +90,7 @@ def test_bruteforce_sequence_runs_once_per_catalog_graph(monkeypatch):
 
 def test_verify_all_expands_each_catalog_graph_once(monkeypatch):
     """The benchmark reads the calls to to_adjacency on verify: with the
-    oracle's tables cleared, verify all expands each of the 2,341 catalog
+    oracle's catalogs cleared, verify all expands each of the 2,341 catalog
     graphs (n = 1..9) once, through the oracle's name, into its catalog."""
     from cogex import oracle
     from cogex.verification import run_suite
@@ -103,12 +103,10 @@ def test_verify_all_expands_each_catalog_graph_once(monkeypatch):
         return original(g)
 
     monkeypatch.setattr(oracle, "to_adjacency", record)
-    for table in (oracle._catalog, oracle._sequence_table):
-        table.cache_clear()
+    oracle._catalog.cache_clear()
     try:
         assert run_suite("all")["passed"]
     finally:
-        for table in (oracle._catalog, oracle._sequence_table):
-            table.cache_clear()
+        oracle._catalog.cache_clear()
     assert len(calls) == 2341
     assert sorted(calls) == [n for n in range(1, 10) for _ in oracle.enumerate_cotrees(n).items]

@@ -64,11 +64,12 @@ def test_enumerate_s1_summary_names_the_equalities(capsys):
 
 
 def test_enumerate_profile_from_index_0_asserts_no_strict_bound(capsys):
-    # entry 0 finite bounds the vertex count; alpha is no edge bound then
+    # entry 0 finite bounds the vertex count; alpha is no edge bound then.
+    # Entry 3 is -inf, so no graph on 3 or more vertices fulfills it
     code, out, err = run(["enumerate", "--profile", "3,1,0;-inf", "--n-max", "12"],
                          capsys)
     assert code == 0
-    assert [row["ex"] for row in json.loads(out)["rows"]] == [0, 1, 1]
+    assert [row["ex"] for row in json.loads(out)["rows"]] == [0, 1]
     assert "violated" not in err
     assert "strict bound not asserted for s = 0; ex >= 1/2 * n at n=[2]" in err
 
@@ -132,10 +133,10 @@ def test_strict_bound_rule_shared_by_writers_and_summary(capsys):
     argv = ["enumerate", "--profile", "3,1,0;-inf", "--n-max", "4"]
     code, out, err = run(argv, capsys)
     assert code == 0 and "strict bound not asserted for s = 0" in err
-    assert [row["bound_ok"] for row in json.loads(out)["rows"]] == [None] * 3
+    assert [row["bound_ok"] for row in json.loads(out)["rows"]] == [None] * 2
     code, out, _ = run(argv + ["--format", "csv"], capsys)
     assert code == 0
-    assert [line.split(",")[3] for line in out.splitlines()[1:]] == [""] * 3
+    assert [line.split(",")[3] for line in out.splitlines()[1:]] == [""] * 2
     # K_{s,t}: bound_ok exactly when s >= 2
     for s, expected in (("1", [None] * 4), ("2", [True] * 4)):
         code, out, _ = run(["enumerate", "--s", s, "--t", "3", "--n-max", "4"], capsys)
@@ -430,12 +431,13 @@ def test_analyze_malformed_snapshot_is_usage_error(snapshot, named, tmp_path, ca
 
 
 def test_analyze_bounded_profile_snapshot(tmp_path, capsys):
-    # the profile bounds n by 3: the snapshot's rows stop there, with no gap
+    # entry 3 is -inf, so no graph on 3 or more vertices fulfills the
+    # profile: the snapshot's rows stop at n = 2, with no gap
     snap = tmp_path / "s.json"
     code, _, _ = run(["enumerate", "--profile", "3,1,0;-inf", "--n-max", "12",
                       "-o", str(snap)], capsys)
     assert code == 0
-    assert [row["n"] for row in json.loads(snap.read_text())["rows"]] == [1, 2, 3]
+    assert [row["n"] for row in json.loads(snap.read_text())["rows"]] == [1, 2]
     code, out, _ = run(["analyze", "--input", str(snap)], capsys)
     assert code == 0 and json.loads(out)["constraint"] == "3,1,0;-inf"
 

@@ -1,5 +1,6 @@
 """Registry DP: building, Pareto filtering, queries, series, periodicity."""
 
+import random
 import sys
 from fractions import Fraction
 
@@ -35,7 +36,8 @@ from cogex.enumerator import (
 )
 from cogex.oracle import extremal_bruteforce
 from cogex.profile import (INF, NEG_INF, BicliqueProfile, alpha_for, binding_cap,
-                           forbidden_biclique_profile, format_profile, parse_profile)
+                           forbidden_biclique_profile, format_profile, parse_profile,
+                           start_index)
 from cogex.verification import dp_series, verify_pareto_safety
 from test_traversal import padded
 
@@ -489,6 +491,41 @@ def test_dp_matches_oracle_extended_pairs():
                 brute[n] = max(brute.get(n, -1), e)
         series = extremal_function(s, t, range(1, 9))
         assert series.values == brute, (s, t)
+
+
+# profile entries drawn for random profiles
+PROFILE_VALUES = (NEG_INF, *range(9), INF)
+
+
+def _random_profiles(rng, count):
+    """``count`` profiles with a finite start value: prefixes of 1-5 entries
+    and a tail, each drawn from {-inf, 0..8, +inf}, kept when
+    BicliqueProfile accepts them."""
+    profiles = []
+    while len(profiles) < count:
+        prefix = [rng.choice(PROFILE_VALUES) for _ in range(rng.randint(1, 5))]
+        try:  # a ProfileError, or an all-+inf profile without a start index
+            p = BicliqueProfile(prefix, rng.choice(PROFILE_VALUES))
+            start = p[start_index(p)]
+        except ValueError:
+            continue
+        if start not in (INF, NEG_INF):
+            profiles.append(p)
+    return profiles
+
+
+def test_dp_matches_oracle_on_random_profiles():
+    # a -inf entry at index j admits no graph on j or more vertices, also
+    # where it lies past the indices that bind; a missing level is ex = -1
+    for p in _random_profiles(random.Random(30), 400):
+        exhaustive = extremal_series_for_profile(p, range(1, 9), exhaustive=True,
+                                                 witness_limit=None)
+        filtered = extremal_series_for_profile(p, range(1, 9))
+        for n in range(1, 9):
+            want, witnesses = extremal_bruteforce(n, p)
+            assert exhaustive.values.get(n, -1) == want, (format_profile(p), n)
+            assert exhaustive.witnesses.get(n, ()) == witnesses, (format_profile(p), n)
+            assert filtered.values.get(n, -1) == want, (format_profile(p), n)
 
 
 def test_profile_route_equals_st_route():

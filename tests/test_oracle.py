@@ -25,16 +25,14 @@ from cogex.cotree import (
 from cogex.oracle import (
     biclique_sequence_bruteforce,
     check_balanced_biclique,
-    check_structure_theorems,
     connected_cotrees,
     contains_biclique,
     enumerate_cotrees,
     extremal_bruteforce,
     random_cotree,
-    _sequence_table,
 )
 from cogex.profile import NEG_INF, BicliqueProfile, forbidden_biclique_profile, fulfills
-from cogex.verification import SMALL_PAIRS
+from cogex.verification import SMALL_PAIRS, STRUCTURE_PAIRS, verify_structure_theorems
 
 from census import count_p4_free_classes_bruteforce, labeled_p4_free_count, orbit_count_identity
 from test_traversal import old_complement
@@ -220,12 +218,14 @@ def test_balanced_biclique_degenerate_single_vertex():
 
 def test_structure_theorems_small():
     # on the catalog's witnesses, every extremal cograph of each n
-    results = check_structure_theorems(range(2, 8), lambda s, t: {
-        n: extremal_bruteforce(n, forbidden_biclique_profile(s, t))[1] for n in range(2, 8)})
+    results = verify_structure_theorems(range(2, 8), {
+        (s, t): {n: extremal_bruteforce(n, forbidden_biclique_profile(s, t))[1]
+                 for n in range(2, 8)}
+        for s, t in STRUCTURE_PAIRS})
     assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
-# -- the lattice search and the per-n sequence table against plain loops -----
+# -- the lattice search and each catalog's grouping by sequence against plain loops
 
 def _reference_sequence(a, cap):
     """Biclique sequence by one combinations loop per part size."""
@@ -343,19 +343,19 @@ def test_bruteforce_sequence_empty_graph_and_bad_cap():
 
 
 def test_sequence_table_not_built_at_import():
-    # neither the per-n sequence tables, the k-set masks nor the catalogs
+    # neither the k-set masks nor the catalogs, whose grouping by sequence
+    # is built on first read
     code = ("import cogex.cli, cogex.oracle as o; "
-            "print(o._sequence_table.cache_info().currsize, "
-            "o._k_set_masks.cache_info().currsize, "
+            "print(o._k_set_masks.cache_info().currsize, "
             "o._catalog.cache_info().currsize, "
             "o._rooted_cotrees.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
-    assert out.split() == ["0", "0", "0", "0"]
+    assert out.split() == ["0", "0", "0"]
 
 
 def test_sequence_table_groups_the_catalog():
-    tables = [_sequence_table(n) for n in range(1, 10)]
+    tables = [enumerate_cotrees(n).by_sequence for n in range(1, 10)]
     assert sum(len(t) for t in tables) == 228
     for n, table in enumerate(tables, start=1):
         assert len({seq for seq, _ in table}) == len(table)
@@ -369,7 +369,7 @@ def test_sequence_table_groups_the_catalog():
 def test_cached_table_keeps_the_limit():
     p = forbidden_biclique_profile(3, 3)
     extremal_bruteforce(9, p)
-    assert _sequence_table.cache_info().currsize >= 1
+    assert "by_sequence" in vars(enumerate_cotrees(9))
     with pytest.raises(CapacityError):
         extremal_bruteforce(9, p, limit=8)
     with pytest.raises(ValueError):

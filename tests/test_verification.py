@@ -6,11 +6,14 @@ import pytest
 
 import cogex.verification as verification
 from cogex.cli import main
-from cogex.cotree import CapacityError, clique, edgeless, make_product, make_sum
-from cogex.oracle import CheckResult, check_structure_theorems
+from cogex.cotree import (CapacityError, clique, degree_counts, edgeless, make_product,
+                          make_sum, summands)
+from cogex.oracle import CheckResult, CographCatalog, extremal_bruteforce
+from cogex.profile import forbidden_biclique_profile
 from cogex.verification import (
     SELECTORS,
     SMALL_PAIRS,
+    STRUCTURE_PAIRS,
     dp_series,
     options_read,
     run_suite,
@@ -20,6 +23,7 @@ from cogex.verification import (
     verify_pump_invariants,
     verify_restriction_transport,
     verify_strict_bound,
+    verify_structure_theorems,
 )
 
 
@@ -64,7 +68,7 @@ def test_structure_selector_builds_no_catalog(monkeypatch):
     def no_catalog(*_, **__):
         raise AssertionError("the structure selector built an oracle catalog")
 
-    for name in ("enumerate_cotrees", "_sequence_table"):
+    for name in ("enumerate_cotrees", "_catalog"):
         monkeypatch.setattr(oracle, name, no_catalog)
     report = run_suite("structure", n_max=20)
     assert report["passed"]
@@ -72,10 +76,59 @@ def test_structure_selector_builds_no_catalog(monkeypatch):
 
 
 def test_structure_theorems_to_30_on_exhaustive_witnesses():
-    results = check_structure_theorems(
-        range(2, 31), lambda s, t: dp_series(s, t, 30, True).witnesses)
+    results = verify_structure_theorems(
+        range(2, 31), {st: dp_series(*st, 30, True).witnesses for st in STRUCTURE_PAIRS})
     assert len(results) == 202
     assert all(r.passed for r in results), [r.name for r in results if not r.passed]
+
+
+def _k33_family(n):
+    """The K_{3,3}-extremal cographs on n >= 2 vertices as the exhaustive DP
+    shows them for n <= 45: K_2 x (q K_3 + K_r) with q, r = divmod(n - 2, 3),
+    and, when r > 0, E_2 x (a K_3 + b C_4) for each a >= 0, b >= 1 with
+    3a + 4b = n - 2, where C_4 = E_2 x E_2.  This matches the DP; it is not
+    the paper's statement."""
+    q, r = divmod(n - 2, 3)
+    rest = [clique(3)] * q + ([clique(r)] if r else [])
+    family = {make_product([clique(2), *([make_sum(rest)] if rest else [])])}
+    c4 = make_product([edgeless(2), edgeless(2)])
+    for b in range(1, (n - 2) // 4 + 1) if r else ():
+        a, left = divmod(n - 2 - 4 * b, 3)
+        if not left:
+            family.add(make_product([edgeless(2), make_sum([clique(3)] * a + [c4] * b)]))
+    return family
+
+
+def test_k33_extremal_cographs_are_the_family():
+    witnesses = dp_series(3, 3, 45, True).witnesses
+    for n in range(2, 46):
+        assert set(witnesses[n]) == _k33_family(n), n
+        assert verification.k33_extremal(n) in _k33_family(n), n
+    p = forbidden_biclique_profile(3, 3)
+    for n in range(2, 10):
+        assert set(extremal_bruteforce(n, p)[1]) == _k33_family(n), n
+    assert [len(_k33_family(n)) for n in (12, 13, 14, 30, 31, 32, 45)] == [2, 2, 1, 4, 3, 1, 5]
+
+
+# (s, t, n_max, the least n from which every extremal cograph has the shape)
+STAR_LIKE_ONSETS = [(2, 3, 40, 5), (3, 3, 45, 7), (3, 4, 36, 7), (4, 4, 32, 8),
+                    (3, 5, 36, 9), (2, 5, 36, 20), (2, 7, 36, 22)]
+
+
+@pytest.mark.parametrize("s, t, n_max, onset", STAR_LIKE_ONSETS,
+                         ids=[f"K{s}{t}" for s, t, _, _ in STAR_LIKE_ONSETS])
+def test_every_extremal_cograph_is_star_like_from_its_onset(s, t, n_max, onset):
+    # the star-like shape: a (t-1)-regular summand with s - 1 outside
+    # neighbours, on every exhaustive witness from the onset to n_max, and
+    # missing from some witness one level below it
+    def star_like(g):
+        return any(degree_counts(c) == {t - 1: c.n} and outside == s - 1
+                   for _, c, _, outside in summands(g))
+
+    witnesses = dp_series(s, t, n_max, True).witnesses
+    for n in range(onset, n_max + 1):
+        assert all(map(star_like, witnesses[n])), n
+    assert not all(map(star_like, witnesses[onset - 1]))
 
 
 @pytest.mark.parametrize("options, calls", [({}, 13), ({"n_max": 6}, 10)],
@@ -136,11 +189,15 @@ def test_sequences_check_records_an_invariant_violation(monkeypatch):
     # a sequence that the recursion and brute force agree on but that is not
     # decreasing is a failed check, not a traceback
     bad = (3, 1, 2)
-    sequence, table = verification.biclique_sequence, verification._sequence_table
+    sequence, catalogs = verification.biclique_sequence, verification.enumerate_cotrees
+    # a fresh catalog of the 3-vertex cographs whose grouping by sequence,
+    # a cached property, is set to the bad sequence
+    three = CographCatalog(3, catalogs(3).items)
+    vars(three)["by_sequence"] = ((bad, three.items),)
     monkeypatch.setattr(verification, "biclique_sequence",
                         lambda g, k: bad if g.n == 3 else sequence(g, k))
-    monkeypatch.setattr(verification, "_sequence_table", lambda n: table(n) if n != 3 else [
-        (bad, [g for _, graphs in table(3) for g in graphs])])
+    monkeypatch.setattr(verification, "enumerate_cotrees",
+                        lambda n, limit: three if n == 3 else catalogs(n, limit))
     result = verification.verify_sequences(4)
     assert not result.passed
     assert len(result.counterexamples) == 4  # the cographs on 3 vertices
