@@ -279,17 +279,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--exhaustive", action="store_true",
-                   help="keep every profile class (no Pareto filter); the output "
-                        "still lists at most --witness-max witnesses per n")
+                   help="find every extremal cograph (the Pareto filter keeps ties); "
+                        "the output still lists at most --witness-max witnesses per n")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--witness-max", type=int, default=DEFAULT_WITNESS_LIMIT)
     p.add_argument("--max-records", type=int, default=None,
                    help="most candidate keys one DP level may make before the "
-                        "Pareto filter (capacity guard); without --exhaustive, sums "
-                        "whose first part is not a smallest component, and sums "
-                        "that a sum with the same first part strictly dominates, "
-                        "are not made, so not counted; two parts of one size are "
-                        "summed in one order only, as both orders make one key")
+                        "Pareto filter (capacity guard); sums whose first part is "
+                        "not a smallest component, and sums that a sum with the "
+                        "same first part strictly dominates, are not made, so not "
+                        "counted; two parts of one size are summed in one order "
+                        "only, as both orders make one key")
     _add_common(p)
 
     p = sub.add_parser("construct", allow_abbrev=False,

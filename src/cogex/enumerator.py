@@ -6,15 +6,22 @@ Level n holds a registry mapping biclique sequences at ``cap`` (entries
 witness cotrees.  Level n is generated from every split n = n1 + n2 by
 combining record keys under sum and product, pruning keys that violate
 the constraint profile, and reducing to the Pareto frontier over
-(smaller key, more edges) unless exhaustive mode keeps every key.  A
-record keeps the part records it came from, and its witnesses are built
-from theirs when first read: a series reads those of a few records only.
+(smaller key, more edges), which keeps ties in exhaustive mode.  A record
+keeps the part records it came from, and its witnesses are built from
+theirs when first read: a series reads those of a few records only.
 
-Keys determine how a part behaves inside any larger composition, so
-replacing a part by one with a pointwise smaller-or-equal key and at
-least as many edges never hurts: the frontier keeps at least one extremal
-cograph per level.  Candidate generation per level is associative and
-order-independent; the implementation runs it sequentially.
+Keys determine how a part behaves inside any larger composition (sums and
+joins are monotone in the key), so replacing a part by one with a
+pointwise smaller-or-equal key and at least as many edges never hurts:
+the frontier keeps at least one extremal cograph per level.  Exhaustive
+mode keeps every one.  Its filter, and the sum cutoff below, drop a
+(code, edges) pair only when a code within it has strictly more edges, and
+no part P of an extremal graph G is such a pair: that code's record would
+replace P in G, giving a graph that fits the window with more edges than
+G.  Equal edges give no such contradiction, so the default filter, which
+drops ties, keeps fewer witnesses.  The smallest-component induction below
+needs only that these parts survive.  Candidate generation per level is
+associative and order-independent; the implementation runs it sequentially.
 
 Pair combination is the hot loop.  Passes 1 and 2 (combination and
 Pareto reduction) key each candidate by one Python int (``_encode``).
@@ -36,10 +43,6 @@ comes from one part's key and the other part's code with entry 0, in one
 max-plus loop over shifted codes (``_join_code``), and is tested like a
 sum's; when n1 and n2 are both at least s, no K_{s,t} join survives and
 none is computed.
-The Pareto filter keeps its kept codes sorted: a code that dominates
-another is a bitwise subset of it, so not larger, and a candidate is tested
-against the kept codes below it only, after the kept code that dominated
-the candidate before it.
 Survivors are decoded once, so registries and everything after the DP see
 int tuple keys.
 The loop stays pure Python: importing numpy would raise the CLI's peak
@@ -62,12 +65,12 @@ connected-type and no larger than A, B + A is the same sum.  If B's largest
 first part is below |A|, its tied sum sources (B1, B2) have |B1| < |A|,
 and B1 + (A + B2) matches or dominates A + B likewise.  Each step shrinks
 the first part, down to a pair that level n makes.  In exhaustive mode
-every lower candidate is kept, so that pair has the code of A + B, and
-every witness is made: an extremal sum is a smallest component C, whose
-record is connected-type, plus an extremal rest R, whose record's largest
+every extremal witness is made: an extremal sum is a smallest component C,
+whose record is connected-type, plus the rest R, whose record's largest
 first part is at least |C| (by induction, R's own smallest component
-starts one of its tied sources).  A record under a binding witness limit
-keeps the first graphs of its (fewer) sources.
+starts one of its tied sources); both survive, as parts of an extremal
+graph.  A record under a binding witness limit keeps the first graphs of
+its (fewer) sources.
 
 Sums of a first part stop early.  Each level's rows are sorted by edges,
 most first.  For a connected-type first part c1 (floor included), let the
@@ -81,8 +84,6 @@ edges are still summed, as they may be tied best sources.  A row whose
 largest first part is below n1 is tested against e* before it is skipped,
 and may set e*: a pair that is made matches or dominates its (code,
 edges), and so strictly dominates every later sum with fewer edges.
-Exhaustive mode keeps every candidate and never stops.
-Without it, ``max_records`` counts the fewer candidate keys that are made.
 """
 
 from __future__ import annotations
@@ -210,10 +211,11 @@ class Registry:
         return f"Registry(n={self.n}, records={len(self.records)})"
 
 
-def pareto_filter(candidates: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
+def pareto_filter(candidates: Iterable[tuple[int, int]],
+                  ties: bool = False) -> set[tuple[int, int]]:
     """Non-dominated (code, edges) pairs of one level, codes from ``_encode``:
     no other pair has a pointwise smaller-or-equal key (``not other & ~code``)
-    and at least as many edges with one strict.
+    and at least as many edges, or with ``ties`` strictly more.
 
     Kept codes are kept sorted.  A code that is a bitwise subset of another
     is at most the other, so only kept codes below a candidate can dominate
@@ -229,14 +231,15 @@ def pareto_filter(candidates: Iterable[tuple[int, int]]) -> set[tuple[int, int]]
     # ~code, never 0 for a non-negative code, so it dominates none
     last = -1
     # most edges first, so every kept code has at least as many edges;
-    # among equal edges the smaller code first
-    for code, _ in sorted(best.items(), key=itemgetter(1), reverse=True):
+    # among equal edges the smaller code first.  With ties an equal kept
+    # code dominates nothing, and last has more edges than later candidates
+    for code, edges in sorted(best.items(), key=itemgetter(1), reverse=True):
         over = ~code
         if not last & over:
             continue
         below = bisect_right(kept, code)
         for i in range(below - 1, -1, -1):
-            if not kept[i] & over:
+            if not kept[i] & over and (not ties or best[kept[i]] > edges):
                 last = kept[i]
                 break
         else:
@@ -314,8 +317,8 @@ def build_registries(
     drops every key exceeding the profile on that window, which is sound
     because a part's sequence is a pointwise lower bound for any graph
     containing it; so every kept record fits ``prune``, and
-    ``BicliqueProfile((), INF)`` prunes nothing.  ``exhaustive`` skips
-    Pareto filtering and keeps every witness, at a significant memory cost.
+    ``BicliqueProfile((), INF)`` prunes nothing.  ``exhaustive`` keeps every
+    witness and Pareto ties, so every extremal cograph is a witness.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -386,17 +389,15 @@ def build_registries(
                 c1 |= floor
                 # once a second part inside c1 gave c1 itself with e1 + e*
                 # edges, every later one has at most e* edges, and one with
-                # fewer makes a sum that c1's strictly dominates; no code is
-                # -1, so exhaustive mode never stops.  A row skipped for its
-                # first parts still sets the stop: a sum that is made
-                # matches or dominates its (code, edges)
-                inside = -1 if exhaustive else c1
+                # fewer makes a sum that c1's strictly dominates.  A row
+                # skipped for its first parts still sets the stop: a sum
+                # that is made matches or dominates its (code, edges)
                 stop = -1
                 for c2, r2, e2, largest in right[i:] if n1 == n2 else right:
                     if e2 < stop:
                         break
                     code = c1 | c2
-                    if code == inside:
+                    if code == c1:
                         stop = e2
                     if largest < n1:
                         continue
@@ -430,12 +431,9 @@ def build_registries(
                 f"level {n} produced {len(candidates)} profile keys "
                 f"(limit {max_records})")
 
-        # pass 2: Pareto reduction at the (key, edges) level
-        if exhaustive:
-            surviving = list(candidates)
-        else:
-            surviving = [c for c, _ in pareto_filter(
-                (c, e) for c, (e, _) in candidates.items())]
+        # pass 2: Pareto reduction at the (key, edges) level, keeping ties in exhaustive mode
+        surviving = [c for c, _ in pareto_filter(
+            ((c, e) for c, (e, _) in candidates.items()), exhaustive)]
 
         # survivors keep their sources, in key order; witnesses are built
         # when first read.  A key holds entries 0..m, read from the top m

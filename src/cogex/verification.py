@@ -236,9 +236,9 @@ def verify_structure_theorems(
 
 def dp_series(s: int, t: int, n_max: int, exhaustive: bool = False) -> ExtremalSeries:
     """The DP's K_{s,t} series, n = 1..n_max; exhaustive witnesses are every
-    K_{s,t}-extremal n-vertex cograph, as each part of an extremal cograph is
-    edge-best for its key, ties keep every source, and the window never
-    prunes a part of a graph that fits."""
+    K_{s,t}-extremal n-vertex cograph, as a part of one has the most edges
+    over the keys at most its own, ties keep every source, and the window
+    never prunes a part of a graph that fits."""
     return extremal_function(s, t, range(1, n_max + 1), exhaustive=exhaustive,
                              witness_limit=None if exhaustive else DEFAULT_WITNESS_LIMIT)
 

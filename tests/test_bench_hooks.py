@@ -47,8 +47,8 @@ def test_pareto_filter_runs_once_per_level(monkeypatch):
     results = []
     original = enumerator.pareto_filter
 
-    def record(candidates):
-        result = original(candidates)
+    def record(candidates, ties):
+        result = original(candidates, ties)
         results.append(len(result))
         return result
 

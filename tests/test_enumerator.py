@@ -121,6 +121,10 @@ def test_pareto_filter_examples():
     both = _coded({((3, 1, 0), 2), ((3, 2, 1), 3)})
     assert pareto_filter(both) == both
     assert pareto_filter([(_encode((3, 1, 0), 2, 5), 2)] * 2) == _coded({((3, 1, 0), 2)})
+    # with ties, a key within another drops it only with strictly more edges
+    tied = _coded({((3, 1, 0), 2), ((3, 2, 1), 2)})
+    assert pareto_filter(tied, ties=True) == tied
+    assert pareto_filter(both, ties=True) == both
 
 
 def _tuple_frontier(pairs):
@@ -139,10 +143,10 @@ def test_pareto_filter_on_codes_matches_tuple_filter(st, monkeypatch):
     levels = []
     original = enumerator.pareto_filter
 
-    def record(candidates):
+    def record(candidates, ties):
         candidates = list(candidates)
         levels.append(candidates)
-        return original(candidates)
+        return original(candidates, ties)
 
     monkeypatch.setattr(enumerator, "pareto_filter", record)
     n_max = 20
@@ -159,22 +163,26 @@ _codes = strategies.one_of(strategies.integers(0, 63),
                          strategies.integers(min_value=0))
 
 
-@given(strategies.lists(strategies.tuples(_codes, strategies.integers(0, 3)),
-                        max_size=40))
+@pytest.mark.parametrize("ties", [False, True], ids=["strict", "ties"])
+@given(pairs=strategies.lists(strategies.tuples(_codes, strategies.integers(0, 3)),
+                              max_size=40))
 # the zero code is a subset of every code
-@example([(0, 1), (0, 0), (4, 1), (4, 2), (7, 0)])
+@example(pairs=[(0, 1), (0, 0), (4, 1), (4, 2), (7, 0)])
 # kept code 1 dominates 3 and 5, not 6, then 9 again; 6 dominates 14
-@example([(1, 3), (3, 2), (5, 2), (6, 2), (9, 2), (14, 1)])
-def test_pareto_filter_matches_all_pairs_subset_filter(pairs):
+@example(pairs=[(1, 3), (3, 2), (5, 2), (6, 2), (9, 2), (14, 1)])
+# 1 lies within 3 with equal edges: with ties both are kept
+@example(pairs=[(1, 2), (3, 2), (7, 1)])
+def test_pareto_filter_matches_all_pairs_subset_filter(ties, pairs):
     """On any non-negative codes, with repeated codes and tied edges, the
     filter keeps each code's best edges unless another code that is a
-    bitwise subset has at least as many."""
+    bitwise subset has at least as many, or with ties strictly more."""
     best = {}
     for code, edges in pairs:
         best[code] = max(best.get(code, -1), edges)
-    assert pareto_filter(pairs) == {
+    assert pareto_filter(pairs, ties) == {
         (c, e) for c, e in best.items()
-        if not any(c2 != c and e2 >= e and not c2 & ~c for c2, e2 in best.items())}
+        if not any(c2 != c and (e2 > e if ties else e2 >= e) and not c2 & ~c
+                   for c2, e2 in best.items())}
 
 
 def old_joinable(key, other_n, window, bounded):
@@ -242,11 +250,15 @@ def test_ex_table_pinned(st):
 
 
 def _reference_registries(n_max, prune, exhaustive=False,
-                          witness_limit=DEFAULT_WITNESS_LIMIT, max_records=None):
+                          witness_limit=DEFAULT_WITNESS_LIMIT, max_records=None,
+                          keep_every=False):
     """The DP without its fast path: every sum and join of every record pair
     through sum_entries and product_entries, then the window check, then an
-    all-pairs dominance filter.  Levels are lists of (key, edges, witnesses);
-    keys are sequences at cap, entries 0..min(n, cap), as the DP's are."""
+    all-pairs dominance filter: a key goes when another key at most it has
+    at least as many edges, or in exhaustive mode strictly more.
+    ``keep_every`` keeps every key instead, an unfiltered DP.  Levels are
+    lists of (key, edges, witnesses); keys are sequences at cap, entries
+    0..min(n, cap), as the DP's are."""
     cap = binding_cap(prune) + 1
     window = prune.window(cap + 1)
     limit = None if exhaustive else witness_limit
@@ -279,9 +291,10 @@ def _reference_registries(n_max, prune, exhaustive=False,
         if max_records is not None and len(cands) > max_records:
             raise CapacityError(f"level {n} produced {len(cands)} profile keys "
                                 f"(limit {max_records})")
-        keep = set(cands) if exhaustive else {
+        keep = set(cands) if keep_every else {
             k for k, (e, _) in cands.items()
-            if not any(k2 != k and e2 >= e and all(a <= b for a, b in zip(k2, k))
+            if not any(k2 != k and (e2 > e if exhaustive else e2 >= e)
+                       and all(a <= b for a, b in zip(k2, k))
                        for k2, (e2, _) in cands.items())}
         level = {}
         for key in sorted(keep):
@@ -361,6 +374,20 @@ def test_fast_dp_matches_reference(case):
 # one case per profile of REFERENCE_CASES
 PROFILE_CASES = {format_profile(opts["prune"]): (n_max, opts["prune"])
                  for n_max, opts in REFERENCE_CASES.values()}
+
+
+@pytest.mark.parametrize("case", PROFILE_CASES)
+def test_exhaustive_dp_finds_every_witness_of_the_unfiltered_reference(case):
+    # exhaustive mode drops a key only when a key within it has strictly
+    # more edges, which no part of an extremal graph meets: every level's
+    # best edge count and witness set are those of the DP that keeps every
+    # key.  Up to n = 16, past the oracle's n <= 10, as that DP is slow
+    n_max, p = min(PROFILE_CASES[case][0], 16), PROFILE_CASES[case][1]
+    every = _reference_registries(n_max, p, exhaustive=True, keep_every=True)
+    for reg, level in zip(build_registries(n_max, p, exhaustive=True), every):
+        best = max((e for _, e, _ in level), default=-1)
+        wits = {w for _, e, ws in level if e == best for w in ws}
+        assert query_witnesses(reg) == (best, tuple(sorted(wits))), (case, reg.n)
 
 
 @pytest.mark.parametrize("exhaustive", [False, True], ids=["filtered", "exhaustive"])
@@ -457,7 +484,8 @@ def test_registry_keys_are_int_tuples_up_to_n(case):
 
 
 def test_fast_dp_keeps_every_witness_without_a_limit():
-    # exhaustive mode keeps all witnesses; at n <= 9 no key has more than two
+    # exhaustive mode keeps all witnesses of the keys it keeps; at n <= 9 no
+    # key has more than two
     opts = dict(prune=NO_WINDOW, exhaustive=True)
     ref = _reference_registries(11, **opts)
     assert max(len(wits) for level in ref for _, _, wits in level) > 2
